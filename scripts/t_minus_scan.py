@@ -14,17 +14,12 @@ from fractions import Fraction
 
 from wells_majorize.rationals import format_rational, parse_rational
 from wells_majorize.spin_sums import SpinValue
-from wells_majorize.wells import (
-    canonical_gap,
-    mu_lambda_measure,
-    spin_measure,
-    t_minus_upper,
-)
+from wells_majorize.wells import canonical_gap, mu_lambda_measure, spin_measure
 
 
 def scan(label, mu, n_max, tol):
-    bracket = t_minus_upper(mu, n_max=n_max, tol=tol)
     gap = canonical_gap(mu, n_max=n_max, tol=tol)
+    bracket = gap.bracket
     print(
         f"{label:>16}  T- in [{float(bracket.lo):.7f}, {float(bracket.hi):.7f}]"
         f"  T-^2 in [{float(gap.t_minus_sq_lo):.7f}, {float(gap.t_minus_sq_hi):.7f}]"

@@ -37,7 +37,6 @@ from .wells import (
     spin_measure,
     spin_second_moment,
     t_minus_squared_mu_lambda,
-    t_minus_upper,
     tc_bounds,
 )
 
@@ -119,8 +118,8 @@ def cmd_t_minus(args: argparse.Namespace) -> int:
     with Timer() as t:
         mu = parse_measure(args.measure)
         tol = parse_rational(args.tol)
-        bracket = t_minus_upper(mu, n_max=args.n_max, tol=tol)
         gap = canonical_gap(mu, n_max=args.n_max, tol=tol)
+        bracket = gap.bracket
         details = {
             "t_minus_lo": bracket.lo,
             "t_minus_hi": bracket.hi,

@@ -161,6 +161,10 @@ def gibbs_expectation(
     energy = np.zeros(len(idx))
     for subset, strength in couplings.terms:
         energy -= strength * spins[:, [col[s] for s in subset]].prod(axis=1)
+    # Shifting by the ground-state energy cancels in the ratio and keeps
+    # every Boltzmann factor in (0, 1], so strong couplings cannot
+    # overflow exp and the partition function stays finite.
+    energy -= energy.min()
     boltz = prior * np.exp(-energy)
 
     observable = spins[:, [col[s] for s in B]].prod(axis=1)
@@ -214,6 +218,8 @@ class ProbeConfig:
     def __post_init__(self) -> None:
         if self.trials < 0 or self.site_cap < 1:
             raise PreconditionError("trials must be >= 0 and site_cap >= 1")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise PreconditionError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, lcm
 from typing import Iterable
 
 from .errors import DomainError, InvariantError, PreconditionError, ValidationError
@@ -80,6 +81,21 @@ class DiscreteMeasure:
     def max_abs_value(self) -> Fraction:
         return max(abs(v) for v, _ in self.atoms)
 
+    @cached_property
+    def cleared_squares(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The squared atoms over one common denominator: (D, ((a, c), ...))
+        with v^2 = a/D and c/W the total weight at v^2, one entry per
+        distinct v^2 in increasing order. W is the common denominator of
+        the weights; only the signs and ratios of the c matter, so it is
+        not kept. Computed once per measure for the integer moment sums."""
+        D = lcm(*(v.denominator**2 for v, _ in self.atoms))
+        W = lcm(*(w.denominator for _, w in self.atoms))
+        weights: dict[int, int] = {}
+        for v, w in self.atoms:
+            a = v.numerator**2 * (D // v.denominator**2)
+            weights[a] = weights.get(a, 0) + w.numerator * (W // w.denominator)
+        return D, tuple(sorted(weights.items()))
+
 
 def bernoulli_measure(T: Fraction | int | str) -> DiscreteMeasure:
     """Symmetric two-point measure with atoms +-T, weight 1/2 each."""
@@ -130,16 +146,40 @@ def wells_term(mu: DiscreteMeasure, s_squared: Fraction | int | str, n: int) -> 
     return sum((w * (v * v - s) ** n for v, w in mu.atoms), Fraction(0))
 
 
+def _scaled_differences(mu: DiscreteMeasure, s: Fraction) -> list[tuple[int, int]]:
+    """(d, c) per distinct v^2, where d = (v^2 - s) * q * D for s = p/q and
+    c is the weight scaled by W (see `DiscreteMeasure.cleared_squares`).
+
+    Then (qD)^n * W * P_n(s) = sum c * d^n, so each integer sum has the
+    sign of the moment P_n(s), and comparisons between the d or between
+    the c are those between the unscaled differences or weights.
+    """
+    D, squares = mu.cleared_squares
+    pD, q = s.numerator * D, s.denominator
+    return [(a * q - pD, c) for a, c in squares]
+
+
 def passes_up_to(mu: DiscreteMeasure, s_squared: Fraction | int | str, n_max: int) -> bool:
     """True iff every centered moment of order n = 1..n_max is >= 0.
 
     A truncation of the all-n criterion: a True result certifies the
-    necessary conditions only up to n_max.
+    necessary conditions only up to n_max. Evaluated in exact integers
+    (see `_scaled_differences`); even orders are sums of non-negative
+    terms, so only the odd ones are computed, with running products, up
+    to the first negative one. `wells_term` is the definition.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     s = parse_rational(s_squared)
-    return all(wells_term(mu, s, n) >= 0 for n in range(1, n_max + 1))
+    terms = [(d, c) for d, c in _scaled_differences(mu, s) if d]
+    squares = [d * d for d, _ in terms]
+    powers = [c * d for d, c in terms]  # c * d^n, for n = 1 first
+    for n in range(1, n_max + 1, 2):
+        if n > 1:
+            powers = [p * sq for p, sq in zip(powers, squares)]
+        if sum(powers) < 0:
+            return False
+    return True
 
 
 def tail_sign_ok(mu: DiscreteMeasure, s_squared: Fraction | int | str) -> bool:
@@ -149,17 +189,18 @@ def tail_sign_ok(mu: DiscreteMeasure, s_squared: Fraction | int | str) -> bool:
     the integral. If the negative side strictly wins in magnitude, or
     ties in magnitude with strictly more weight, some large odd moment is
     negative and the criterion fails; that is decidable exactly, with no
-    truncation.
+    truncation. Decided on the integer differences and weights of
+    `_scaled_differences`, whose positive scale factors change no
+    comparison.
     """
-    s = parse_rational(s_squared)
-    diffs = [(v * v - s, w) for v, w in mu.atoms]
-    pos = max((d for d, _ in diffs if d > 0), default=Fraction(0))
-    neg = max((-d for d, _ in diffs if d < 0), default=Fraction(0))
+    diffs = _scaled_differences(mu, parse_rational(s_squared))
+    pos = max((d for d, _ in diffs if d > 0), default=0)
+    neg = max((-d for d, _ in diffs if d < 0), default=0)
     if neg > pos:
         return False
     if neg == pos and neg > 0:
-        w_pos = sum(w for d, w in diffs if d == pos)
-        w_neg = sum(w for d, w in diffs if d == -neg)
+        w_pos = sum(c for d, c in diffs if d == pos)
+        w_neg = sum(c for d, c in diffs if d == -neg)
         return w_pos >= w_neg
     return True
 
@@ -200,6 +241,8 @@ def t_minus_upper(
     tol = parse_rational(tol)
     if tol <= 0:
         raise PreconditionError("tol must be positive")
+    if n_max < 1:
+        raise PreconditionError("n_max must be >= 1")
     top = mu.max_abs_value()
     if len(mu.atoms) == 2:
         # Two-point measure: the threshold is the atom magnitude itself.
@@ -241,6 +284,7 @@ class CanonicalGap:
     t_minus_sq_lo: Fraction
     t_minus_sq_hi: Fraction
     canonical_up_to_n_max: bool
+    bracket: TMinusResult
 
 
 def canonical_gap(
@@ -252,6 +296,7 @@ def canonical_gap(
 
     The measure is canonical when the threshold equals the RMS value; the
     truncated certificate here is the moment check at S^2 = second moment.
+    The threshold bracket itself is returned as `bracket`.
     """
     second = mu.second_moment()
     bracket = t_minus_upper(mu, n_max=n_max, tol=tol)
@@ -260,6 +305,7 @@ def canonical_gap(
         t_minus_sq_lo=bracket.lo * bracket.lo,
         t_minus_sq_hi=bracket.hi * bracket.hi,
         canonical_up_to_n_max=passes_up_to(mu, second, n_max),
+        bracket=bracket,
     )
 
 

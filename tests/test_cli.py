@@ -1,10 +1,16 @@
 import json
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from wells_majorize import cli, wells
 from wells_majorize.cli import main
 from wells_majorize.rationals import parse_rational
+
+CORPUS = Path(__file__).parent / "data" / "t_minus_corpus.jsonl"
+TIMING_LINE = re.compile(r',\n  "timing_ms": [^\n]*')
 
 
 def run(capsys, argv):
@@ -147,6 +153,31 @@ class TestTMinusCommand:
         assert code == 2
         assert "unknown preset family" in err
 
+    @pytest.mark.parametrize("measure", ["preset:bernoulli:1", "preset:spin:2"])
+    @pytest.mark.parametrize(
+        "flags", [["--n-max", "0"], ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"]]
+    )
+    def test_bad_n_max_or_tol_is_usage_error(self, capsys, measure, flags):
+        code, out, err = run(capsys, ["t-minus", "--measure", measure, *flags])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_bracket_is_computed_once(self, capsys, monkeypatch):
+        original = wells.t_minus_upper
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (wells, cli):
+            if getattr(module, "t_minus_upper", None) is original:
+                monkeypatch.setattr(module, "t_minus_upper", spy)
+        code, _ = run_json(capsys, ["t-minus", "--measure", "preset:spin:2", "--n-max", "60"])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_json_is_deterministic_modulo_timing(self, capsys):
         argv = ["t-minus", "--measure", "preset:mu-lambda:1/2"]
         _, first = run_json(capsys, argv)
@@ -154,6 +185,30 @@ class TestTMinusCommand:
         first.pop("timing_ms")
         second.pop("timing_ms")
         assert first == second
+
+
+def corpus_records():
+    with CORPUS.open() as lines:
+        return [json.loads(line) for line in lines]
+
+
+class TestTMinusCorpus:
+    """`t-minus --format json` output, timing aside, is byte-identical to a
+    committed corpus: spin presets, the three-point family at three
+    truncation orders, two deep runs, the two-point measure and twelve
+    fixed even measures read from files."""
+
+    @pytest.mark.parametrize(
+        "record", corpus_records(), ids=lambda r: " ".join(r["argv"][2:])
+    )
+    def test_output_matches_corpus(self, capsys, monkeypatch, tmp_path, record):
+        argv = record["argv"]
+        if record["measure"] is not None:
+            monkeypatch.chdir(tmp_path)
+            Path(argv[2]).write_text(json.dumps(record["measure"]))
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == record["exit"]
+        assert TIMING_LINE.sub("", out) == record["stdout"]
 
 
 class TestTheoremCommand:
@@ -196,6 +251,13 @@ class TestProbeCommand:
         assert code == 0
         assert data["details"]["passes"] == 25
         assert data["parameters"]["pair"] == "bernoulli-rms:2,spin:2"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run(capsys, self.ARGS + ["--tol", tol, "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and >= 0" in err
 
     def test_pair_needs_two_tokens(self, capsys):
         code, _, err = run(capsys, ["probe", "--pair", "spin:2"])

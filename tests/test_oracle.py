@@ -61,6 +61,14 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             ProbeConfig(seed=1, trials=-1, site_cap=2)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_probe_config_rejects_bad_tolerance(self, tol):
+        with pytest.raises(PreconditionError, match="tol"):
+            ProbeConfig(seed=1, trials=1, site_cap=2, tol=tol)
+
+    def test_probe_config_accepts_zero_tolerance(self):
+        assert ProbeConfig(seed=1, trials=1, site_cap=2, tol=0.0).tol == 0.0
+
 
 class TestHamiltonian:
     def test_no_couplings_gives_zero(self):
@@ -147,6 +155,14 @@ class TestGibbsExpectation:
         lattice = Lattice.of_size(4)
         with pytest.raises(ResourceLimitError):
             gibbs_expectation(lattice, CouplingSet(()), PM_ONE, (0,), config_cap=8)
+
+    def test_strong_couplings_do_not_overflow(self):
+        # exp(800) overflows a double; the ground states s0 = s1 = s2
+        # dominate completely, so the correlation of the ends is 1.
+        lattice = Lattice.of_size(3)
+        J = CouplingSet.from_dict({frozenset({0, 1}): 400.0, frozenset({1, 2}): 400.0})
+        assert gibbs_expectation(lattice, J, PM_ONE, (0, 2)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(gibbs_expectation(lattice, J, PM_ONE, (0,))) < 1e-12
 
     def test_deterministic_to_the_bit(self):
         lattice = Lattice.of_size(3)

@@ -205,6 +205,88 @@ class TestTailSign:
                 assert not passes_up_to(mu, s, 400)
 
 
+def tail_sign_reference(mu, s):
+    """The large-n tail condition on the unscaled `Fraction` differences."""
+    diffs = [(v * v - s, w) for v, w in mu.atoms]
+    pos = max((d for d, _ in diffs if d > 0), default=F(0))
+    neg = max((-d for d, _ in diffs if d < 0), default=F(0))
+    if neg > pos:
+        return False
+    if neg == pos and neg > 0:
+        w_pos = sum(w for d, w in diffs if d == pos)
+        w_neg = sum(w for d, w in diffs if d == -neg)
+        return w_pos >= w_neg
+    return True
+
+
+@st.composite
+def even_measure_and_s(draw):
+    """An even measure with 2-5 atom pairs +-p/q, maybe a zero atom, and a
+    rational s: arbitrary, an atom's own v^2 (where a summand vanishes), or
+    the midpoint of two squares (where the tail magnitudes tie)."""
+    values = draw(
+        st.lists(
+            st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12),
+            min_size=2,
+            max_size=5,
+            unique=True,
+        )
+    )
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(values), max_size=len(values)))
+    zero_weight = draw(st.integers(0, 6))
+    total = 2 * sum(weights) + zero_weight
+    pairs = [(sign * v, F(w, total)) for v, w in zip(values, weights) for sign in (1, -1)]
+    if zero_weight:
+        pairs.append((0, F(zero_weight, total)))
+    squares = sorted({v * v for v in values} | ({F(0)} if zero_weight else set()))
+    s = draw(
+        st.one_of(
+            st.fractions(min_value=0, max_value=150, max_denominator=50),
+            st.sampled_from(squares),
+            st.tuples(st.sampled_from(squares), st.sampled_from(squares)).map(
+                lambda ab: (ab[0] + ab[1]) / 2
+            ),
+        )
+    )
+    return DiscreteMeasure.from_pairs(pairs), s
+
+
+class TestIntegerPredicate:
+    """The integer moment sums against the `Fraction` definition."""
+
+    @given(even_measure_and_s(), st.integers(min_value=1, max_value=14))
+    @settings(max_examples=250, deadline=None)
+    def test_matches_fraction_definitions(self, measure_and_s, n_max):
+        mu, s = measure_and_s
+        expected = all(wells_term(mu, s, n) >= 0 for n in range(1, n_max + 1))
+        assert passes_up_to(mu, s, n_max) == expected
+        assert tail_sign_ok(mu, s) == tail_sign_reference(mu, s)
+
+    def test_tail_tie_at_midpoint_of_squares(self):
+        # s = 1/2 puts the zero atom and the atoms at +-1 at distance 1/2;
+        # the weights decide, as in the three-point family.
+        assert tail_sign_ok(mu_lambda_measure(F(1, 2)), F(1, 2))
+        assert not tail_sign_ok(mu_lambda_measure(F(1, 3)), F(1, 2))
+
+    def test_cleared_squares_merge_each_pair(self):
+        mu = DiscreteMeasure.from_pairs(
+            [("1/2", "1/8"), ("-1/2", "1/8"), ("2/3", "1/4"), ("-2/3", "1/4"), (0, "1/4")]
+        )
+        D, squares = mu.cleared_squares
+        assert D == 36
+        assert [F(a, D) for a, _ in squares] == [0, F(1, 4), F(4, 9)]
+        assert [c for _, c in squares] == [2, 2, 4]  # weights over W = 8
+
+    def test_n_max_one_checks_only_the_mean(self):
+        mu = spin_measure(SpinValue.parse(1))
+        assert passes_up_to(mu, F(2, 3), 1)
+        assert not passes_up_to(mu, F(2, 3) + F(1, 10**30), 1)
+
+    def test_rejects_nonpositive_order(self):
+        with pytest.raises(PreconditionError):
+            passes_up_to(spin_measure(SpinValue.parse(2)), F(1, 2), 0)
+
+
 class TestTMinusUpper:
     def test_two_point_closed_form(self):
         res = t_minus_upper(bernoulli_measure(F(5, 7)))
@@ -237,6 +319,12 @@ class TestTMinusUpper:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(PreconditionError):
             t_minus_upper(mu_lambda_measure(F(1, 4)), tol=0)
+
+    @pytest.mark.parametrize("mu", [bernoulli_measure(1), spin_measure(SpinValue.parse(2))])
+    def test_rejects_nonpositive_n_max(self, mu):
+        # The two-point closed form needs no moment, but n_max is still checked.
+        with pytest.raises(PreconditionError, match="n_max"):
+            t_minus_upper(mu, n_max=0)
 
 
 class TestClosedFormThreshold:
@@ -271,6 +359,14 @@ class TestCanonicalGap:
         gap = canonical_gap(spin_measure(SpinValue.parse(2)))
         assert gap.second_moment == F(1, 2)
         assert gap.canonical_up_to_n_max
+
+    @pytest.mark.parametrize(
+        "mu", [bernoulli_measure(F(3, 2)), mu_lambda_measure(F(3, 5)), spin_measure(SpinValue.parse(3))]
+    )
+    def test_bracket_is_the_threshold_bracket(self, mu):
+        gap = canonical_gap(mu, n_max=30)
+        assert gap.bracket == t_minus_upper(mu, n_max=30)
+        assert (gap.t_minus_sq_lo, gap.t_minus_sq_hi) == (gap.bracket.lo**2, gap.bracket.hi**2)
 
 
 class TestSphere:
