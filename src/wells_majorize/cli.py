@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,18 +42,6 @@ from .wells import (
 USAGE_EXIT = 2
 
 
-def thread_cap() -> int:
-    """Parallelism cap from WELLS_MAJORIZE_THREADS (0 = auto)."""
-    raw = os.environ.get("WELLS_MAJORIZE_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise VerificationError(f"WELLS_MAJORIZE_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise VerificationError("WELLS_MAJORIZE_THREADS must be >= 0")
-    return cap
-
-
 def parse_measure(spec: str) -> DiscreteMeasure:
     """A measure literal: preset:<family>:<param> or a JSON file path."""
     if spec.startswith("preset:"):
@@ -72,7 +59,11 @@ def parse_measure(spec: str) -> DiscreteMeasure:
     path = Path(spec)
     if not path.exists():
         raise VerificationError(f"measure file not found: {spec}")
-    return DiscreteMeasure.from_json(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise VerificationError(f"cannot read measure file {spec}: {exc}") from exc
+    return DiscreteMeasure.from_json(text)
 
 
 def parse_probe_measure(token: str) -> MeasureLike:
@@ -184,7 +175,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
             trials=args.trials,
             site_cap=args.site_cap,
             tol=args.tol,
-            threads=thread_cap(),
         )
         report = random_probe(config, mu, nu)
         report.parameters["pair"] = args.pair

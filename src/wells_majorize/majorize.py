@@ -70,11 +70,6 @@ class NonNegVector:
         return sum(self.entries, Fraction(0))
 
 
-def decreasing_rearrangement(v: NonNegVector) -> NonNegVector:
-    """Permutation of v sorted non-increasingly."""
-    return NonNegVector(v.decreasing)
-
-
 def partial_sums(v: NonNegVector) -> list[Fraction]:
     """Running sums of the decreasing rearrangement; the last is the total."""
     return list(accumulate(v.decreasing))
@@ -105,6 +100,18 @@ class SingleCrossing:
     crossing_index: int | None = None  # 1-based position of the crossing
 
 
+def _single_crossing_index(
+    xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]
+) -> int | None:
+    """The first position where xs is at or below ys (len(xs) if there is
+    none), provided xs never rises above ys again from there on; None when
+    it does. Sequences are compared as given, not rearranged."""
+    first = next((i for i, (a, b) in enumerate(zip(xs, ys)) if a <= b), len(xs))
+    if any(a > b for a, b in zip(xs[first:], ys[first:])):
+        return None
+    return first
+
+
 def single_crossing_majorizes(x: NonNegVector, y: NonNegVector) -> SingleCrossing:
     """Check the single-crossing pattern on the decreasing rearrangements:
     strictly above before some position l >= 2, at-or-below from l on.
@@ -118,18 +125,12 @@ def single_crossing_majorizes(x: NonNegVector, y: NonNegVector) -> SingleCrossin
     xs, ys = x.decreasing, y.decreasing
     if sum(xs) != sum(ys):
         raise PreconditionError("single-crossing criterion requires equal totals")
-    first_at_or_below = None
-    for i, (a, b) in enumerate(zip(xs, ys)):
-        if a <= b:
-            first_at_or_below = i
-            break
-    if first_at_or_below is None or first_at_or_below == 0:
-        # Never crosses (only possible when x* == y* fails the strict head),
-        # or no strict head at all: the criterion does not apply.
+    first = _single_crossing_index(xs, ys)
+    if first is None or first in (0, len(xs)):
+        # Crosses back above, has no strict head, or never crosses: the
+        # criterion does not apply.
         return SingleCrossing(applies=False)
-    if any(a > b for a, b in zip(xs[first_at_or_below:], ys[first_at_or_below:])):
-        return SingleCrossing(applies=False)
-    return SingleCrossing(applies=True, crossing_index=first_at_or_below + 1)
+    return SingleCrossing(applies=True, crossing_index=first + 1)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
@@ -213,7 +211,6 @@ class ProbeConfig:
     max_subset_size: int = 3
     tol: float = DEFAULT_TOL
     config_cap: int = DEFAULT_CONFIG_CAP
-    threads: int = 0  # 0 = sequential
 
     def __post_init__(self) -> None:
         if self.trials < 0 or self.site_cap < 1:
@@ -248,40 +245,39 @@ def _draw_instance(rng: random.Random, config: ProbeConfig) -> ProbeInstance:
     return ProbeInstance(Lattice(sites), CouplingSet.from_dict(terms), B)
 
 
+def _checked_instances(config: ProbeConfig, mu: MeasureLike, nu: MeasureLike):
+    """Draw config.trials random instances from the seed, one after the
+    other, and yield (trial, instance, domination result) for each."""
+    rng = random.Random(config.seed)
+    for trial in range(config.trials):
+        inst = _draw_instance(rng, config)
+        res = domination_check(
+            inst.lattice, inst.couplings, mu, nu, inst.B,
+            tol=config.tol, config_cap=config.config_cap,
+        )
+        yield trial, inst, res
+
+
+def _witness(trial: int, inst: ProbeInstance, res: DominationResult) -> dict:
+    return {"trial": trial, "lhs": res.lhs, "rhs": res.rhs, **inst.describe()}
+
+
 def random_probe(
     config: ProbeConfig, mu: MeasureLike, nu: MeasureLike
 ) -> VerificationReport:
     """Sample random ferromagnetic instances and check domination on each.
 
-    Deterministic for a given seed; trial results are aggregated in trial
-    order regardless of the evaluation parallelism. Violations are
-    reported with the full serialized instance as witness; with zero
-    violations and zero trials the result is an empty pass.
+    Deterministic for a given seed: trials run sequentially in draw order.
+    Violations are reported with the full serialized instance as witness;
+    with zero violations and zero trials the result is an empty pass.
     """
-    rng = random.Random(config.seed)
-    instances = [_draw_instance(rng, config) for _ in range(config.trials)]
-
-    def run(inst: ProbeInstance) -> DominationResult:
-        return domination_check(
-            inst.lattice, inst.couplings, mu, nu, inst.B,
-            tol=config.tol, config_cap=config.config_cap,
-        )
-
-    if config.threads and config.threads > 1 and instances:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run, instances))
-    else:
-        results = [run(inst) for inst in instances]
-
     witnesses = []
     passes = 0
-    for i, (inst, res) in enumerate(zip(instances, results)):
+    for trial, inst, res in _checked_instances(config, mu, nu):
         if res.holds:
             passes += 1
         else:
-            witnesses.append(
-                {"trial": i, "lhs": res.lhs, "rhs": res.rhs, **inst.describe()}
-            )
+            witnesses.append(_witness(trial, inst, res))
     return VerificationReport(
         command="probe",
         status=PASS if not witnesses else FAIL,
@@ -305,26 +301,19 @@ def violation_search(
     inequality. Absence of a witness after the bounded search is reported
     inconclusive, not failed.
     """
-    rng = random.Random(config.seed)
-    for trial in range(config.trials):
-        inst = _draw_instance(rng, config)
-        res = domination_check(
-            inst.lattice, inst.couplings, mu, nu, inst.B,
-            tol=config.tol, config_cap=config.config_cap,
-        )
+    parameters = {"seed": config.seed, "trials": config.trials}
+    for trial, inst, res in _checked_instances(config, mu, nu):
         if not res.holds:
             return VerificationReport(
                 command="violation-search",
                 status=PASS,
-                parameters={"seed": config.seed, "trials": config.trials},
+                parameters=parameters,
                 details={"found_at_trial": trial},
-                witnesses=[
-                    {"trial": trial, "lhs": res.lhs, "rhs": res.rhs, **inst.describe()}
-                ],
+                witnesses=[_witness(trial, inst, res)],
             )
     return VerificationReport(
         command="violation-search",
         status=INCONCLUSIVE,
-        parameters={"seed": config.seed, "trials": config.trials},
+        parameters=parameters,
         details={"found_at_trial": None},
     )

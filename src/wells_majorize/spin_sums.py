@@ -23,6 +23,7 @@ from .majorize import (
     NonNegVector,
     OddConvexFunction,
     SingleCrossing,
+    _single_crossing_index,
     karamata_verify,
     majorizes,
     sequence_partial_sums,
@@ -201,11 +202,6 @@ class PsiGrid:
         return Fraction(sum(self.values), len(self.values))
 
 
-def psi_bar(grid: PsiGrid) -> Fraction:
-    """Exact arithmetic mean of the grid samples."""
-    return grid.mean()
-
-
 @dataclass(frozen=True)
 class ConstructionPair:
     """The paired excess/deficit vectors built from a grid around its mean."""
@@ -352,9 +348,24 @@ def below_mean_count_check(grid: PsiGrid) -> bool:
     return mid <= mean <= endpoints
 
 
-def _centered_values(grid: PsiGrid) -> list[Fraction]:
+def _karamata_tail(
+    grid: PsiGrid, x: NonNegVector, y: NonNegVector, phi: OddConvexFunction, witnesses: list
+) -> tuple[bool, Fraction]:
+    """Tail shared by both theorem pipelines: cross-check that x majorizes
+    y, run the Karamata evaluation, and match its difference against the
+    directly computed centered sum. Appends a witness for each failed
+    step; returns whether all of them held, and the centered sum."""
+    maj = majorizes(x, y)
+    if not maj:
+        witnesses.append({"reason": "majorization cross-check failed", "x": x, "y": y})
+    kara = karamata_verify(x, y, phi) if maj else None
     mean = grid.mean()
-    return [v - mean for v in grid.values]
+    full_sum = sum((phi.value(v - mean) for v in grid.values), Fraction(0))
+    if kara is not None and kara.lhs - kara.rhs != full_sum:
+        witnesses.append({"reason": "karamata difference != centered sum"})
+    if full_sum < 0:
+        witnesses.append({"reason": "centered sum negative", "value": full_sum})
+    return maj and kara.holds and full_sum >= 0, full_sum
 
 
 def verify_half_odd_theorem(
@@ -374,7 +385,6 @@ def verify_half_odd_theorem(
     x, y = pair.x, pair.y
     witnesses: list = []
 
-    maj = majorizes(x, y)
     crossing: SingleCrossing | None = None
     if x.entries == y.entries:
         route = "equal-vectors"
@@ -383,22 +393,12 @@ def verify_half_odd_theorem(
         crossing = single_crossing_majorizes(x, y)
         if not crossing.applies:
             witnesses.append({"reason": "single crossing does not apply", "x": x, "y": y})
-    if not maj:
-        witnesses.append({"reason": "majorization cross-check failed", "x": x, "y": y})
 
-    kara = karamata_verify(x, y, phi) if maj else None
-    centered = _centered_values(grid)
-    full_sum = sum((phi.value(c) for c in centered), Fraction(0))
+    ok, full_sum = _karamata_tail(grid, x, y, phi, witnesses)
     # The full centered sum excludes nothing; dropping the j=0 term (the
     # minimum, hence a non-positive summand) can only increase it.
-    tail_sum = full_sum - phi.value(centered[0])
-    if kara is not None and kara.lhs - kara.rhs != full_sum:
-        witnesses.append({"reason": "karamata difference != centered sum"})
-    if full_sum < 0:
-        witnesses.append({"reason": "centered sum negative", "value": full_sum})
-
-    ok = maj and (route == "equal-vectors" or crossing.applies)
-    ok = ok and kara is not None and kara.holds and full_sum >= 0 and tail_sum >= 0
+    tail_sum = full_sum - phi.value(grid.values[0] - pair.mean)
+    ok = ok and (crossing is None or crossing.applies) and tail_sum >= 0
     return VerificationReport(
         command="theorem-half-odd",
         status=PASS if ok else FAIL,
@@ -439,20 +439,11 @@ def split_domination_check(w: NonNegVector, y: NonNegVector) -> SplitDomination:
     failing = next((i + 1 for i, (a, b) in enumerate(zip(sw, sy)) if a < b), None)
     head_ok = w[0] >= y[0]
     block_ok = len(w) >= 3 and sw[1] >= sy[2]
-    tail = [a - b for a, b in zip(w.entries[3:], y.entries[3:])]
-    seen_nonpos = False
-    single = True
-    for d in tail:
-        if d <= 0:
-            seen_nonpos = True
-        elif seen_nonpos:
-            single = False
-            break
     return SplitDomination(
         holds=failing is None,
         head_ok=head_ok,
         block_ok=block_ok,
-        tail_single_crossing=single,
+        tail_single_crossing=_single_crossing_index(w.entries[3:], y.entries[3:]) is not None,
         failing_index=failing,
     )
 
@@ -502,20 +493,8 @@ def verify_integer_theorem(
         if any(a < b for a, b in zip(sx, sw)):
             witnesses.append({"reason": "x running sums fail against w"})
 
-    maj = majorizes(x, y)
-    if not maj:
-        witnesses.append({"reason": "majorization cross-check failed", "x": x, "y": y})
-    kara = karamata_verify(x, y, phi) if maj else None
-    centered = _centered_values(grid)
-    full_sum = sum((phi.value(c) for c in centered), Fraction(0))
-    if kara is not None and kara.lhs - kara.rhs != full_sum:
-        witnesses.append({"reason": "karamata difference != centered sum"})
-    if full_sum < 0:
-        witnesses.append({"reason": "centered sum negative", "value": full_sum})
-
-    ok = maj and kara is not None and kara.holds and full_sum >= 0
-    if not degenerate:
-        ok = ok and split.holds
+    ok, full_sum = _karamata_tail(grid, x, y, phi, witnesses)
+    ok = ok and (degenerate or split.holds)
     return VerificationReport(
         command="theorem-integer",
         status=PASS if ok else FAIL,

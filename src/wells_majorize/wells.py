@@ -55,10 +55,16 @@ class DiscreteMeasure:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, object]]) -> "DiscreteMeasure":
-        atoms = tuple(
-            sorted((parse_rational(v), parse_rational(w)) for v, w in pairs)
-        )
-        return cls(atoms)
+        """Atoms from (value, weight) pairs of Fractions, integers or
+        rational strings; a float is refused, since it is not exact."""
+        atoms = []
+        for pair in pairs:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValidationError(f"atom {pair!r} is not a [value, weight] pair")
+            if any(isinstance(x, bool) or not isinstance(x, (Fraction, int, str)) for x in pair):
+                raise ValidationError(f"atom {pair!r} must hold rational strings or integers")
+            atoms.append((parse_rational(pair[0]), parse_rational(pair[1])))
+        return cls(tuple(sorted(atoms)))
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteMeasure":
@@ -66,8 +72,10 @@ class DiscreteMeasure:
         try:
             data = json.loads(text)
             pairs = data["atoms"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise ValidationError(f"bad measure JSON: {exc}") from exc
+        if not isinstance(pairs, list):
+            raise ValidationError(f"bad measure JSON: atoms must be a list, got {pairs!r}")
         return cls.from_pairs(pairs)
 
     def to_json(self) -> str:

@@ -9,8 +9,11 @@ from wells_majorize import cli, wells
 from wells_majorize.cli import main
 from wells_majorize.rationals import parse_rational
 
-CORPUS = Path(__file__).parent / "data" / "t_minus_corpus.jsonl"
-TIMING_LINE = re.compile(r',\n  "timing_ms": [^\n]*')
+DATA = Path(__file__).parent / "data"
+CORPUS = DATA / "t_minus_corpus.jsonl"
+# The timing entry of any output format: the JSON key, the CSV row or the
+# text line.
+TIMING_LINE = re.compile(r',\n  "timing_ms": [^\n]*|^timing_ms[:,][^\n]*\n?', re.M)
 
 
 def run(capsys, argv):
@@ -148,6 +151,24 @@ class TestTMinusCommand:
         assert code == 2
         assert "not found" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"\xff\xfe{", b'{"atoms": [[1.5, "1/2"], [-1.5, "1/2"]]}',
+         b'{"atoms": [["1"], ["-1"]]}', b'{"atoms": 5}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["directory", "not-utf8", "float-atom", "one-element-atom", "atoms-not-a-list",
+             "deeply-nested"],
+    )
+    def test_malformed_measure_file_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "measure.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, out, err = run(capsys, ["t-minus", "--measure", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_preset_family(self, capsys):
         code, _, err = run(capsys, ["t-minus", "--measure", "preset:cauchy:1"])
         assert code == 2
@@ -187,8 +208,8 @@ class TestTMinusCommand:
         assert first == second
 
 
-def corpus_records():
-    with CORPUS.open() as lines:
+def corpus_records(path=CORPUS):
+    with path.open() as lines:
         return [json.loads(line) for line in lines]
 
 
@@ -209,6 +230,24 @@ class TestTMinusCorpus:
         code, out, _ = run(capsys, argv + ["--format", "json"])
         assert code == record["exit"]
         assert TIMING_LINE.sub("", out) == record["stdout"]
+
+
+class TestCliCorpus:
+    """Every other subcommand's output, timing aside, is byte-identical to
+    a committed corpus: verify-conjecture in all three formats, majorize
+    (holds, fails, unequal totals, single crossing), both theorem
+    pipelines over every psi preset (odd N, hypotheses not met, the
+    equal-vectors route, a failing grid), tc-bounds including a usage
+    error, and probe pairs that pass and fail."""
+
+    @pytest.mark.parametrize(
+        "record", corpus_records(DATA / "cli_corpus.jsonl"), ids=lambda r: " ".join(r["argv"])
+    )
+    def test_output_matches_corpus(self, capsys, record):
+        code, out, err = run(capsys, record["argv"])
+        assert code == record["exit"]
+        assert TIMING_LINE.sub("", out) == record["stdout"]
+        assert err == record["stderr"]
 
 
 class TestTheoremCommand:
@@ -263,24 +302,6 @@ class TestProbeCommand:
         code, _, err = run(capsys, ["probe", "--pair", "spin:2"])
         assert code == 2
         assert "two comma-separated" in err
-
-    def test_thread_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("WELLS_MAJORIZE_THREADS", "zebra")
-        code, _, err = run(capsys, self.ARGS)
-        assert code == 2
-        assert "WELLS_MAJORIZE_THREADS" in err
-        monkeypatch.setenv("WELLS_MAJORIZE_THREADS", "-1")
-        assert run(capsys, self.ARGS)[0] == 2
-
-    def test_thread_env_parallel_matches_default(self, capsys, monkeypatch):
-        code, serial = run_json(capsys, self.ARGS)
-        assert code == 0
-        monkeypatch.setenv("WELLS_MAJORIZE_THREADS", "4")
-        code, parallel = run_json(capsys, self.ARGS)
-        assert code == 0
-        serial.pop("timing_ms")
-        parallel.pop("timing_ms")
-        assert serial == parallel
 
 
 class TestArgumentErrors:

@@ -16,7 +16,6 @@ from wells_majorize.majorize import (
     NonNegVector,
     OddConvexFunction,
     PiecewiseLinearConvex,
-    decreasing_rearrangement,
     karamata_verify,
     majorizes,
     partial_sums,
@@ -47,21 +46,19 @@ class TestNonNegVector:
 
 class TestRearrangement:
     def test_sorts_descending(self):
-        assert decreasing_rearrangement(V(1, 3, 2)).entries == (F(3), F(2), F(1))
+        assert V(1, 3, 2).decreasing == (F(3), F(2), F(1))
 
     def test_constant_vector_fixed_point(self):
-        assert decreasing_rearrangement(V(5, 5, 5)).entries == (F(5),) * 3
+        assert V(5, 5, 5).decreasing == (F(5),) * 3
 
     def test_example_vector(self):
         v = V(22, 22, 0, 11, 11, 2, 2)
-        assert decreasing_rearrangement(v).entries == tuple(
-            map(F, (22, 22, 11, 11, 2, 2, 0))
-        )
+        assert v.decreasing == tuple(map(F, (22, 22, 11, 11, 2, 2, 0)))
 
     @given(vectors)
     def test_idempotent_and_sum_preserving(self, v):
-        once = decreasing_rearrangement(v)
-        assert decreasing_rearrangement(once) == once
+        once = NonNegVector(v.decreasing)
+        assert NonNegVector(once.decreasing) == once
         assert once.total() == v.total()
 
 

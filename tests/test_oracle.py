@@ -204,16 +204,6 @@ class TestRandomProbe:
         b = random_probe(config, mu, nu).to_dict(include_timing=False)
         assert a == b
 
-    def test_threads_do_not_change_the_report(self):
-        mu = bernoulli_float_atoms(math.sqrt(0.5))
-        nu = spin_measure(SpinValue.parse(2))
-        seq = ProbeConfig(seed=11, trials=30, site_cap=3, threads=0)
-        par = ProbeConfig(seed=11, trials=30, site_cap=3, threads=4)
-        assert (
-            random_probe(seq, mu, nu).to_dict(include_timing=False)
-            == random_probe(par, mu, nu).to_dict(include_timing=False)
-        )
-
     def test_zero_trials_is_empty_pass(self):
         config = ProbeConfig(seed=1, trials=0, site_cap=2)
         report = random_probe(config, PM_ONE, PM_ONE)

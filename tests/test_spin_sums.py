@@ -17,7 +17,6 @@ from wells_majorize.spin_sums import (
     leading_block_check,
     midpoint_bound_spin,
     odd_midpoint_check,
-    psi_bar,
     reflected_secant_check,
     spin_sum,
     split_domination_check,
@@ -136,15 +135,15 @@ class TestPsiGrid:
             PsiGrid(INTEGER, 1, (F(1), F(0), F(2)))
 
     def test_mean_of_squares(self):
-        assert psi_bar(square_grid(6)) == 14
+        assert square_grid(6).mean() == 14
 
     def test_mean_of_constant(self):
         grid = PsiGrid(INTEGER, 3, (F(7),) * 7)
-        assert psi_bar(grid) == 7
+        assert grid.mean() == 7
 
     def test_mean_of_affine_half_odd(self):
         grid = PsiGrid.from_function(lambda t: t, 2, HALF_ODD)
-        assert psi_bar(grid) == F(1, 2)
+        assert grid.mean() == F(1, 2)
 
     def test_interpolation(self):
         grid = square_grid(2, HALF_ODD)  # samples 0, 1, 4 of (2t)^2
@@ -197,12 +196,12 @@ class TestBelowMeanCount:
     def test_affine_equalities(self):
         grid = PsiGrid.from_function(lambda t: 2 * t, 4, HALF_ODD)
         assert below_mean_count_check(grid)
-        assert psi_bar(grid) == (grid.value_at_index(0) + grid.value_at_index(4)) / 2
+        assert grid.mean() == (grid.value_at_index(0) + grid.value_at_index(4)) / 2
 
     def test_square_N10_strict(self):
         grid = PsiGrid.from_function(lambda t: t * t, 10, HALF_ODD)
         assert below_mean_count_check(grid)
-        mean = psi_bar(grid)
+        mean = grid.mean()
         assert grid.value_at(F(1, 2)) < mean
         assert mean < (grid.value_at_index(0) + grid.value_at_index(10)) / 2
 
@@ -308,7 +307,7 @@ class TestSideConditions:
     def test_midpoint_square_N3_equality(self):
         grid = square_grid(3)
         assert odd_midpoint_check(grid)
-        assert grid.value_at(F(1, 2) + F(1, 6)) == psi_bar(grid)
+        assert grid.value_at(F(1, 2) + F(1, 6)) == grid.mean()
 
     def test_midpoint_square_N5(self):
         assert odd_midpoint_check(square_grid(5))
