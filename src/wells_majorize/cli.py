@@ -9,6 +9,7 @@ are always serialized as "p/q" strings, never floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -212,7 +213,10 @@ def cmd_theorem(args: argparse.Namespace) -> int:
     return _emit(t.stamp(report), args.format)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="wells-majorize",
         description="Exact verification of majorization and spin-domination inequalities.",

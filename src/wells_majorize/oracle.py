@@ -3,17 +3,17 @@ domination probe.
 
 Unlike the exact modules, expectations here use double precision: the
 Boltzmann weight is transcendental, so the exactness lives in the
-complete configuration enumeration, with compensated summation and an
-explicit tolerance on every comparison. The inverse temperature is
-absorbed into the couplings.
+complete configuration enumeration, with exact, correctly rounded
+summation and an explicit tolerance on every comparison. The inverse
+temperature is absorbed into the couplings.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -38,12 +38,15 @@ MeasureLike = Union[DiscreteMeasure, FloatAtoms]
 
 def float_atoms(measure: MeasureLike) -> list[tuple[float, float]]:
     """Coerce a measure to (value, weight) floats, validating weights."""
-    if isinstance(measure, DiscreteMeasure):
-        pairs = [(float(v), float(w)) for v, w in measure.atoms]
-    else:
-        pairs = [(float(v), float(w)) for v, w in measure]
+    atoms = measure.atoms if isinstance(measure, DiscreteMeasure) else measure
+    try:
+        pairs = [(float(v), float(w)) for v, w in atoms]
+    except OverflowError:
+        raise ValidationError("atom outside the float range") from None
     if not pairs:
         raise ValidationError("empty support")
+    if not all(math.isfinite(v) and math.isfinite(w) for v, w in pairs):
+        raise ValidationError("atom outside the float range")
     if any(w <= 0 for _, w in pairs):
         raise ValidationError("weights must be positive")
     return pairs
@@ -119,12 +122,66 @@ def hamiltonian(
     return total
 
 
-@lru_cache(maxsize=64)
-def _index_grid(k: int, n: int) -> np.ndarray:
-    """All k**n index tuples in lexicographic order, shape (k**n, n)."""
-    grid = np.indices((k,) * n).reshape(n, -1).T
-    grid.setflags(write=False)
-    return grid
+# Up to this many addends math.fsum over a list is cheaper than binning.
+_FSUM_MAX_SIZE = 2048
+# Chunks of at most 2**21 addends, each part of a fraction below 2**32,
+# keep every partial sum of a bin below 2**53, so the float64 bin totals
+# are exact integers.
+_BIN_CHUNK = 1 << 21
+
+
+def _exact_sum(x: np.ndarray, what: str) -> float:
+    """Correctly rounded sum of a float64 array, equal to math.fsum's.
+
+    Large arrays are summed exactly without a Python loop over elements:
+    each addend is +-(2**52 + fraction) * 2**(e - 1075) (normal) or
+    +-fraction * 2**-1074 (subnormal), so binning the fraction's low 32
+    and high 20 bits and the count of normals by sign and biased
+    exponent e gives the sum as one integer times 2**-1074. CPython
+    rounds integer true division correctly, as math.fsum rounds its
+    exact sum. A non-finite addend or a sum beyond the float range
+    raises NumericError; a sum that fits is returned even where
+    math.fsum overflows in between.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
+    total = math.nan
+    if x.size <= _FSUM_MAX_SIZE:
+        # math.fsum raises OverflowError also when only a partial sum
+        # leaves the float range; the binned sum has no such partials.
+        with contextlib.suppress(OverflowError, ValueError):
+            total = math.fsum(x.tolist())
+    if not math.isfinite(total):
+        try:
+            total = _binned_sum(x.view(np.uint64)) / (1 << 1074)
+        except (OverflowError, ValueError):
+            raise NumericError(f"{what}: non-finite addend or overflowing sum") from None
+    return total
+
+
+def _binned_sum(bits: np.ndarray) -> int:
+    """The sum of the float64 values with these bit patterns, times 2**1074.
+
+    Raises ValueError on an infinity or NaN.
+    """
+    total = 0
+    for start in range(0, bits.size, _BIN_CHUNK):
+        chunk = bits[start:start + _BIN_CHUNK]
+        key = (chunk >> np.uint64(52)).astype(np.intp)  # sign and exponent
+        low = (chunk & np.uint64(0xFFFFFFFF)).astype(np.float64)
+        high = ((chunk >> np.uint64(32)) & np.uint64(0xFFFFF)).astype(np.float64)
+        low_sums = np.bincount(key, weights=low, minlength=4096)
+        high_sums = np.bincount(key, weights=high, minlength=4096)
+        counts = np.bincount(key, minlength=4096)
+        for k in np.flatnonzero(counts).tolist():
+            exponent = k & 0x7FF
+            if exponent == 0x7FF:
+                raise ValueError("non-finite addend")
+            mantissas = (int(high_sums[k]) << 32) + int(low_sums[k])
+            if exponent:
+                mantissas += int(counts[k]) << 52
+            mantissas <<= max(exponent, 1) - 1
+            total += -mantissas if k >> 11 else mantissas
+    return total
 
 
 def gibbs_expectation(
@@ -136,9 +193,14 @@ def gibbs_expectation(
 ) -> float:
     """<sigma^B> by complete enumeration of the product measure.
 
-    Deterministic: configurations are enumerated lexicographically and
-    both sums use exact compensated summation, so results are reproducible
-    to the last bit for a given input.
+    The k**n configurations are the cells of a (k,) * n tensor with one
+    axis per site in lattice order. The prior, each coupling term and the
+    observable are broadcast products of per-site vectors, multiplied in
+    a fixed order (lattice order, the coupling subset's iteration order,
+    B order), and both sums are exact and correctly rounded, so results
+    are reproducible to the last bit for a given input. Raises
+    NumericError when an expectation or the partition function is not a
+    finite positive float.
     """
     B = tuple(B)
     _check_subsets(lattice, couplings, B)
@@ -151,25 +213,27 @@ def gibbs_expectation(
 
     values = np.array([v for v, _ in atoms])
     weights = np.array([w for _, w in atoms])
-    idx = _index_grid(k, n)
-    spins = values[idx]  # (configs, sites)
-    prior = weights[idx].prod(axis=1)
-    col = {site: i for i, site in enumerate(lattice.sites)}
+    axis_shapes = [(1,) * i + (k,) + (1,) * (n - 1 - i) for i in range(n)]
+    spin = {site: values.reshape(shape) for site, shape in zip(lattice.sites, axis_shapes)}
 
-    energy = np.zeros(len(idx))
-    for subset, strength in couplings.terms:
-        energy -= strength * spins[:, [col[s] for s in subset]].prod(axis=1)
-    # Shifting by the ground-state energy cancels in the ratio and keeps
-    # every Boltzmann factor in (0, 1], so strong couplings cannot
-    # overflow exp and the partition function stays finite.
-    energy -= energy.min()
-    boltz = prior * np.exp(-energy)
-
-    observable = spins[:, [col[s] for s in B]].prod(axis=1)
-    Z = math.fsum(boltz)
-    if not math.isfinite(Z) or Z <= 0.0:
-        raise NumericError(f"partition function degenerate: {Z}")
-    return math.fsum(observable * boltz) / Z
+    # Overflow shows up as inf or NaN in the sums, which raise NumericError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = np.zeros((k,) * n)
+        for subset, strength in couplings.terms:
+            energy -= strength * math.prod(spin[site] for site in subset)
+        # Shifting by the ground-state energy cancels in the ratio and
+        # keeps every Boltzmann factor in (0, 1], so strong couplings
+        # cannot overflow exp and the partition function stays finite.
+        boltz = np.exp(np.subtract(energy.min(), energy, out=energy), out=energy)
+        boltz *= math.prod(weights.reshape(shape) for shape in axis_shapes)
+        Z = _exact_sum(boltz, "partition function degenerate")
+        if Z <= 0.0:
+            raise NumericError(f"partition function degenerate: {Z}")
+        boltz *= math.prod(spin[site] for site in B)
+        value = _exact_sum(boltz, "expectation not finite") / Z
+    if not math.isfinite(value):
+        raise NumericError(f"expectation not finite: {value}")
+    return value
 
 
 @dataclass(frozen=True)

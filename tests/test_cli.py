@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -303,6 +306,27 @@ class TestProbeCommand:
         assert code == 2
         assert "two comma-separated" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", ["23", "175"])
+    def test_overflow_is_usage_error(self, capsys, seed):
+        # Spins of 1e200 overflow the observable: seed 23 used to crash
+        # in fsum, seed 175 used to print "lhs": NaN.
+        big = "1" + "0" * 200
+        code, out, err = run(capsys, [
+            "probe", "--pair", f"bernoulli:{big},bernoulli:1", "--trials", "1",
+            "--site-cap", "2", "--seed", seed, "--format", "json",
+        ])
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"error: (partition function degenerate|expectation not finite)[^\n]*\n", err)
+
+    def test_atom_beyond_float_range_is_usage_error(self, capsys):
+        code, out, err = run(capsys, [
+            "probe", "--pair", f"bernoulli:1{'0' * 400},bernoulli:1", "--trials", "1",
+            "--format", "json",
+        ])
+        assert (code, out, err) == (2, "", "error: atom outside the float range\n")
+
 
 class TestArgumentErrors:
     def test_missing_subcommand(self, capsys):
@@ -314,6 +338,35 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["tc-bounds", "--spin", "1"])
         assert exc.value.code == 2
+
+    def test_parser_reuse_matches_fresh_processes(self, capsys, monkeypatch):
+        # main builds its parser once per process; a usage error, t-minus
+        # and probe in one process print what three fresh processes print.
+        monkeypatch.setenv("COLUMNS", "80")
+        sequence = [
+            ["tc-bounds", "--spin", "1"],
+            ["t-minus", "--measure", "preset:mu-lambda:3/10", "--n-max", "50", "--format", "json"],
+            ["probe", "--pair", "bernoulli-rms:2,spin:2", "--trials", "5", "--format", "json"],
+        ]
+        in_process = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            in_process.append((code, TIMING_LINE.sub("", out), err))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        fresh = []
+        for argv in sequence:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wells_majorize.cli", *argv],
+                capture_output=True, text=True, env=env, check=False, timeout=120,
+            )
+            fresh.append((proc.returncode, TIMING_LINE.sub("", proc.stdout), proc.stderr))
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [2, 0, 0]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_text_format_default(self, capsys):
         code, out, _ = run(capsys, ["tc-bounds", "--s", "2"])
