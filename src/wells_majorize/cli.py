@@ -12,14 +12,16 @@ import argparse
 import functools
 import math
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
+from . import oracle, wells
 from .errors import VerificationError
 from .majorize import NonNegVector, OddConvexFunction, majorizes, partial_sums, single_crossing_majorizes
 from .oracle import MeasureLike, ProbeConfig, bernoulli_float_atoms, random_probe
 from .rationals import parse_rational, parse_rational_vector
-from .report import FAIL, PASS, Timer, VerificationReport
+from .report import FAIL, PASS, VerificationReport
 from .spin_sums import (
     HALF_ODD,
     INTEGER,
@@ -90,127 +92,102 @@ def build_psi_grid(preset: str, N: int, variant: str) -> PsiGrid:
     return PsiGrid.from_function(PSI_PRESETS[preset](N), N, variant)
 
 
-def _emit(report: VerificationReport, fmt: str) -> int:
-    if fmt == "json":
-        print(report.to_json())
-    elif fmt == "csv":
-        print(report.to_csv(), end="")
+def cmd_verify_conjecture(args: argparse.Namespace) -> VerificationReport:
+    return verify_conjecture(SpinValue.parse(args.s_max), args.m_max)
+
+
+def cmd_t_minus(args: argparse.Namespace) -> VerificationReport:
+    mu = parse_measure(args.measure)
+    tol = parse_rational(args.tol)
+    gap = canonical_gap(mu, n_max=args.n_max, tol=tol)
+    bracket = gap.bracket
+    details = {
+        "t_minus_lo": bracket.lo,
+        "t_minus_hi": bracket.hi,
+        "status": bracket.status,
+        "n_max_checked": bracket.n_max_checked,
+        "second_moment": gap.second_moment,
+        "canonical_up_to_n_max": gap.canonical_up_to_n_max,
+    }
+    status = PASS
+    witnesses = []
+    if args.measure.startswith("preset:mu-lambda:"):
+        lam = parse_rational(args.measure.split(":")[2])
+        closed_sq = t_minus_squared_mu_lambda(lam)
+        details["closed_form_t_minus_sq"] = closed_sq
+        # The bracket must straddle the closed-form threshold.
+        if not (bracket.lo**2 <= closed_sq <= bracket.hi**2):
+            status = FAIL
+            witnesses.append({"reason": "bracket misses closed form", "closed_sq": closed_sq})
+    return VerificationReport(
+        command="t-minus",
+        status=status,
+        parameters={"measure": args.measure, "n_max": args.n_max, "tol": tol},
+        details=details,
+        witnesses=witnesses,
+    )
+
+
+def cmd_majorize(args: argparse.Namespace) -> VerificationReport:
+    x = NonNegVector(parse_rational_vector(args.x))
+    y = NonNegVector(parse_rational_vector(args.y))
+    holds = majorizes(x, y)
+    details = {
+        "majorizes": holds,
+        "partial_sums_x": partial_sums(x),
+        "partial_sums_y": partial_sums(y),
+    }
+    if x.total() == y.total():
+        crossing = single_crossing_majorizes(x, y)
+        details["single_crossing_applies"] = crossing.applies
+        details["crossing_index"] = crossing.crossing_index
+    return VerificationReport(
+        command="majorize",
+        status=PASS if holds else FAIL,
+        parameters={"x": x, "y": y},
+        details=details,
+        witnesses=[] if holds else [{"reason": "partial sums do not dominate"}],
+    )
+
+
+def cmd_probe(args: argparse.Namespace) -> VerificationReport:
+    tokens = args.pair.split(",")
+    if len(tokens) != 2:
+        raise VerificationError("--pair expects two comma-separated measure tokens")
+    mu = parse_probe_measure(tokens[0])
+    nu = parse_probe_measure(tokens[1])
+    config = ProbeConfig(seed=args.seed, trials=args.trials, site_cap=args.site_cap, tol=args.tol)
+    report = random_probe(config, mu, nu)
+    report.parameters["pair"] = args.pair
+    return report
+
+
+def cmd_tc_bounds(args: argparse.Namespace) -> VerificationReport:
+    S = SpinValue.parse(args.s)
+    bounds = tc_bounds(S)
+    ok = bounds.improvement > Fraction(4, 3)
+    return VerificationReport(
+        command="tc-bounds",
+        status=PASS if ok else FAIL,
+        parameters={"S": S.as_fraction},
+        details={
+            "griffiths": bounds.griffiths,
+            "msw": bounds.msw,
+            "improvement": bounds.improvement,
+        },
+        witnesses=[] if ok else [{"reason": "improvement ratio <= 4/3"}],
+    )
+
+
+def cmd_theorem(args: argparse.Namespace) -> VerificationReport:
+    grid = build_psi_grid(args.psi, args.n, args.variant)
+    phi = OddConvexFunction.power(args.phi_power)
+    if args.variant == HALF_ODD:
+        report = verify_half_odd_theorem(grid, phi)
     else:
-        print(report.to_text())
-    return report.exit_code
-
-
-def cmd_verify_conjecture(args: argparse.Namespace) -> int:
-    with Timer() as t:
-        report = verify_conjecture(SpinValue.parse(args.s_max), args.m_max)
-    return _emit(t.stamp(report), args.format)
-
-
-def cmd_t_minus(args: argparse.Namespace) -> int:
-    with Timer() as t:
-        mu = parse_measure(args.measure)
-        tol = parse_rational(args.tol)
-        gap = canonical_gap(mu, n_max=args.n_max, tol=tol)
-        bracket = gap.bracket
-        details = {
-            "t_minus_lo": bracket.lo,
-            "t_minus_hi": bracket.hi,
-            "status": bracket.status,
-            "n_max_checked": bracket.n_max_checked,
-            "second_moment": gap.second_moment,
-            "canonical_up_to_n_max": gap.canonical_up_to_n_max,
-        }
-        status = PASS
-        witnesses = []
-        if args.measure.startswith("preset:mu-lambda:"):
-            lam = parse_rational(args.measure.split(":")[2])
-            closed_sq = t_minus_squared_mu_lambda(lam)
-            details["closed_form_t_minus_sq"] = closed_sq
-            # The bracket must straddle the closed-form threshold.
-            if not (bracket.lo**2 <= closed_sq <= bracket.hi**2):
-                status = FAIL
-                witnesses.append({"reason": "bracket misses closed form", "closed_sq": closed_sq})
-        report = VerificationReport(
-            command="t-minus",
-            status=status,
-            parameters={"measure": args.measure, "n_max": args.n_max, "tol": tol},
-            details=details,
-            witnesses=witnesses,
-        )
-    return _emit(t.stamp(report), args.format)
-
-
-def cmd_majorize(args: argparse.Namespace) -> int:
-    with Timer() as t:
-        x = NonNegVector(parse_rational_vector(args.x))
-        y = NonNegVector(parse_rational_vector(args.y))
-        holds = majorizes(x, y)
-        details = {
-            "majorizes": holds,
-            "partial_sums_x": partial_sums(x),
-            "partial_sums_y": partial_sums(y),
-        }
-        if x.total() == y.total():
-            crossing = single_crossing_majorizes(x, y)
-            details["single_crossing_applies"] = crossing.applies
-            details["crossing_index"] = crossing.crossing_index
-        report = VerificationReport(
-            command="majorize",
-            status=PASS if holds else FAIL,
-            parameters={"x": x, "y": y},
-            details=details,
-            witnesses=[] if holds else [{"reason": "partial sums do not dominate"}],
-        )
-    return _emit(t.stamp(report), args.format)
-
-
-def cmd_probe(args: argparse.Namespace) -> int:
-    with Timer() as t:
-        tokens = args.pair.split(",")
-        if len(tokens) != 2:
-            raise VerificationError("--pair expects two comma-separated measure tokens")
-        mu = parse_probe_measure(tokens[0])
-        nu = parse_probe_measure(tokens[1])
-        config = ProbeConfig(
-            seed=args.seed,
-            trials=args.trials,
-            site_cap=args.site_cap,
-            tol=args.tol,
-        )
-        report = random_probe(config, mu, nu)
-        report.parameters["pair"] = args.pair
-    return _emit(t.stamp(report), args.format)
-
-
-def cmd_tc_bounds(args: argparse.Namespace) -> int:
-    with Timer() as t:
-        S = SpinValue.parse(args.s)
-        bounds = tc_bounds(S)
-        ok = bounds.improvement > Fraction(4, 3)
-        report = VerificationReport(
-            command="tc-bounds",
-            status=PASS if ok else FAIL,
-            parameters={"S": S.as_fraction},
-            details={
-                "griffiths": bounds.griffiths,
-                "msw": bounds.msw,
-                "improvement": bounds.improvement,
-            },
-            witnesses=[] if ok else [{"reason": "improvement ratio <= 4/3"}],
-        )
-    return _emit(t.stamp(report), args.format)
-
-
-def cmd_theorem(args: argparse.Namespace) -> int:
-    with Timer() as t:
-        grid = build_psi_grid(args.psi, args.n, args.variant)
-        phi = OddConvexFunction.power(args.phi_power)
-        if args.variant == HALF_ODD:
-            report = verify_half_odd_theorem(grid, phi)
-        else:
-            report = verify_integer_theorem(grid, phi)
-        report.parameters.update({"psi": args.psi, "phi_power": args.phi_power})
-    return _emit(t.stamp(report), args.format)
+        report = verify_integer_theorem(grid, phi)
+    report.parameters.update({"psi": args.psi, "phi_power": args.phi_power})
+    return report
 
 
 @functools.cache
@@ -234,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("t-minus", help="bracket the domination threshold of a measure")
     p.add_argument("--measure", required=True, help="JSON file or preset:<family>:<param>")
-    p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--tol", default="1/1000000")
+    p.add_argument("--n-max", type=int, default=wells.DEFAULT_N_MAX)
+    p.add_argument("--tol", default=str(wells.DEFAULT_TOL))
     add_format(p)
     p.set_defaults(fn=cmd_t_minus)
 
@@ -249,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--site-cap", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL)
     p.add_argument("--pair", required=True, help="e.g. bernoulli-rms:2,spin:2")
     add_format(p)
     p.set_defaults(fn=cmd_probe)
@@ -271,13 +248,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and print its report in the chosen format.
+    timing_ms is the subcommand's wall time, before rendering."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.fn(args)
+        report = args.fn(args)
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    report.timing_ms = (time.perf_counter() - start) * 1000.0
+    if args.format == "json":
+        print(report.to_json())
+    elif args.format == "csv":
+        print(report.to_csv(), end="")
+    else:
+        print(report.to_text())
+    return report.exit_code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .errors import (
     DomainError,
@@ -23,10 +23,6 @@ from .errors import (
 from .rationals import parse_rational
 
 RationalLike = Union[Fraction, int, str]
-
-
-def _fractions(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -46,11 +42,7 @@ class NonNegVector:
 
     @classmethod
     def of(cls, *values: RationalLike) -> "NonNegVector":
-        return cls(_fractions(values))
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[RationalLike]) -> "NonNegVector":
-        return cls(_fractions(values))
+        return cls(tuple(parse_rational(v) for v in values))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -158,13 +150,6 @@ class PiecewiseLinearConvex:
     @classmethod
     def from_points(cls, points: Iterable[tuple[RationalLike, RationalLike]]) -> "PiecewiseLinearConvex":
         return cls(tuple((parse_rational(t), parse_rational(v)) for t, v in points))
-
-    @classmethod
-    def from_callable(
-        cls, fn: Callable[[Fraction], RationalLike], knots: Iterable[RationalLike]
-    ) -> "PiecewiseLinearConvex":
-        ks = _fractions(knots)
-        return cls(tuple((t, parse_rational(fn(t))) for t in ks))
 
     def domain(self) -> tuple[Fraction, Fraction]:
         return self.breakpoints[0][0], self.breakpoints[-1][0]

@@ -27,8 +27,14 @@ from .errors import (
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
 from .wells import DiscreteMeasure
 
-DEFAULT_CONFIG_CAP = 10**6
 DEFAULT_TOL = 1e-9
+# Largest number of configurations one expectation enumerates.
+CONFIG_CAP = 10**6
+# Probe couplings stay in [0, COUPLING_MAX] over subsets of at most
+# MAX_SUBSET_SIZE sites, so the exponentials remain well conditioned
+# while multi-body terms beyond pairs are exercised.
+COUPLING_MAX = 2.0
+MAX_SUBSET_SIZE = 3
 
 # Support given either exactly or as floats (needed when the two-point
 # comparison magnitude is an irrational root).
@@ -189,7 +195,6 @@ def gibbs_expectation(
     couplings: CouplingSet,
     measure: MeasureLike,
     B: Iterable[int],
-    config_cap: int = DEFAULT_CONFIG_CAP,
 ) -> float:
     """<sigma^B> by complete enumeration of the product measure.
 
@@ -206,8 +211,8 @@ def gibbs_expectation(
     _check_subsets(lattice, couplings, B)
     atoms = float_atoms(measure)
     k, n = len(atoms), len(lattice.sites)
-    if k**n > config_cap:
-        raise ResourceLimitError(f"{k}**{n} configurations exceed cap {config_cap}")
+    if k**n > CONFIG_CAP:
+        raise ResourceLimitError(f"{k}**{n} configurations exceed cap {CONFIG_CAP}")
     if not B:
         return 1.0
 
@@ -250,31 +255,22 @@ def domination_check(
     nu: MeasureLike,
     B: Iterable[int],
     tol: float = DEFAULT_TOL,
-    config_cap: int = DEFAULT_CONFIG_CAP,
 ) -> DominationResult:
     """Check <sigma^B>_mu <= <sigma^B>_nu up to an absolute tolerance."""
     B = tuple(B)
-    lhs = gibbs_expectation(lattice, couplings, mu, B, config_cap)
-    rhs = gibbs_expectation(lattice, couplings, nu, B, config_cap)
+    lhs = gibbs_expectation(lattice, couplings, mu, B)
+    rhs = gibbs_expectation(lattice, couplings, nu, B)
     return DominationResult(holds=lhs <= rhs + tol, lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Knobs of the randomized domination probe.
-
-    Couplings stay in [0, coupling_max] over subsets of at most
-    max_subset_size sites, so the exponentials remain well conditioned
-    while multi-body terms beyond pairs are exercised.
-    """
+    """Knobs of the randomized domination probe."""
 
     seed: int
     trials: int
     site_cap: int
-    coupling_max: float = 2.0
-    max_subset_size: int = 3
     tol: float = DEFAULT_TOL
-    config_cap: int = DEFAULT_CONFIG_CAP
 
     def __post_init__(self) -> None:
         if self.trials < 0 or self.site_cap < 1:
@@ -302,9 +298,9 @@ def _draw_instance(rng: random.Random, config: ProbeConfig) -> ProbeInstance:
     sites = tuple(range(n))
     terms: dict[frozenset[int], float] = {}
     for _ in range(rng.randint(1, 2 * n)):
-        size = rng.randint(1, min(config.max_subset_size, n))
+        size = rng.randint(1, min(MAX_SUBSET_SIZE, n))
         subset = frozenset(rng.sample(sites, size))
-        terms[subset] = terms.get(subset, 0.0) + rng.uniform(0.0, config.coupling_max)
+        terms[subset] = terms.get(subset, 0.0) + rng.uniform(0.0, COUPLING_MAX)
     B = tuple(sorted(rng.sample(sites, rng.randint(1, n))))
     return ProbeInstance(Lattice(sites), CouplingSet.from_dict(terms), B)
 
@@ -315,10 +311,7 @@ def _checked_instances(config: ProbeConfig, mu: MeasureLike, nu: MeasureLike):
     rng = random.Random(config.seed)
     for trial in range(config.trials):
         inst = _draw_instance(rng, config)
-        res = domination_check(
-            inst.lattice, inst.couplings, mu, nu, inst.B,
-            tol=config.tol, config_cap=config.config_cap,
-        )
+        res = domination_check(inst.lattice, inst.couplings, mu, nu, inst.B, tol=config.tol)
         yield trial, inst, res
 
 

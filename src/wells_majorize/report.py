@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -70,52 +69,34 @@ class VerificationReport:
     def exit_code(self) -> int:
         return _EXIT_CODES.get(self.status, 1)
 
-    def to_dict(self, include_timing: bool = True) -> dict[str, Any]:
-        data = {
+    def to_dict(self) -> dict[str, Any]:
+        return {
             "command": self.command,
             "status": self.status,
             "parameters": serialize(self.parameters),
             "details": serialize(self.details),
             "witnesses": serialize(self.witnesses),
+            "timing_ms": self.timing_ms,
         }
-        if include_timing:
-            data["timing_ms"] = self.timing_ms
-        return data
 
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing), indent=2)
-
-    def to_csv(self, include_timing: bool = True) -> str:
+    def _rows(self) -> list[tuple[str, str]]:
+        """(key, value) per leaf of to_dict, timing_ms last."""
         rows: list[tuple[str, str]] = []
-        _flatten("", self.to_dict(include_timing=include_timing), rows)
+        _flatten("", self.to_dict(), rows)
+        return rows
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("key,value\n")
-        for key, value in rows:
+        for key, value in self._rows():
             value = value.replace('"', '""')
             buf.write(f'{key},"{value}"\n')
         return buf.getvalue()
 
     def to_text(self) -> str:
-        lines = [f"command: {self.command}", f"status: {self.status}"]
-        rows: list[tuple[str, str]] = []
-        _flatten("parameters", serialize(self.parameters), rows)
-        _flatten("details", serialize(self.details), rows)
-        _flatten("witnesses", serialize(self.witnesses), rows)
-        lines.extend(f"{key}: {value}" for key, value in rows)
+        lines = [f"{key}: {value}" for key, value in self._rows()[:-1]]
         lines.append(f"timing_ms: {self.timing_ms:.3f}")
         return "\n".join(lines)
-
-
-class Timer:
-    """Context manager stamping timing_ms onto a report built inside it."""
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed_ms = (time.perf_counter() - self._start) * 1000.0
-
-    def stamp(self, report: VerificationReport) -> VerificationReport:
-        report.timing_ms = self.elapsed_ms
-        return report

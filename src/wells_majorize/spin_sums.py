@@ -163,6 +163,8 @@ class PsiGrid:
         N: int,
         variant: str = HALF_ODD,
     ) -> "PsiGrid":
+        if N < 1:
+            raise ValidationError(f"{variant} grid needs N >= 1")
         lo = 0 if variant == HALF_ODD else -N
         vals = tuple(
             parse_rational(fn(Fraction(j, N))) for j in range(lo, N + 1)
@@ -453,9 +455,10 @@ def verify_integer_theorem(
 ) -> VerificationReport:
     """Verify that the centered odd-convex sum over an integer grid is >= 0.
 
-    Hypotheses checked first: the leading-block condition, and the
-    midpoint condition when N is odd; failure of either reports
-    hypothesis_not_met (distinct from the inequality failing). Then the
+    Hypotheses checked first: the head condition psi(1) + psi(0) >= 2 *
+    mean (w1 >= y1), the leading-block condition, and the midpoint
+    condition when N is odd; failure of any reports hypothesis_not_met
+    (distinct from the inequality failing). Then the
     (x, y, w) triple is built, w's running sums are shown to dominate y's
     by the block-plus-single-crossing split, x dominates w by sorting, the
     majorization x > y is cross-checked independently, and the Karamata
@@ -465,14 +468,16 @@ def verify_integer_theorem(
         raise PreconditionError("integer grid required")
     N = grid.subdivisions
     params = {"N": N, "variant": grid.variant}
+    head = grid.value_at_index(N) + grid.value_at_index(0) >= 2 * grid.mean()
     block = leading_block_check(grid)
     midpoint = odd_midpoint_check(grid) if N % 2 == 1 else True
-    if not (block and midpoint):
+    hypotheses = {"head": head, "leading_block": block, "odd_midpoint": midpoint}
+    if not all(hypotheses.values()):
         return VerificationReport(
             command="theorem-integer",
             status=HYPOTHESIS_NOT_MET,
             parameters=params,
-            details={"leading_block": block, "odd_midpoint": midpoint},
+            details=hypotheses,
             witnesses=[{"reason": "hypotheses not met"}],
         )
 
@@ -506,8 +511,7 @@ def verify_integer_theorem(
             "mean": triple.mean,
             "centered_sum": full_sum,
             "split": split,
-            "leading_block": block,
-            "odd_midpoint": midpoint,
+            **hypotheses,
         },
         witnesses=witnesses,
     )

@@ -245,6 +245,14 @@ def t_minus_upper(
     atomic families with known closed forms. The true threshold never
     exceeds hi; equality with the bracketed value holds only in the
     all-n limit.
+
+    Bisection is sound because the predicate holds on a down-set of
+    s = S^2: if it holds at s, it holds at s - h for every h > 0. For the
+    moments, P_n(s - h) = sum_k C(n, k) h^k P_{n-k}(s) with P_0 = 1, a sum
+    of non-negative terms once P_1..P_n(s) are. For `tail_sign_ok`,
+    lowering s by h raises every difference v^2 - s by h, so the largest
+    positive one strictly grows and the largest negative magnitude
+    strictly shrinks.
     """
     tol = parse_rational(tol)
     if tol <= 0:
@@ -257,12 +265,6 @@ def t_minus_upper(
         return TMinusResult(lo=top, hi=top, n_max_checked=n_max, status=CLOSED_FORM)
     if _threshold_predicate(mu, top * top, n_max):
         return TMinusResult(lo=top, hi=top, n_max_checked=n_max, status=CERTIFIED_UP_TO_N_MAX)
-
-    # The bisection relies on the predicate being a down-set in S; spot
-    # check that on a coarse grid before trusting it.
-    samples = [_threshold_predicate(mu, (top * Fraction(k, 8)) ** 2, n_max) for k in range(9)]
-    if any(b and not a for a, b in zip(samples, samples[1:])):
-        raise InvariantError("threshold predicate is not monotone on the sample grid")
 
     lo, hi = Fraction(0), top
     while hi - lo > tol:
@@ -289,8 +291,6 @@ def t_minus_squared_mu_lambda(lam: Fraction | int | str) -> Fraction:
 @dataclass(frozen=True)
 class CanonicalGap:
     second_moment: Fraction
-    t_minus_sq_lo: Fraction
-    t_minus_sq_hi: Fraction
     canonical_up_to_n_max: bool
     bracket: TMinusResult
 
@@ -310,8 +310,6 @@ def canonical_gap(
     bracket = t_minus_upper(mu, n_max=n_max, tol=tol)
     return CanonicalGap(
         second_moment=second,
-        t_minus_sq_lo=bracket.lo * bracket.lo,
-        t_minus_sq_hi=bracket.hi * bracket.hi,
         canonical_up_to_n_max=passes_up_to(mu, second, n_max),
         bracket=bracket,
     )

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,6 +9,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wells_majorize import cli, wells
 from wells_majorize.cli import main
@@ -279,6 +283,11 @@ class TestTheoremCommand:
         assert code == 3
         assert data["status"] == "hypothesis_not_met"
 
+    @pytest.mark.parametrize("variant", ["integer", "half-odd"])
+    def test_no_subdivisions_is_usage_error(self, capsys, variant):
+        code, out, err = run(capsys, ["theorem", variant, "--n", "0"])
+        assert (code, out, err) == (2, "", f"error: {variant} grid needs N >= 1\n")
+
     def test_unknown_psi_preset(self, capsys):
         code, _, err = run(capsys, ["theorem", "integer", "--psi", "sine", "--n", "4"])
         assert code == 2
@@ -368,8 +377,90 @@ class TestArgumentErrors:
         assert [code for code, _, _ in fresh] == [2, 0, 0]
         assert cli.build_parser() is cli.build_parser()
 
+    @pytest.mark.parametrize(
+        "fmt, pattern", [("text", r"timing_ms: \d+\.\d{3}"), ("csv", r'timing_ms,"[0-9.e-]+"')]
+    )
+    def test_timing_is_the_one_last_line(self, capsys, fmt, pattern):
+        code, out, _ = run(capsys, ["tc-bounds", "--s", "2", "--format", fmt])
+        lines = out.splitlines()
+        assert code == 0
+        assert [line for line in lines if line.startswith("timing_ms")] == lines[-1:]
+        assert re.fullmatch(pattern, lines[-1])
+
     def test_text_format_default(self, capsys):
         code, out, _ = run(capsys, ["tc-bounds", "--s", "2"])
         assert code == 0
         assert "status: pass" in out
         assert "details.msw: 1/2" in out
+
+
+# Value pools per flag for the fuzz test: valid and malformed tokens, all
+# small enough that every run is quick.
+SPINS = ["1/2", "1", "3/2", "7/2", "0", "-1", "2/3", "x", ""]
+SMALL_INTS = ["-1", "0", "1", "2", "3", "5", "x"]
+RATIONALS = ["1/100", "1/1000000", "0", "-1", "1/0", "0.25", "nan", "x"]
+FLOATS = ["1e-9", "0", "0.5", "-1", "nan", "inf", "-inf", "x"]
+MEASURES = [
+    "preset:mu-lambda:3/10", "preset:mu-lambda:1", "preset:mu-lambda:0", "preset:spin:1",
+    "preset:spin:5/2", "preset:bernoulli:2/3", "preset:bernoulli:-1", "preset:sine:1",
+    "preset:spin", "no-such-measure.json",
+]
+VECTORS = ["3,2,1", "2,2,2", "1/2,1/2,1", "6,0,0", "1,2", "0", "1,-1,2", "a,b", ","]
+PAIRS = [
+    "bernoulli-rms:2,spin:2", "spin:1,bernoulli:1/2", "mu-lambda:1/4,spin:3/2",
+    "bernoulli:3,spin:1", "spin:2", "bernoulli:0,spin:1", "bernoulli-rms:x,spin:1",
+    "spin:1,spin:1,spin:1", f"bernoulli:1{'0' * 400},bernoulli:1", "sine:1,spin:1",
+]
+FORMATS = ["text", "json", "csv", "xml"]
+SUBCOMMANDS = {
+    "verify-conjecture": {"--s-max": SPINS, "--m-max": SMALL_INTS},
+    "t-minus": {"--measure": MEASURES, "--n-max": SMALL_INTS + ["40"], "--tol": RATIONALS},
+    "majorize": {"--x": VECTORS, "--y": VECTORS},
+    "probe": {"--pair": PAIRS, "--seed": SMALL_INTS, "--tol": FLOATS},
+    "tc-bounds": {"--s": SPINS},
+    "theorem": {"--psi": ["square", "abs", "quartic", "sine"], "--n": SMALL_INTS + ["8"],
+                "--phi-power": SMALL_INTS},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with each of its flags absent or drawn from its pool.
+    probe always gets small --trials and --site-cap, so no run computes
+    more than six expectations of at most 5**3 configurations each."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command]
+    if command == "theorem":
+        argv.append(draw(st.sampled_from(["integer", "half-odd", "other"])))
+    if command == "probe":
+        argv += ["--trials", draw(st.sampled_from(["-1", "0", "1", "3", "x"])),
+                 "--site-cap", draw(st.sampled_from(["0", "1", "3", "x"]))]
+    for flag, pool in {**SUBCOMMANDS[command], "--format": FORMATS}.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(pool))]
+    return argv
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestCliFuzz:
+    """Any argument list ends in a defined exit code, raises nothing else,
+    and a --format json run prints strict JSON."""
+
+    @given(cli_argv())
+    @settings(max_examples=200, deadline=None)
+    def test_every_run_has_a_defined_outcome(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+        if code == 2:
+            assert out.getvalue() == "" and "error:" in err.getvalue()
+        elif fmt == "json":
+            json.loads(out.getvalue(), parse_constant=reject_constant)

@@ -178,9 +178,10 @@ class TestGibbsExpectation:
             assert gibbs_expectation(lattice, J, PM_ONE, B) >= -1e-12
 
     def test_configuration_cap(self):
-        lattice = Lattice.of_size(4)
+        # 2**20 configurations exceed the cap of 10**6.
+        lattice = Lattice.of_size(20)
         with pytest.raises(ResourceLimitError):
-            gibbs_expectation(lattice, CouplingSet(()), PM_ONE, (0,), config_cap=8)
+            gibbs_expectation(lattice, CouplingSet(()), PM_ONE, (0,))
 
     def test_strong_couplings_do_not_overflow(self):
         # exp(800) overflows a double; the ground states s0 = s1 = s2
@@ -226,8 +227,8 @@ class TestRandomProbe:
         config = ProbeConfig(seed=7, trials=40, site_cap=3)
         mu = bernoulli_float_atoms(math.sqrt(0.5))
         nu = spin_measure(SpinValue.parse(2))
-        a = random_probe(config, mu, nu).to_dict(include_timing=False)
-        b = random_probe(config, mu, nu).to_dict(include_timing=False)
+        a = random_probe(config, mu, nu).to_dict()
+        b = random_probe(config, mu, nu).to_dict()
         assert a == b
 
     def test_zero_trials_is_empty_pass(self):

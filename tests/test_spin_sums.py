@@ -380,6 +380,13 @@ class TestIntegerTheorem:
         assert report.status == HYPOTHESIS_NOT_MET
         assert report.details["leading_block"] is False
 
+    def test_head_condition_is_a_hypothesis(self):
+        # |t| on N = 2: psi(1) + psi(0) = 2 < 2 * mean = 12/5, so w1 < y1
+        # although the leading block (6 >= 6) holds and N is even.
+        report = verify_integer_theorem(abs_grid(2), OddConvexFunction.power(1))
+        assert report.status == HYPOTHESIS_NOT_MET
+        assert report.details == {"head": False, "leading_block": True, "odd_midpoint": True}
+
     def test_cross_checks_majorization_every_run(self):
         report = verify_integer_theorem(square_grid(9), OddConvexFunction.power(2))
         assert report.status == PASS

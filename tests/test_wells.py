@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,17 @@ def even_measure_and_s(draw):
     return DiscreteMeasure.from_pairs(pairs), s
 
 
+@st.composite
+def measure_and_points(draw):
+    """An even measure as above and increasing rationals s: the drawn s,
+    every v^2, every midpoint of two of them (where the tail magnitudes
+    tie) and the second moment (where P_1 vanishes)."""
+    mu, s = draw(even_measure_and_s())
+    squares = sorted({v * v for v, _ in mu.atoms})
+    midpoints = ((a + b) / 2 for a, b in combinations(squares, 2))
+    return mu, sorted({s, mu.second_moment(), *squares, *midpoints})
+
+
 class TestIntegerPredicate:
     """The integer moment sums against the `Fraction` definition."""
 
@@ -320,6 +332,16 @@ class TestTMinusUpper:
         with pytest.raises(PreconditionError):
             t_minus_upper(mu_lambda_measure(F(1, 4)), tol=0)
 
+    @given(measure_and_points(), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=200, deadline=None)
+    def test_predicate_is_a_down_set_in_s(self, case, n_max):
+        # The bisection trusts this instead of sampling the predicate:
+        # wherever it holds at s2, it holds at every s1 < s2.
+        mu, points = case
+        holds = [tail_sign_ok(mu, s) and passes_up_to(mu, s, n_max) for s in points]
+        for s1, s2, at_s1, at_s2 in zip(points, points[1:], holds, holds[1:]):
+            assert at_s1 or not at_s2, (s1, s2)
+
     @pytest.mark.parametrize("mu", [bernoulli_measure(1), spin_measure(SpinValue.parse(2))])
     def test_rejects_nonpositive_n_max(self, mu):
         # The two-point closed form needs no moment, but n_max is still checked.
@@ -347,13 +369,13 @@ class TestCanonicalGap:
         gap = canonical_gap(mu_lambda_measure(F(1, 4)))
         assert gap.second_moment == F(1, 4)
         assert gap.canonical_up_to_n_max
-        assert gap.t_minus_sq_lo <= F(1, 4) <= gap.t_minus_sq_hi
+        assert gap.bracket.lo**2 <= F(1, 4) <= gap.bracket.hi**2
 
     def test_spin_one_is_not_canonical(self):
         gap = canonical_gap(spin_measure(SpinValue.parse(1)))
         assert gap.second_moment == F(2, 3)
         assert not gap.canonical_up_to_n_max
-        assert gap.t_minus_sq_hi < F(2, 3)
+        assert gap.bracket.hi**2 < F(2, 3)
 
     def test_spin_two_is_canonical(self):
         gap = canonical_gap(spin_measure(SpinValue.parse(2)))
@@ -366,7 +388,6 @@ class TestCanonicalGap:
     def test_bracket_is_the_threshold_bracket(self, mu):
         gap = canonical_gap(mu, n_max=30)
         assert gap.bracket == t_minus_upper(mu, n_max=30)
-        assert (gap.t_minus_sq_lo, gap.t_minus_sq_hi) == (gap.bracket.lo**2, gap.bracket.hi**2)
 
 
 class TestSphere:
