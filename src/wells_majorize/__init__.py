@@ -20,7 +20,6 @@ from .oracle import (
     bernoulli_float_atoms,
     domination_check,
     gibbs_expectation,
-    hamiltonian,
     random_probe,
     violation_search,
 )
@@ -69,7 +68,7 @@ __all__ = [
     "single_crossing_majorizes",
     # oracle
     "CouplingSet", "Lattice", "ProbeConfig", "bernoulli_float_atoms",
-    "domination_check", "gibbs_expectation", "hamiltonian", "random_probe",
+    "domination_check", "gibbs_expectation", "random_probe",
     "violation_search",
     # report
     "VerificationReport",

@@ -79,17 +79,8 @@ def parse_probe_measure(token: str) -> MeasureLike:
     return parse_measure(f"preset:{token}")
 
 
-PSI_PRESETS = {
-    "square": lambda N: (lambda t: (N * t) ** 2),
-    "abs": lambda N: (lambda t: abs(N * t)),
-    "quartic": lambda N: (lambda t: (N * t) ** 4),
-}
-
-
-def build_psi_grid(preset: str, N: int, variant: str) -> PsiGrid:
-    if preset not in PSI_PRESETS:
-        raise VerificationError(f"unknown psi preset {preset!r}")
-    return PsiGrid.from_function(PSI_PRESETS[preset](N), N, variant)
+# Grid presets psi(t) = |N t|**p, by their power p.
+PSI_POWERS = {"square": 2, "abs": 1, "quartic": 4}
 
 
 def cmd_verify_conjecture(args: argparse.Namespace) -> VerificationReport:
@@ -180,7 +171,10 @@ def cmd_tc_bounds(args: argparse.Namespace) -> VerificationReport:
 
 
 def cmd_theorem(args: argparse.Namespace) -> VerificationReport:
-    grid = build_psi_grid(args.psi, args.n, args.variant)
+    if args.psi not in PSI_POWERS:
+        raise VerificationError(f"unknown psi preset {args.psi!r}")
+    N, power = args.n, PSI_POWERS[args.psi]
+    grid = PsiGrid.from_function(lambda t: abs(N * t) ** power, N, args.variant)
     phi = OddConvexFunction.power(args.phi_power)
     if args.variant == HALF_ODD:
         report = verify_half_odd_theorem(grid, phi)

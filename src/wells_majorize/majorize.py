@@ -67,11 +67,6 @@ def partial_sums(v: NonNegVector) -> list[Fraction]:
     return list(accumulate(v.decreasing))
 
 
-def sequence_partial_sums(values: Iterable[Fraction]) -> list[Fraction]:
-    """Running sums of a sequence as given, without rearranging."""
-    return list(accumulate(values))
-
-
 def majorizes(x: NonNegVector, y: NonNegVector) -> bool:
     """Exact test of the majorization order: equal totals and dominating
     partial sums of the decreasing rearrangements."""
@@ -151,12 +146,9 @@ class PiecewiseLinearConvex:
     def from_points(cls, points: Iterable[tuple[RationalLike, RationalLike]]) -> "PiecewiseLinearConvex":
         return cls(tuple((parse_rational(t), parse_rational(v)) for t, v in points))
 
-    def domain(self) -> tuple[Fraction, Fraction]:
-        return self.breakpoints[0][0], self.breakpoints[-1][0]
-
     def value(self, t: RationalLike) -> Fraction:
         t = parse_rational(t)
-        lo, hi = self.domain()
+        lo, hi = self.breakpoints[0][0], self.breakpoints[-1][0]
         if t < lo or t > hi:
             raise DomainError(f"{t} outside [{lo}, {hi}]")
         abscissae = [p[0] for p in self.breakpoints]
@@ -195,10 +187,6 @@ class OddConvexFunction:
         if m < 0:
             raise ValidationError("m must be non-negative")
         return cls(exponent=2 * m + 1)
-
-    @classmethod
-    def from_piecewise(cls, base: PiecewiseLinearConvex) -> "OddConvexFunction":
-        return cls(base=base)
 
     def value(self, t: RationalLike) -> Fraction:
         t = parse_rational(t)

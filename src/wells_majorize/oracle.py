@@ -102,32 +102,6 @@ class CouplingSet:
         return cls(tuple((frozenset(k), float(v)) for k, v in terms.items()))
 
 
-def _check_subsets(lattice: Lattice, couplings: CouplingSet, B: Iterable[int]) -> None:
-    site_set = set(lattice.sites)
-    for subset, _ in couplings.terms:
-        if not subset <= site_set:
-            raise ValidationError(f"coupling subset {sorted(subset)} outside the lattice")
-    if not set(B) <= site_set:
-        raise ValidationError("observable subset outside the lattice")
-
-
-def hamiltonian(
-    lattice: Lattice, couplings: CouplingSet, assignment: dict[int, float]
-) -> float:
-    """Energy -sum_A J(A) prod_{j in A} sigma_j of one spin configuration."""
-    _check_subsets(lattice, couplings, ())
-    for site in lattice.sites:
-        if site not in assignment:
-            raise ValidationError(f"site {site} unassigned")
-    total = 0.0
-    for subset, strength in couplings.terms:
-        prod = 1.0
-        for site in subset:
-            prod *= assignment[site]
-        total -= strength * prod
-    return total
-
-
 # Up to this many addends math.fsum over a list is cheaper than binning.
 _FSUM_MAX_SIZE = 2048
 # Chunks of at most 2**21 addends, each part of a fraction below 2**32,
@@ -208,7 +182,12 @@ def gibbs_expectation(
     finite positive float.
     """
     B = tuple(B)
-    _check_subsets(lattice, couplings, B)
+    site_set = set(lattice.sites)
+    for subset, _ in couplings.terms:
+        if not subset <= site_set:
+            raise ValidationError(f"coupling subset {sorted(subset)} outside the lattice")
+    if not set(B) <= site_set:
+        raise ValidationError("observable subset outside the lattice")
     atoms = float_atoms(measure)
     k, n = len(atoms), len(lattice.sites)
     if k**n > CONFIG_CAP:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional
 
 from .errors import InvariantError, PreconditionError, ValidationError
@@ -26,7 +27,6 @@ from .majorize import (
     _single_crossing_index,
     karamata_verify,
     majorizes,
-    sequence_partial_sums,
     single_crossing_majorizes,
 )
 from .rationals import parse_rational
@@ -56,10 +56,6 @@ class SpinValue:
     @property
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
 
     def __str__(self) -> str:
         q = self.as_fraction
@@ -130,26 +126,20 @@ class PsiGrid:
     def __post_init__(self) -> None:
         N = self.subdivisions
         vals = self.values
+        if self.variant not in (HALF_ODD, INTEGER):
+            raise ValidationError(f"unknown variant {self.variant!r}")
+        if N < 1:
+            raise ValidationError(f"{self.variant} grid needs N >= 1")
+        expected = N + 1 if self.variant == HALF_ODD else 2 * N + 1
+        if len(vals) != expected:
+            raise ValidationError(f"expected {expected} samples, got {len(vals)}")
+        if any(v < 0 for v in vals):
+            raise ValidationError("samples must be non-negative")
         if self.variant == HALF_ODD:
-            if N < 1:
-                raise ValidationError("half-odd grid needs N >= 1")
-            if len(vals) != N + 1:
-                raise ValidationError(f"expected {N + 1} samples, got {len(vals)}")
-            if any(v < 0 for v in vals):
-                raise ValidationError("samples must be non-negative")
             if any(a >= b for a, b in zip(vals, vals[1:])):
                 raise ValidationError("half-odd samples must strictly increase")
-        elif self.variant == INTEGER:
-            if N < 1:
-                raise ValidationError("integer grid needs N >= 1")
-            if len(vals) != 2 * N + 1:
-                raise ValidationError(f"expected {2 * N + 1} samples, got {len(vals)}")
-            if any(v < 0 for v in vals):
-                raise ValidationError("samples must be non-negative")
-            if any(vals[i] != vals[-1 - i] for i in range(len(vals) // 2)):
-                raise ValidationError("integer samples must be even in j")
-        else:
-            raise ValidationError(f"unknown variant {self.variant!r}")
+        elif any(vals[i] != vals[-1 - i] for i in range(len(vals) // 2)):
+            raise ValidationError("integer samples must be even in j")
         second_diffs = [
             vals[i + 2] - 2 * vals[i + 1] + vals[i] for i in range(len(vals) - 2)
         ]
@@ -171,10 +161,6 @@ class PsiGrid:
         )
         return cls(variant, N, vals)
 
-    def abscissa_range(self) -> tuple[Fraction, Fraction]:
-        lo = Fraction(0) if self.variant == HALF_ODD else Fraction(-1)
-        return lo, Fraction(1)
-
     def value_at_index(self, j: int) -> Fraction:
         """Sample at grid index j (j in [0, N] half-odd, [-N, N] integer)."""
         offset = 0 if self.variant == HALF_ODD else self.subdivisions
@@ -188,9 +174,9 @@ class PsiGrid:
         conservative.
         """
         t = parse_rational(t)
-        lo, hi = self.abscissa_range()
-        if t < lo or t > hi:
-            raise ValidationError(f"{t} outside [{lo}, {hi}]")
+        lo = 0 if self.variant == HALF_ODD else -1
+        if not lo <= t <= 1:
+            raise ValidationError(f"{t} outside [{lo}, 1]")
         scaled = t * self.subdivisions
         j0 = scaled.numerator // scaled.denominator  # floor
         frac = scaled - j0
@@ -436,8 +422,8 @@ def split_domination_check(w: NonNegVector, y: NonNegVector) -> SplitDomination:
     position 4 on."""
     if len(w) != len(y):
         raise PreconditionError("length mismatch")
-    sw = sequence_partial_sums(w.entries)
-    sy = sequence_partial_sums(y.entries)
+    sw = list(accumulate(w.entries))
+    sy = list(accumulate(y.entries))
     failing = next((i + 1 for i, (a, b) in enumerate(zip(sw, sy)) if a < b), None)
     head_ok = w[0] >= y[0]
     block_ok = len(w) >= 3 and sw[1] >= sy[2]
@@ -493,8 +479,8 @@ def verify_integer_theorem(
             witnesses.append({"reason": "w running sums fail", "index": split.failing_index})
         # x is the decreasing rearrangement of w, so its running sums
         # dominate w's; verified rather than assumed.
-        sx = sequence_partial_sums(x.entries)
-        sw = sequence_partial_sums(w.entries)
+        sx = list(accumulate(x.entries))
+        sw = list(accumulate(w.entries))
         if any(a < b for a, b in zip(sx, sw)):
             witnesses.append({"reason": "x running sums fail against w"})
 

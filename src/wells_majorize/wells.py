@@ -49,7 +49,7 @@ class DiscreteMeasure:
                 raise ValidationError(f"measure is not even at value {v}")
             total += w
         if total != 1:
-            raise ValidationError(f"weights sum to {total}, not 1")
+            raise ValidationError(f"weights sum to {format_rational(total)}, not 1")
         if len(self.atoms) == 1 and self.atoms[0][0] == 0:
             raise ValidationError("point mass at 0 is excluded")
 
@@ -61,8 +61,6 @@ class DiscreteMeasure:
         for pair in pairs:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValidationError(f"atom {pair!r} is not a [value, weight] pair")
-            if any(isinstance(x, bool) or not isinstance(x, (Fraction, int, str)) for x in pair):
-                raise ValidationError(f"atom {pair!r} must hold rational strings or integers")
             atoms.append((parse_rational(pair[0]), parse_rational(pair[1])))
         return cls(tuple(sorted(atoms)))
 
@@ -72,7 +70,7 @@ class DiscreteMeasure:
         try:
             data = json.loads(text)
             pairs = data["atoms"]
-        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ValidationError(f"bad measure JSON: {exc}") from exc
         if not isinstance(pairs, list):
             raise ValidationError(f"bad measure JSON: atoms must be a list, got {pairs!r}")

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -161,9 +162,12 @@ class TestTMinusCommand:
     @pytest.mark.parametrize(
         "content",
         [None, b"\xff\xfe{", b'{"atoms": [[1.5, "1/2"], [-1.5, "1/2"]]}',
-         b'{"atoms": [["1"], ["-1"]]}', b'{"atoms": 5}', b"[" * 100_000 + b"]" * 100_000],
+         b'{"atoms": [["1"], ["-1"]]}', b'{"atoms": 5}', b"[" * 100_000 + b"]" * 100_000,
+         b'{"atoms": [[1' + b"0" * 4999 + b', "1/2"], ["-1", "1/2"]]}',
+         b'{"atoms": [["1", "1/3%s"], ["-1", "1/3%s"], ["2", "1/7%s"], ["-2", "1/7%s"]]}'
+         % ((b"1" * 2200,) * 2 + (b"3" * 2200,) * 2)],
         ids=["directory", "not-utf8", "float-atom", "one-element-atom", "atoms-not-a-list",
-             "deeply-nested"],
+             "deeply-nested", "huge-integer-atom", "weight-total-over-the-digit-limit"],
     )
     def test_malformed_measure_file_is_usage_error(self, capsys, tmp_path, content):
         path = tmp_path / "measure.json"
@@ -288,6 +292,16 @@ class TestTheoremCommand:
         code, out, err = run(capsys, ["theorem", variant, "--n", "0"])
         assert (code, out, err) == (2, "", f"error: {variant} grid needs N >= 1\n")
 
+    @pytest.mark.parametrize("variant, n", [("integer", 8), ("half-odd", 4)])
+    def test_sum_over_the_digit_limit_prints(self, capsys, variant, n):
+        code, data = run_json(capsys, ["theorem", variant, "--n", str(n), "--phi-power", "3000"])
+        values = [j * j for j in range(-n if variant == "integer" else 0, n + 1)]
+        mean = F(sum(values), len(values))
+        expected = sum((v - mean) ** 6001 for v in values)
+        assert code == 0
+        assert len(str(Decimal(expected.numerator))) > 4300 and expected.denominator == 1
+        assert Decimal(data["details"]["centered_sum"]) == expected.numerator
+
     def test_unknown_psi_preset(self, capsys):
         code, _, err = run(capsys, ["theorem", "integer", "--psi", "sine", "--n", "4"])
         assert code == 2
@@ -343,6 +357,17 @@ class TestArgumentErrors:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["majorize", "--x", "1e100000,0", "--y", "1,0"],
+        ["tc-bounds", "--s", "1e5000"],
+        ["t-minus", "--measure", "preset:bernoulli:1e5000"],
+        ["t-minus", "--measure", "preset:spin:1", "--tol", "1e5000"],
+    ])
+    def test_literal_over_the_digit_limit_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["--format", "json"])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: rational literal over 4300 digits: '1e\d+'\n", err)
+
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tc-bounds", "--spin", "1"])
@@ -396,16 +421,16 @@ class TestArgumentErrors:
 
 # Value pools per flag for the fuzz test: valid and malformed tokens, all
 # small enough that every run is quick.
-SPINS = ["1/2", "1", "3/2", "7/2", "0", "-1", "2/3", "x", ""]
+SPINS = ["1/2", "1", "3/2", "7/2", "0", "-1", "2/3", "x", "", "1e5000"]
 SMALL_INTS = ["-1", "0", "1", "2", "3", "5", "x"]
-RATIONALS = ["1/100", "1/1000000", "0", "-1", "1/0", "0.25", "nan", "x"]
+RATIONALS = ["1/100", "1/1000000", "0", "-1", "1/0", "0.25", "nan", "x", "1e5000"]
 FLOATS = ["1e-9", "0", "0.5", "-1", "nan", "inf", "-inf", "x"]
 MEASURES = [
     "preset:mu-lambda:3/10", "preset:mu-lambda:1", "preset:mu-lambda:0", "preset:spin:1",
     "preset:spin:5/2", "preset:bernoulli:2/3", "preset:bernoulli:-1", "preset:sine:1",
-    "preset:spin", "no-such-measure.json",
+    "preset:spin", "no-such-measure.json", "preset:bernoulli:1e5000",
 ]
-VECTORS = ["3,2,1", "2,2,2", "1/2,1/2,1", "6,0,0", "1,2", "0", "1,-1,2", "a,b", ","]
+VECTORS = ["3,2,1", "2,2,2", "1/2,1/2,1", "6,0,0", "1,2", "0", "1,-1,2", "a,b", ",", "1e5000,1"]
 PAIRS = [
     "bernoulli-rms:2,spin:2", "spin:1,bernoulli:1/2", "mu-lambda:1/4,spin:3/2",
     "bernoulli:3,spin:1", "spin:2", "bernoulli:0,spin:1", "bernoulli-rms:x,spin:1",
@@ -419,7 +444,7 @@ SUBCOMMANDS = {
     "probe": {"--pair": PAIRS, "--seed": SMALL_INTS, "--tol": FLOATS},
     "tc-bounds": {"--s": SPINS},
     "theorem": {"--psi": ["square", "abs", "quartic", "sine"], "--n": SMALL_INTS + ["8"],
-                "--phi-power": SMALL_INTS},
+                "--phi-power": SMALL_INTS + ["3000"]},
 }
 
 

@@ -191,14 +191,14 @@ class TestOddConvexFunction:
 
     def test_piecewise_odd_extension(self):
         base = PiecewiseLinearConvex.from_points([(0, 0), (1, 0), (2, 3)])
-        phi = OddConvexFunction.from_piecewise(base)
+        phi = OddConvexFunction(base=base)
         assert phi.value(F(3, 2)) == F(3, 2)
         assert phi.value(F(-3, 2)) == -F(3, 2)
 
     def test_base_must_vanish_at_zero(self):
         base = PiecewiseLinearConvex.from_points([(0, 1), (1, 2)])
         with pytest.raises(ValidationError):
-            OddConvexFunction.from_piecewise(base)
+            OddConvexFunction(base=base)
 
 
 class TestKaramata:

@@ -22,7 +22,6 @@ from wells_majorize.oracle import (
     domination_check,
     float_atoms,
     gibbs_expectation,
-    hamiltonian,
     random_probe,
     violation_search,
     _exact_sum,
@@ -96,38 +95,18 @@ class TestValidation:
         assert ProbeConfig(seed=1, trials=1, site_cap=2, tol=0.0).tol == 0.0
 
 
-class TestHamiltonian:
-    def test_no_couplings_gives_zero(self):
-        lattice = Lattice.of_size(3)
-        assert hamiltonian(lattice, CouplingSet(()), {0: 1, 1: -1, 2: 1}) == 0.0
-
-    def test_two_site_pair(self):
-        lattice = Lattice.of_size(2)
-        assert hamiltonian(lattice, pair_coupling(1.5), {0: 1.0, 1: 1.0}) == -1.5
-        assert hamiltonian(lattice, pair_coupling(1.5), {0: 1.0, 1: -1.0}) == 1.5
-
-    def test_three_body_term(self):
-        lattice = Lattice.of_size(3)
-        J = CouplingSet.from_dict({frozenset({0, 1, 2}): 2.0})
-        assert hamiltonian(lattice, J, {0: -1.0, 1: -1.0, 2: -1.0}) == 2.0
-
-    def test_rejects_subset_outside_lattice(self):
-        with pytest.raises(ValidationError):
-            hamiltonian(
-                Lattice.of_size(1),
-                CouplingSet.from_dict({frozenset({0, 5}): 1.0}),
-                {0: 1.0},
-            )
-
-    def test_rejects_unassigned_site(self):
-        with pytest.raises(ValidationError):
-            hamiltonian(Lattice.of_size(2), pair_coupling(1.0), {0: 1.0})
-
-
 class TestGibbsExpectation:
     def test_empty_observable_is_one(self):
         lattice = Lattice.of_size(3)
         assert gibbs_expectation(lattice, pair_coupling(1.0), PM_ONE, ()) == 1.0
+
+    @pytest.mark.parametrize(
+        "terms, B, message",
+        [({frozenset({0, 5}): 1.0}, (0,), "coupling subset"), ({}, (0, 2), "observable subset")],
+    )
+    def test_rejects_subsets_outside_the_lattice(self, terms, B, message):
+        with pytest.raises(ValidationError, match=message):
+            gibbs_expectation(Lattice.of_size(2), CouplingSet.from_dict(terms), PM_ONE, B)
 
     def test_free_single_spin_vanishes(self):
         lattice = Lattice.of_size(2)
