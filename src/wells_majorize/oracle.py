@@ -104,24 +104,27 @@ class CouplingSet:
 
 # Up to this many addends math.fsum over a list is cheaper than binning.
 _FSUM_MAX_SIZE = 2048
-# Chunks of at most 2**21 addends, each part of a fraction below 2**32,
-# keep every partial sum of a bin below 2**53, so the float64 bin totals
-# are exact integers.
-_BIN_CHUNK = 1 << 21
+# Addends per chunk of the binned sum, so that its work buffers stay in
+# the L2 cache.
+_CHUNK = 1 << 15
+# Each addend adds below 2**26 to its bin's integer part and below 2**27
+# units of 2**-27 to its fraction part, so the float64 bin totals of at
+# most 2**26 addends stay below 2**53 units and are exact. They are
+# flushed to a Python int after this many chunks.
+_FLUSH_CHUNKS = (1 << 26) // _CHUNK
+# frexp exponents of the finite nonzero doubles.
+_MIN_EXPONENT, _MAX_EXPONENT = -1073, 1024
 
 
 def _exact_sum(x: np.ndarray, what: str) -> float:
     """Correctly rounded sum of a float64 array, equal to math.fsum's.
 
-    Large arrays are summed exactly without a Python loop over elements:
-    each addend is +-(2**52 + fraction) * 2**(e - 1075) (normal) or
-    +-fraction * 2**-1074 (subnormal), so binning the fraction's low 32
-    and high 20 bits and the count of normals by sign and biased
-    exponent e gives the sum as one integer times 2**-1074. CPython
-    rounds integer true division correctly, as math.fsum rounds its
-    exact sum. A non-finite addend or a sum beyond the float range
-    raises NumericError; a sum that fits is returned even where
-    math.fsum overflows in between.
+    Large arrays are summed exactly by _binned_sum, which returns the sum
+    as one integer times 2**-1127 without a Python loop over elements.
+    CPython rounds integer true division correctly, as math.fsum rounds
+    its exact sum. A non-finite addend or a sum beyond the float range
+    raises NumericError; a sum that fits is returned even where math.fsum
+    overflows in between.
     """
     x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
     total = math.nan
@@ -132,35 +135,48 @@ def _exact_sum(x: np.ndarray, what: str) -> float:
             total = math.fsum(x.tolist())
     if not math.isfinite(total):
         try:
-            total = _binned_sum(x.view(np.uint64)) / (1 << 1074)
+            total = _binned_sum(x) / (1 << 1127)
         except (OverflowError, ValueError):
             raise NumericError(f"{what}: non-finite addend or overflowing sum") from None
     return total
 
 
-def _binned_sum(bits: np.ndarray) -> int:
-    """The sum of the float64 values with these bit patterns, times 2**1074.
+def _binned_sum(x: np.ndarray) -> int:
+    """The sum of a one-dimensional float64 array times 2**1127, exactly.
 
-    Raises ValueError on an infinity or NaN.
+    frexp writes each addend as m * 2**e with 1/2 <= |m| < 1, and
+    m * 2**26 is split into high = trunc(m * 2**26), an integer below
+    2**26 in magnitude, and low = m * 2**26 - high, a multiple of 2**-27
+    in (-1, 1). Both parts keep the addend's sign, so two bincounts per
+    chunk of _CHUNK addends, keyed by e alone, give the sum of every
+    (high + low) * 2**(e - 26). Raises ValueError on an infinity or NaN.
     """
+    bins = _MAX_EXPONENT - _MIN_EXPONENT + 1
+    mantissa, high = np.empty(_CHUNK), np.empty(_CHUNK)
+    exponent, key = np.empty(_CHUNK, dtype=np.intc), np.empty(_CHUNK, dtype=np.intp)
     total = 0
-    for start in range(0, bits.size, _BIN_CHUNK):
-        chunk = bits[start:start + _BIN_CHUNK]
-        key = (chunk >> np.uint64(52)).astype(np.intp)  # sign and exponent
-        low = (chunk & np.uint64(0xFFFFFFFF)).astype(np.float64)
-        high = ((chunk >> np.uint64(32)) & np.uint64(0xFFFFF)).astype(np.float64)
-        low_sums = np.bincount(key, weights=low, minlength=4096)
-        high_sums = np.bincount(key, weights=high, minlength=4096)
-        counts = np.bincount(key, minlength=4096)
-        for k in np.flatnonzero(counts).tolist():
-            exponent = k & 0x7FF
-            if exponent == 0x7FF:
+    # An infinity or NaN leaves a NaN bin total, which raises below.
+    with np.errstate(invalid="ignore"):
+        for block in range(0, x.size, _CHUNK * _FLUSH_CHUNKS):
+            high_sums, low_sums = np.zeros(bins), np.zeros(bins)
+            for start in range(block, min(block + _CHUNK * _FLUSH_CHUNKS, x.size), _CHUNK):
+                chunk = x[start:start + _CHUNK]
+                m, e, h, k = (buf[:chunk.size] for buf in (mantissa, exponent, high, key))
+                np.frexp(chunk, out=(m, e))
+                m *= 2.0**26
+                np.trunc(m, out=h)
+                m -= h
+                np.subtract(e, _MIN_EXPONENT, out=k)
+                high_sums += np.bincount(k, weights=h, minlength=bins)
+                low_sums += np.bincount(k, weights=m, minlength=bins)
+            sums = high_sums + low_sums  # zero exactly where a bin adds nothing
+            if not np.isfinite(sums).all():
                 raise ValueError("non-finite addend")
-            mantissas = (int(high_sums[k]) << 32) + int(low_sums[k])
-            if exponent:
-                mantissas += int(counts[k]) << 52
-            mantissas <<= max(exponent, 1) - 1
-            total += -mantissas if k >> 11 else mantissas
+            low_sums *= 2.0**27
+            # Bin i holds e = i + _MIN_EXPONENT, and 2**1127 times
+            # (high + low) * 2**(e - 26) is (high + low) * 2**27 << (i + 1).
+            for i in np.flatnonzero(sums).tolist():
+                total += ((int(high_sums[i]) << 27) + int(low_sums[i])) << (i + 1)
     return total
 
 
@@ -176,10 +192,12 @@ def gibbs_expectation(
     axis per site in lattice order. The prior, each coupling term and the
     observable are broadcast products of per-site vectors, multiplied in
     a fixed order (lattice order, the coupling subset's iteration order,
-    B order), and both sums are exact and correctly rounded, so results
-    are reproducible to the last bit for a given input. Raises
-    NumericError when an expectation or the partition function is not a
-    finite positive float.
+    B order). The energy and its Boltzmann factors span only the axes of
+    the sites some coupling touches, and multiply the prior tensor last.
+    Both sums are exact and correctly rounded, so results are
+    reproducible to the last bit for a given input. Raises NumericError
+    when an expectation or the partition function is not a finite
+    positive float.
     """
     B = tuple(B)
     site_set = set(lattice.sites)
@@ -202,19 +220,28 @@ def gibbs_expectation(
 
     # Overflow shows up as inf or NaN in the sums, which raise NumericError.
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = np.zeros((k,) * n)
+        # Each cell sees the same subtractions in the same order whether
+        # the energy grows by broadcasting or is updated in place.
+        energy = np.zeros((1,) * n)
         for subset, strength in couplings.terms:
-            energy -= strength * math.prod(spin[site] for site in subset)
+            term = strength * math.prod(spin[site] for site in subset)
+            if energy.size == k**n:
+                energy -= term
+            else:
+                energy = energy - term
         # Shifting by the ground-state energy cancels in the ratio and
         # keeps every Boltzmann factor in (0, 1], so strong couplings
         # cannot overflow exp and the partition function stays finite.
         boltz = np.exp(np.subtract(energy.min(), energy, out=energy), out=energy)
-        boltz *= math.prod(weights.reshape(shape) for shape in axis_shapes)
-        Z = _exact_sum(boltz, "partition function degenerate")
+        # IEEE multiplication commutes, so prior * boltz is boltz * prior
+        # in every cell.
+        weighted = math.prod(weights.reshape(shape) for shape in axis_shapes)
+        weighted *= boltz
+        Z = _exact_sum(weighted, "partition function degenerate")
         if Z <= 0.0:
             raise NumericError(f"partition function degenerate: {Z}")
-        boltz *= math.prod(spin[site] for site in B)
-        value = _exact_sum(boltz, "expectation not finite") / Z
+        weighted *= math.prod(spin[site] for site in B)
+        value = _exact_sum(weighted, "expectation not finite") / Z
     if not math.isfinite(value):
         raise NumericError(f"expectation not finite: {value}")
     return value
@@ -288,6 +315,7 @@ def _checked_instances(config: ProbeConfig, mu: MeasureLike, nu: MeasureLike):
     """Draw config.trials random instances from the seed, one after the
     other, and yield (trial, instance, domination result) for each."""
     rng = random.Random(config.seed)
+    mu, nu = float_atoms(mu), float_atoms(nu)
     for trial in range(config.trials):
         inst = _draw_instance(rng, config)
         res = domination_check(inst.lattice, inst.couplings, mu, nu, inst.B, tol=config.tol)

@@ -14,6 +14,10 @@ from .errors import ValidationError
 
 # CPython's default int() limit on digit strings; no literal may need more.
 MAX_DIGITS = 4300
+# Error messages quote literals up to this length in full; a longer one
+# by its first _QUOTED_PREFIX characters and its length.
+_QUOTED_MAX = 100
+_QUOTED_PREFIX = 40
 
 
 def _too_long(literal: str) -> bool:
@@ -30,6 +34,12 @@ def _too_long(literal: str) -> bool:
     return max(len(whole + decimals) + max(scale, 0), len(denominator), 1 - scale) > MAX_DIGITS
 
 
+def _quoted(text: str) -> str:
+    if len(text) <= _QUOTED_MAX:
+        return repr(text)
+    return f"{text[:_QUOTED_PREFIX]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse "p/q", "p", or a decimal literal like "0.3" or "1e-6" into a
     Fraction; refuse floats, bools and literals over MAX_DIGITS digits."""
@@ -41,11 +51,11 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         raise ValidationError(f"not a rational literal: {text!r}")
     literal = text.strip()
     if _too_long(literal):
-        raise ValidationError(f"rational literal over {MAX_DIGITS} digits: {text!r}")
+        raise ValidationError(f"rational literal over {MAX_DIGITS} digits: {_quoted(text)}")
     try:
         return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational literal: {text!r}") from exc
+        raise ValidationError(f"not a rational literal: {_quoted(text)}") from exc
 
 
 def format_rational(q: Fraction) -> str:

@@ -57,10 +57,6 @@ class SpinValue:
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    def __str__(self) -> str:
-        q = self.as_fraction
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/2"
-
 
 def spin_sum(S: SpinValue, m: int) -> Fraction:
     """Exact value of sum over j = -S..S of (3 j^2 - S(S+1))**(2m+1).

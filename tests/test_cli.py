@@ -350,6 +350,13 @@ class TestProbeCommand:
         ])
         assert (code, out, err) == (2, "", "error: atom outside the float range\n")
 
+    def test_atom_beyond_float_range_is_refused_without_trials(self, capsys):
+        code, out, err = run(capsys, [
+            "probe", "--pair", f"spin:1,bernoulli:1{'0' * 400}", "--trials", "0",
+            "--format", "json",
+        ])
+        assert (code, out, err) == (2, "", "error: atom outside the float range\n")
+
 
 class TestArgumentErrors:
     def test_missing_subcommand(self, capsys):
@@ -367,6 +374,11 @@ class TestArgumentErrors:
         code, out, err = run(capsys, argv + ["--format", "json"])
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: rational literal over 4300 digits: '1e\d+'\n", err)
+
+    def test_huge_literal_is_quoted_by_prefix(self, capsys):
+        code, out, err = run(capsys, ["majorize", "--x", "1" * 10**6 + ",0", "--y", "1,0"])
+        assert (code, out) == (2, "")
+        assert err.endswith("\n") and err.count("\n") == 1 and len(err) < 200
 
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

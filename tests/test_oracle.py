@@ -13,7 +13,10 @@ from wells_majorize.errors import (
     ResourceLimitError,
     ValidationError,
 )
+from wells_majorize import oracle
 from wells_majorize.oracle import (
+    _CHUNK,
+    _FLUSH_CHUNKS,
     _FSUM_MAX_SIZE,
     CouplingSet,
     Lattice,
@@ -24,6 +27,7 @@ from wells_majorize.oracle import (
     gibbs_expectation,
     random_probe,
     violation_search,
+    _binned_sum,
     _exact_sum,
 )
 from wells_majorize.report import FAIL, INCONCLUSIVE, PASS
@@ -215,6 +219,19 @@ class TestRandomProbe:
         report = random_probe(config, PM_ONE, PM_ONE)
         assert report.status == PASS and report.details["passes"] == 0
 
+    def test_measures_converted_once(self, monkeypatch):
+        seen = []
+
+        def spy(lattice, couplings, measure, B):
+            seen.append(measure)
+            return gibbs_expectation(lattice, couplings, measure, B)
+
+        monkeypatch.setattr(oracle, "gibbs_expectation", spy)
+        mu, nu = mu_lambda_measure(Fraction(1, 4)), spin_measure(SpinValue.parse(1))
+        random_probe(ProbeConfig(seed=3, trials=5, site_cap=3), mu, nu)
+        assert len(seen) == 10 and len({id(m) for m in seen}) == 2
+        assert seen[:2] == [float_atoms(mu), float_atoms(nu)]
+
     def test_rms_two_point_vs_spin_passes(self):
         # The canonical two-point comparison measure never beats the spin
         # measure on ferromagnetic instances.
@@ -311,12 +328,32 @@ def gibbs_instances(draw, max_configs=20_000):
     return Lattice(tuple(sites)), CouplingSet.from_dict(terms), measure, B
 
 
+def example_instance(sites, terms, measure, B):
+    return Lattice(sites), CouplingSet.from_dict(terms), measure, B
+
+
 class TestTensorEnumeration:
     """The tensor enumeration returns bit for bit what the index-grid
     enumeration with math.fsum returned."""
 
     @given(gibbs_instances())
     @settings(max_examples=300, deadline=None)
+    # Sites 1 and 10 are never coupled.
+    @example(example_instance((1, 4, 7, 10), {(4, 7): 1.3}, spin_measure(SpinValue.parse(4)), [1, 7]))
+    @example(example_instance((7, 1, 4), {}, mu_lambda_measure(Fraction(3, 10)), [4, 4]))
+    # The first terms cover one site, then two, then all of them.
+    @example(example_instance(
+        (10, 4, 1, 7),
+        {(7,): 0.7, (1, 7): 1.1, (4, 1, 10): 0.4, (4,): 1.9},
+        spin_measure(SpinValue.parse(4)),
+        [4],
+    ))
+    @example(example_instance(
+        (4, 1, 7),
+        {(1, 4): 2.0, (7,): 0.3, (1,): 1.2},
+        [(0.49, 0.25), (-1.83, 0.25), (-1.57, 0.5)],
+        [7, 1],
+    ))
     def test_matches_grid_enumeration_to_the_bit(self, instance):
         value = gibbs_expectation(*instance)
         assert repr(value) == repr(grid_expectation(*instance))
@@ -426,7 +463,24 @@ class TestExactSum:
         for values in (x, -x, np.full(size, -0.0)):
             assert repr(_exact_sum(values, "sum")) == repr(math.fsum(values.tolist())) == "0.0"
 
-    @pytest.mark.parametrize("size", [3, _FSUM_MAX_SIZE + 3])
+    @pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 4 * _CHUNK + 7])
+    def test_chunk_boundaries_match_fsum(self, size):
+        rng = np.random.default_rng(size)
+        x = SCALES["spread"](rng, size) * rng.choice([-1.0, 1.0], size)
+        x[::3] = SCALES["subnormal"](rng, x[::3].size)
+        assert repr(_exact_sum(x, "sum")) == repr(math.fsum(x.tolist()))
+
+    def test_sums_past_the_flush_bound(self):
+        # Between flushes at most _FLUSH_CHUNKS * _CHUNK addends reach a
+        # bin, each adding below 2**27 units to either of its totals.
+        assert _FLUSH_CHUNKS * _CHUNK * 2**27 <= 2**53
+        # The largest mantissa, broadcast so that no addend takes memory,
+        # into a second block of chunks that ends inside a chunk.
+        count = _FLUSH_CHUNKS * _CHUNK + 3 * _CHUNK + 5
+        x = np.broadcast_to(np.float64(1.0 - 2.0**-53), (count,))
+        assert _binned_sum(x) == count * (2**53 - 1) << 1074
+
+    @pytest.mark.parametrize("size", [3, _FSUM_MAX_SIZE + 3, 2 * _CHUNK + 3])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_addend_raises(self, size, bad):
         x = np.ones(size)

@@ -27,6 +27,18 @@ class TestParseRational:
             parse_rational(text)
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize(
+        "char, length, quoted",
+        [("x", 100, repr("x" * 100)),
+         ("x", 101, f"{'x' * 40!r}... (101 characters)"),
+         ("1", 10**6, f"{'1' * 40!r}... (1000000 characters)")],
+        ids=["at-limit", "over-limit", "million-digits"],
+    )
+    def test_quotes_long_literals_by_prefix_and_length(self, char, length, quoted):
+        with pytest.raises(ValidationError) as exc:
+            parse_rational(char * length)
+        assert str(exc.value).endswith(f": {quoted}")
+
     @pytest.mark.parametrize("value", [True, 1.5, None, [1]])
     def test_refuses_values_that_are_not_exact_literals(self, value):
         with pytest.raises(ValidationError, match="not a rational literal"):
