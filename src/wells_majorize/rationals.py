@@ -7,6 +7,7 @@ CLI boundary as strings "p/q" or "p", never as floats.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,19 +19,25 @@ MAX_DIGITS = 4300
 # by its first _QUOTED_PREFIX characters and its length.
 _QUOTED_MAX = 100
 _QUOTED_PREFIX = 40
+# Fraction's string grammar for a stripped literal without underscores: a
+# signed whole part, then a denominator, or decimals and an exponent.
+_LITERAL = re.compile(
+    r"[-+]?(?=\d|\.\d)(\d*)(?:\s*/\s*(\d+)|(?:\.(\d*))?(?:e([-+]?\d+))?)", re.IGNORECASE
+)
 
 
 def _too_long(literal: str) -> bool:
     """Whether the literal's numerator or denominator, written out in
-    digits, would exceed MAX_DIGITS, judged before any integer is built."""
-    numerator, _, denominator = literal.replace("_", "").partition("/")
-    mantissa, _, exponent = numerator.lower().partition("e")
-    try:
-        scale = int(exponent or 0)
-    except ValueError:
-        return False  # not a literal; Fraction refuses it
-    whole, _, decimals = mantissa.lstrip("+-").partition(".")
-    scale -= len(decimals)
+    digits, would exceed MAX_DIGITS, judged before any integer is built.
+    Only a literal in Fraction's grammar can be too long; any other text
+    is left for Fraction to refuse as not a literal."""
+    match = _LITERAL.fullmatch(literal.replace("_", ""))
+    if match is None:
+        return False
+    whole, denominator, decimals, exponent = match.groups(default="")
+    if len(exponent) > MAX_DIGITS:
+        return True  # int() would refuse the exponent itself
+    scale = int(exponent or 0) - len(decimals)
     return max(len(whole + decimals) + max(scale, 0), len(denominator), 1 - scale) > MAX_DIGITS
 
 

@@ -64,6 +64,10 @@ def spin_sum(S: SpinValue, m: int) -> Fraction:
     j steps by 1, so for half-odd S every j is a half-odd integer. To keep
     the arithmetic integral we work with k = 2j and pull out 4**(2m+1):
     3 j^2 - S(S+1) = (3 k^2 - 2S(2S+2)) / 4.
+
+    This is the literal definition, one power per term. `verify_conjecture`
+    computes whole rows with `_spin_sum_row` and checks each row's last
+    entry against this function.
     """
     if m < 0:
         raise ValidationError("m must be >= 0")
@@ -74,12 +78,47 @@ def spin_sum(S: SpinValue, m: int) -> Fraction:
     return Fraction(total, 4**e)
 
 
+def _spin_sum_row(S: SpinValue, ms: list[int]) -> list[Fraction]:
+    """spin_sum(S, m) for each m of the increasing, non-empty list ms.
+
+    The summand is even in k, so each |k| is summed once and counted twice
+    for k != 0. Each term t = 3 k^2 - base is raised to the first order
+    once; every later order multiplies the running powers by t*t (by
+    (t*t)**step where ms skips values). The last entry is checked against
+    the definition, spin_sum(S, ms[-1]), and a mismatch raises
+    InvariantError.
+    """
+    s2 = S.twice
+    base = s2 * (s2 + 2)
+    terms = [3 * k * k - base for k in range(s2 % 2, s2 + 1, 2)]
+    squares = [t * t for t in terms]
+    single = s2 % 2 == 0  # k = 0 is a term, counted once
+    m_prev = ms[0]
+    powers = [t ** (2 * m_prev + 1) for t in terms]
+    row = []
+    for m in ms:
+        if m != m_prev:
+            step = squares if m == m_prev + 1 else [q ** (m - m_prev) for q in squares]
+            powers = list(map(int.__mul__, powers, step))
+            m_prev = m
+        total = 2 * sum(powers) - (powers[0] if single else 0)
+        row.append(Fraction(total, 4 ** (2 * m + 1)))
+    if row[-1] != spin_sum(S, ms[-1]):
+        raise InvariantError(
+            f"spin-sum row for S = {S.as_fraction} disagrees with spin_sum at m = {ms[-1]}"
+        )
+    return row
+
+
 def verify_conjecture(S_max: SpinValue, m_max: int) -> VerificationReport:
     """Tabulate spin_sum signs for S = 1/2, 1, ..., S_max and m = 1..m_max.
 
     Expected picture: every entry non-negative except the S=1 family,
     which is strictly negative for every m >= 1. m_max = 0 degenerates to
-    the all-zero table.
+    the all-zero table. Each row (one S, every m) is computed in one pass
+    by `_spin_sum_row`, which uses the k -> -k symmetry of the summand and
+    steps each order to the next by the squared terms; the row's last
+    entry is cross-checked against `spin_sum`.
     """
     if m_max < 0:
         raise ValidationError("m_max must be >= 0")
@@ -88,7 +127,7 @@ def verify_conjecture(S_max: SpinValue, m_max: int) -> VerificationReport:
     unexpected = []
     for twice in range(1, S_max.twice + 1):
         S = SpinValue(twice)
-        values = [spin_sum(S, m) for m in ms]
+        values = _spin_sum_row(S, ms)
         rows.append({"S": S.as_fraction, "values": values})
         for m, v in zip(ms, values):
             if twice == 2 and m >= 1:

@@ -380,6 +380,11 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert err.endswith("\n") and err.count("\n") == 1 and len(err) < 200
 
+    def test_long_non_numeric_token_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["tc-bounds", "--s", "x" * 5000])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not a rational literal: ") and err.count("\n") == 1
+
     def test_unknown_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tc-bounds", "--spin", "1"])

@@ -19,7 +19,7 @@ class TestParseRational:
     @pytest.mark.parametrize(
         "text",
         ["1e4300", "1" + "0" * 4300, "1/1" + "0" * 4300, "1e-4300", "1.5e-4299", "0e4300",
-         "1e10000000"],
+         "1e10000000", "1" * 5000, "1e" + "1" * 5000],
     )
     def test_refuses_literals_over_the_digit_limit(self, text):
         start = time.perf_counter()
@@ -39,7 +39,7 @@ class TestParseRational:
             parse_rational(char * length)
         assert str(exc.value).endswith(f": {quoted}")
 
-    @pytest.mark.parametrize("value", [True, 1.5, None, [1]])
+    @pytest.mark.parametrize("value", [True, 1.5, None, [1], "x" * 5000])
     def test_refuses_values_that_are_not_exact_literals(self, value):
         with pytest.raises(ValidationError, match="not a rational literal"):
             parse_rational(value)

@@ -1,8 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wells_majorize.errors import PreconditionError, ValidationError
+from wells_majorize import cli, spin_sums
+from wells_majorize.errors import InvariantError, PreconditionError, ValidationError
 from wells_majorize.majorize import OddConvexFunction, majorizes
 from wells_majorize.report import HYPOTHESIS_NOT_MET, PASS
 from wells_majorize.spin_sums import (
@@ -10,6 +13,7 @@ from wells_majorize.spin_sums import (
     INTEGER,
     PsiGrid,
     SpinValue,
+    _spin_sum_row,
     below_mean_count_check,
     build_half_odd_pair,
     build_integer_triple,
@@ -115,6 +119,38 @@ class TestVerifyConjecture:
         report = verify_conjecture(SpinValue.parse(2), 0)
         assert report.status == PASS
         assert all(v == 0 for row in report.details["table"] for v in row["values"])
+
+    def test_negative_m_max_is_refused(self):
+        with pytest.raises(ValidationError):
+            verify_conjecture(SpinValue(4), -1)
+        with pytest.raises(ValidationError):
+            spin_sum(SpinValue(4), -1)
+
+
+# Increasing lists of orders: [0], runs starting above 1, and runs that
+# skip orders.
+orders = st.one_of(
+    st.just([0]),
+    st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True).map(sorted),
+)
+
+
+class TestSpinSumRow:
+    @given(twice=st.integers(1, 60), ms=orders)
+    @settings(max_examples=150, deadline=None)
+    def test_row_matches_definition(self, twice, ms):
+        S = SpinValue(twice)
+        assert _spin_sum_row(S, ms) == [spin_sum(S, m) for m in ms]
+
+    def test_wrong_definition_is_an_invariant_error(self, monkeypatch, capsys):
+        original = spin_sums.spin_sum
+        monkeypatch.setattr(spin_sums, "spin_sum", lambda S, m: original(S, m) + 1)
+        with pytest.raises(InvariantError, match="disagrees with spin_sum"):
+            verify_conjecture(SpinValue(4), 3)
+        code = cli.main(["verify-conjecture", "--s-max", "2", "--m-max", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestPsiGrid:
