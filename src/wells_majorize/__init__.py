@@ -21,7 +21,6 @@ from .oracle import (
     domination_check,
     gibbs_expectation,
     random_probe,
-    violation_search,
 )
 from .report import VerificationReport
 from .spin_sums import (
@@ -30,14 +29,12 @@ from .spin_sums import (
     ConstructionPair,
     PsiGrid,
     SpinValue,
-    below_mean_count_check,
     build_half_odd_pair,
     build_integer_triple,
     leading_block_bound_spin,
     leading_block_check,
     midpoint_bound_spin,
     odd_midpoint_check,
-    reflected_secant_check,
     spin_sum,
     verify_conjecture,
     verify_half_odd_theorem,
@@ -69,14 +66,13 @@ __all__ = [
     # oracle
     "CouplingSet", "Lattice", "ProbeConfig", "bernoulli_float_atoms",
     "domination_check", "gibbs_expectation", "random_probe",
-    "violation_search",
     # report
     "VerificationReport",
     # spin_sums
     "HALF_ODD", "INTEGER", "ConstructionPair", "PsiGrid", "SpinValue",
-    "below_mean_count_check", "build_half_odd_pair", "build_integer_triple",
+    "build_half_odd_pair", "build_integer_triple",
     "leading_block_bound_spin", "leading_block_check", "midpoint_bound_spin",
-    "odd_midpoint_check", "reflected_secant_check", "spin_sum", "verify_conjecture",
+    "odd_midpoint_check", "spin_sum", "verify_conjecture",
     "verify_half_odd_theorem", "verify_integer_theorem",
     # wells
     "DiscreteMeasure", "TMinusResult", "bernoulli_measure", "canonical_gap",

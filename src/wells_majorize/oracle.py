@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
+from .report import FAIL, PASS, VerificationReport
 from .wells import DiscreteMeasure
 
 DEFAULT_TOL = 1e-9
@@ -311,21 +311,6 @@ def _draw_instance(rng: random.Random, config: ProbeConfig) -> ProbeInstance:
     return ProbeInstance(Lattice(sites), CouplingSet.from_dict(terms), B)
 
 
-def _checked_instances(config: ProbeConfig, mu: MeasureLike, nu: MeasureLike):
-    """Draw config.trials random instances from the seed, one after the
-    other, and yield (trial, instance, domination result) for each."""
-    rng = random.Random(config.seed)
-    mu, nu = float_atoms(mu), float_atoms(nu)
-    for trial in range(config.trials):
-        inst = _draw_instance(rng, config)
-        res = domination_check(inst.lattice, inst.couplings, mu, nu, inst.B, tol=config.tol)
-        yield trial, inst, res
-
-
-def _witness(trial: int, inst: ProbeInstance, res: DominationResult) -> dict:
-    return {"trial": trial, "lhs": res.lhs, "rhs": res.rhs, **inst.describe()}
-
-
 def random_probe(
     config: ProbeConfig, mu: MeasureLike, nu: MeasureLike
 ) -> VerificationReport:
@@ -335,13 +320,17 @@ def random_probe(
     Violations are reported with the full serialized instance as witness;
     with zero violations and zero trials the result is an empty pass.
     """
+    rng = random.Random(config.seed)
+    mu, nu = float_atoms(mu), float_atoms(nu)
     witnesses = []
     passes = 0
-    for trial, inst, res in _checked_instances(config, mu, nu):
+    for trial in range(config.trials):
+        inst = _draw_instance(rng, config)
+        res = domination_check(inst.lattice, inst.couplings, mu, nu, inst.B, tol=config.tol)
         if res.holds:
             passes += 1
         else:
-            witnesses.append(_witness(trial, inst, res))
+            witnesses.append({"trial": trial, "lhs": res.lhs, "rhs": res.rhs, **inst.describe()})
     return VerificationReport(
         command="probe",
         status=PASS if not witnesses else FAIL,
@@ -353,31 +342,4 @@ def random_probe(
         },
         details={"passes": passes},
         witnesses=witnesses,
-    )
-
-
-def violation_search(
-    config: ProbeConfig, mu: MeasureLike, nu: MeasureLike
-) -> VerificationReport:
-    """Search for a domination violation; finding one is the pass.
-
-    Used when the theory predicts some instance must violate the
-    inequality. Absence of a witness after the bounded search is reported
-    inconclusive, not failed.
-    """
-    parameters = {"seed": config.seed, "trials": config.trials}
-    for trial, inst, res in _checked_instances(config, mu, nu):
-        if not res.holds:
-            return VerificationReport(
-                command="violation-search",
-                status=PASS,
-                parameters=parameters,
-                details={"found_at_trial": trial},
-                witnesses=[_witness(trial, inst, res)],
-            )
-    return VerificationReport(
-        command="violation-search",
-        status=INCONCLUSIVE,
-        parameters=parameters,
-        details={"found_at_trial": None},
     )

@@ -77,8 +77,6 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational_vector(text: str) -> tuple[Fraction, ...]:
-    """Parse a comma-separated list of rational literals."""
-    items = [piece for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise ValidationError("empty vector literal")
-    return tuple(parse_rational(piece) for piece in items)
+    """Parse a comma-separated list of rational literals; an empty item,
+    as in "3,,1" or "3,1,", is not a literal and is refused."""
+    return tuple(parse_rational(piece) for piece in text.split(","))

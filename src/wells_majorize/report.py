@@ -67,7 +67,7 @@ class VerificationReport:
 
     @property
     def exit_code(self) -> int:
-        return _EXIT_CODES.get(self.status, 1)
+        return _EXIT_CODES[self.status]
 
     def to_dict(self) -> dict[str, Any]:
         return {

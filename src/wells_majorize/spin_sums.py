@@ -2,6 +2,11 @@
 convex-grid machinery (vector constructions, single-crossing route,
 side conditions) that proves their non-negativity.
 
+Both grid variants build their vectors from one excess/deficit
+construction: the deficits mean - v of the samples at or below the mean
+and the excesses v - mean of those above it, each sorted decreasingly,
+with the excesses zero-padded to the deficit count.
+
 Two grid flavours appear throughout:
 
 * half-odd: samples of a non-negative, strictly increasing, convex
@@ -201,26 +206,6 @@ class PsiGrid:
         offset = 0 if self.variant == HALF_ODD else self.subdivisions
         return self.values[j + offset]
 
-    def value_at(self, t: Fraction | int | str) -> Fraction:
-        """Exact linear interpolation of the grid at abscissa t.
-
-        For convex samples the interpolant lies above the sampled function
-        between grid points, so using it in upper-bound side conditions is
-        conservative.
-        """
-        t = parse_rational(t)
-        lo = 0 if self.variant == HALF_ODD else -1
-        if not lo <= t <= 1:
-            raise ValidationError(f"{t} outside [{lo}, 1]")
-        scaled = t * self.subdivisions
-        j0 = scaled.numerator // scaled.denominator  # floor
-        frac = scaled - j0
-        left = self.value_at_index(j0)
-        if frac == 0:
-            return left
-        right = self.value_at_index(j0 + 1)
-        return left + (right - left) * frac
-
     def mean(self) -> Fraction:
         return Fraction(sum(self.values), len(self.values))
 
@@ -237,6 +222,19 @@ class ConstructionPair:
     w: Optional[NonNegVector] = None  # integer variant only: repaired pairing
 
 
+def _excesses_and_deficits(grid: PsiGrid) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """The grid's mean, its deficits mean - v for v <= mean and its
+    excesses v - mean for v > mean, both sorted decreasingly. Raises
+    InvariantError when under half the samples sit at or below the mean."""
+    mean = grid.mean()
+    deficits = sorted((mean - v for v in grid.values if v <= mean), reverse=True)
+    excesses = sorted((v - mean for v in grid.values if v > mean), reverse=True)
+    if 2 * len(deficits) < len(grid.values):
+        samples = "(N+1)" if grid.variant == HALF_ODD else "(2N+1)"
+        raise InvariantError(f"below-mean count fell under {samples}/2")
+    return mean, deficits, excesses
+
+
 def build_half_odd_pair(grid: PsiGrid) -> ConstructionPair:
     """Deficit vector y and zero-padded excess vector x for a half-odd grid.
 
@@ -246,16 +244,10 @@ def build_half_odd_pair(grid: PsiGrid) -> ConstructionPair:
     """
     if grid.variant != HALF_ODD:
         raise PreconditionError("half-odd grid required")
-    N = grid.subdivisions
-    mean = grid.mean()
-    vals = grid.values
-    n = sum(1 for v in vals if v <= mean)
-    q = N + 1 - n
-    if 2 * n < N + 1:
-        raise InvariantError("below-mean count fell under (N+1)/2")
-    y = [mean - vals[j] for j in range(n)]
-    x = [vals[N - j] - mean for j in range(q)] + [Fraction(0)] * (n - q)
-    xv, yv = NonNegVector(tuple(x)), NonNegVector(tuple(y))
+    mean, deficits, excesses = _excesses_and_deficits(grid)
+    n, q = len(deficits), len(excesses)
+    x = excesses + [Fraction(0)] * (n - q)
+    xv, yv = NonNegVector(tuple(x)), NonNegVector(tuple(deficits))
     if xv.total() != yv.total():
         raise InvariantError("construction totals differ")
     return ConstructionPair(x=xv, y=yv, n=n, q=q, mean=mean)
@@ -271,21 +263,12 @@ def build_integer_triple(grid: PsiGrid) -> ConstructionPair:
     """
     if grid.variant != INTEGER:
         raise PreconditionError("integer grid required")
-    N = grid.subdivisions
-    if N < 2:
+    if grid.subdivisions < 2:
         raise PreconditionError("integer construction needs N >= 2")
-    mean = grid.mean()
-    deficits = sorted((mean - v for v in grid.values if v <= mean), reverse=True)
-    excesses = sorted((v - mean for v in grid.values if v > mean), reverse=True)
+    mean, deficits, excesses = _excesses_and_deficits(grid)
     n, q = len(deficits), len(excesses)
-    if n < N + 1:
-        raise InvariantError("below-mean count fell under (2N+1)/2")
-    x = list(excesses) + [Fraction(0)] * (n - q)
-    if n - q >= 1 and n >= 3:
-        w = list(excesses[:2]) + [Fraction(0)] + list(excesses[2:])
-        w += [Fraction(0)] * (n - len(w))
-    else:
-        w = list(x)
+    x = excesses + [Fraction(0)] * (n - q)
+    w = x[:2] + [Fraction(0)] + x[2:-1] if n - q >= 1 and n >= 3 else x
     xv = NonNegVector(tuple(x))
     yv = NonNegVector(tuple(deficits))
     wv = NonNegVector(tuple(w))
@@ -308,17 +291,18 @@ def leading_block_check(grid: PsiGrid) -> bool:
 
 
 def odd_midpoint_check(grid: PsiGrid) -> bool:
-    """Side condition psi(1/2 + 1/(2N)) <= mean (needed when N is odd).
+    """Side condition psi(1/2 + 1/(2N)) <= mean, defined for odd N only.
 
-    For odd N the evaluation point (N+1)/(2N) is a grid point, so this is
-    an exact sample lookup; otherwise the convex interpolant is used,
-    which only makes the check more conservative.
+    For odd N the point (N+1)/(2N) is the grid point with index (N+1)/2,
+    so the check is an exact sample lookup. Even N raises
+    PreconditionError.
     """
     if grid.variant != INTEGER:
         raise PreconditionError("integer grid required")
     N = grid.subdivisions
-    point = Fraction(1, 2) + Fraction(1, 2 * N)
-    return grid.value_at(point) <= grid.mean()
+    if N % 2 == 0:
+        raise PreconditionError("requires odd N")
+    return grid.value_at_index((N + 1) // 2) <= grid.mean()
 
 
 def leading_block_bound_spin(S: int) -> bool:
@@ -336,39 +320,6 @@ def midpoint_bound_spin(S: int) -> bool:
         raise PreconditionError("requires odd S >= 3")
     lhs = Fraction(S, 1) ** 2 * (Fraction(1, 2) + Fraction(1, 2 * S)) ** 2
     return lhs <= Fraction(S * (S + 1), 3)
-
-
-def reflected_secant_check(
-    grid: PsiGrid,
-    a: Fraction | int | str,
-    b: Fraction | int | str,
-    c: Fraction | int | str,
-) -> bool:
-    """Convexity consequence on reflected pairs around c:
-    (psi(b) + psi(2c-b))/2 >= (psi(a) + psi(2c-a))/2 >= psi(c)
-    for 0 <= 2c-b < 2c-a <= c <= a < b <= 1."""
-    a, b, c = parse_rational(a), parse_rational(b), parse_rational(c)
-    bt, at = 2 * c - b, 2 * c - a
-    if not (0 <= bt < at <= c <= a < b <= 1):
-        raise PreconditionError("arguments violate the reflected ordering")
-    outer = (grid.value_at(b) + grid.value_at(bt)) / 2
-    inner = (grid.value_at(a) + grid.value_at(at)) / 2
-    return outer >= inner >= grid.value_at(c)
-
-
-def below_mean_count_check(grid: PsiGrid) -> bool:
-    """Half-odd structural facts: at least (N+1)/2 samples sit at or below
-    the mean, and psi(1/2) <= mean <= (psi(0) + psi(1))/2."""
-    if grid.variant != HALF_ODD:
-        raise PreconditionError("half-odd grid required")
-    N = grid.subdivisions
-    mean = grid.mean()
-    n = sum(1 for v in grid.values if v <= mean)
-    if 2 * n < N + 1:
-        return False
-    mid = grid.value_at(Fraction(1, 2))
-    endpoints = (grid.value_at_index(0) + grid.value_at_index(N)) / 2
-    return mid <= mean <= endpoints
 
 
 def _karamata_tail(

@@ -76,11 +76,6 @@ class DiscreteMeasure:
             raise ValidationError(f"bad measure JSON: atoms must be a list, got {pairs!r}")
         return cls.from_pairs(pairs)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"atoms": [[format_rational(v), format_rational(w)] for v, w in self.atoms]}
-        )
-
     def second_moment(self) -> Fraction:
         return sum((w * v * v for v, w in self.atoms), Fraction(0))
 

@@ -66,6 +66,12 @@ class TestMajorizeCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("x", ["3,,1", "3,1,"])
+    def test_empty_vector_entry_is_usage_error(self, capsys, x):
+        code, out, err = run(capsys, ["majorize", "--x", x, "--y", "2,2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not a rational literal: ") and err.count("\n") == 1
+
 
 class TestTcBoundsCommand:
     def test_spin_one(self, capsys):

@@ -26,11 +26,10 @@ from wells_majorize.oracle import (
     float_atoms,
     gibbs_expectation,
     random_probe,
-    violation_search,
     _binned_sum,
     _exact_sum,
 )
-from wells_majorize.report import FAIL, INCONCLUSIVE, PASS
+from wells_majorize.report import FAIL, PASS
 from wells_majorize.spin_sums import SpinValue
 from wells_majorize.wells import (
     bernoulli_measure,
@@ -247,31 +246,6 @@ class TestRandomProbe:
         report = random_probe(ProbeConfig(seed=5, trials=50, site_cap=3), mu, PM_ONE)
         assert report.status == FAIL
         assert report.witnesses
-
-
-class TestViolationSearch:
-    def test_finds_planted_violation(self):
-        mu = bernoulli_float_atoms(2.0)
-        report = violation_search(ProbeConfig(seed=5, trials=50, site_cap=3), mu, PM_ONE)
-        assert report.status == PASS
-        assert report.details["found_at_trial"] is not None
-        assert report.witnesses
-
-    def test_absence_is_inconclusive(self):
-        mu = bernoulli_float_atoms(math.sqrt(0.5))
-        nu = spin_measure(SpinValue.parse(2))
-        report = violation_search(ProbeConfig(seed=3, trials=20, site_cap=3), mu, nu)
-        assert report.status == INCONCLUSIVE
-        assert report.exit_code == 3
-
-    def test_spin_one_undominated_direction(self):
-        # The spin-1 measure is not dominated by its RMS two-point
-        # comparison at every volume; the bounded search may or may not
-        # hit a witness, but must never report failure.
-        mu = spin_measure(SpinValue.parse(1))
-        nu = bernoulli_float_atoms(math.sqrt(2.0 / 3.0))
-        report = violation_search(ProbeConfig(seed=9, trials=200, site_cap=4), nu, mu)
-        assert report.status in (PASS, INCONCLUSIVE)
 
 
 def grid_expectation(lattice, couplings, measure, B):

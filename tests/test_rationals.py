@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from wells_majorize.errors import ValidationError
-from wells_majorize.rationals import format_rational, parse_rational
+from wells_majorize.rationals import format_rational, parse_rational, parse_rational_vector
 
 
 class TestParseRational:
@@ -43,6 +43,16 @@ class TestParseRational:
     def test_refuses_values_that_are_not_exact_literals(self, value):
         with pytest.raises(ValidationError, match="not a rational literal"):
             parse_rational(value)
+
+
+class TestParseRationalVector:
+    def test_parses_each_item(self):
+        assert parse_rational_vector(" 3/2, 0.5 ,1") == (F(3, 2), F(1, 2), F(1))
+
+    @pytest.mark.parametrize("text", ["3,,1", "3,1,", ",3", "", " "])
+    def test_refuses_empty_items(self, text):
+        with pytest.raises(ValidationError, match="not a rational literal"):
+            parse_rational_vector(text)
 
 
 def test_format_prints_integers_of_any_length():

@@ -14,14 +14,12 @@ from wells_majorize.spin_sums import (
     PsiGrid,
     SpinValue,
     _spin_sum_row,
-    below_mean_count_check,
     build_half_odd_pair,
     build_integer_triple,
     leading_block_bound_spin,
     leading_block_check,
     midpoint_bound_spin,
     odd_midpoint_check,
-    reflected_secant_check,
     spin_sum,
     split_domination_check,
     verify_conjecture,
@@ -181,13 +179,6 @@ class TestPsiGrid:
         grid = PsiGrid.from_function(lambda t: t, 2, HALF_ODD)
         assert grid.mean() == F(1, 2)
 
-    def test_interpolation(self):
-        grid = square_grid(2, HALF_ODD)  # samples 0, 1, 4 of (2t)^2
-        # Between grid points the chord sits above the convex profile:
-        # the true value at t=1/4 is 1/4, the interpolant gives 1/2.
-        assert grid.value_at(F(1, 4)) == F(1, 2)
-        assert grid.value_at(F(1, 2)) == 1
-
     def test_slope_monotonicity(self):
         for grid in (square_grid(6), abs_grid(5), half_odd_square(7)):
             vals = grid.values
@@ -222,39 +213,28 @@ class TestHalfOddConstruction:
         with pytest.raises(PreconditionError):
             build_half_odd_pair(square_grid(4))
 
-
-class TestBelowMeanCount:
-    def test_square_N2(self):
-        grid = PsiGrid.from_function(lambda t: t * t, 2, HALF_ODD)
-        assert below_mean_count_check(grid)
-        assert grid.value_at(F(1, 2)) >= F(1, 4)  # interpolant is conservative
-
-    def test_affine_equalities(self):
-        grid = PsiGrid.from_function(lambda t: 2 * t, 4, HALF_ODD)
-        assert below_mean_count_check(grid)
-        assert grid.mean() == (grid.value_at_index(0) + grid.value_at_index(4)) / 2
-
-    def test_square_N10_strict(self):
-        grid = PsiGrid.from_function(lambda t: t * t, 10, HALF_ODD)
-        assert below_mean_count_check(grid)
-        mean = grid.mean()
-        assert grid.value_at(F(1, 2)) < mean
-        assert mean < (grid.value_at_index(0) + grid.value_at_index(10)) / 2
-
-
-class TestReflectedSecant:
-    def test_square(self):
-        grid = PsiGrid.from_function(lambda t: t * t, 4, HALF_ODD)
-        assert reflected_secant_check(grid, a=F(3, 4), b=1, c=F(1, 2))
-
-    def test_affine_equalities(self):
-        grid = PsiGrid.from_function(lambda t: t + 1, 4, HALF_ODD)
-        assert reflected_secant_check(grid, a=F(5, 8), b=F(7, 8), c=F(1, 2))
-
-    def test_rejects_degenerate_ordering(self):
-        grid = PsiGrid.from_function(lambda t: t * t, 4, HALF_ODD)
-        with pytest.raises(PreconditionError):
-            reflected_secant_check(grid, a=F(1, 2), b=F(1, 2), c=F(1, 2))
+    @given(
+        start=st.fractions(0, 5, max_denominator=6),
+        slope=st.fractions(F(1, 6), 5, max_denominator=6),
+        bends=st.lists(st.fractions(0, 3, max_denominator=6), min_size=0, max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_index_order_formula(self, start, slope, bends):
+        # Strictly increasing convex samples: a positive first difference
+        # and non-negative second differences.
+        vals, step = [start, start + slope], slope
+        for bend in bends:
+            step += bend
+            vals.append(vals[-1] + step)
+        N = len(vals) - 1
+        pair = build_half_odd_pair(PsiGrid(HALF_ODD, N, tuple(vals)))
+        mean = sum(vals) / F(N + 1)
+        n = sum(1 for v in vals if v <= mean)
+        q = N + 1 - n
+        assert (pair.mean, pair.n, pair.q) == (mean, n, q)
+        assert pair.y.entries == tuple(mean - vals[j - 1] for j in range(1, n + 1))
+        x = [vals[N + 1 - j] - mean for j in range(1, q + 1)] + [F(0)] * (n - q)
+        assert pair.x.entries == tuple(x)
 
 
 class TestHalfOddTheorem:
@@ -343,13 +323,22 @@ class TestSideConditions:
     def test_midpoint_square_N3_equality(self):
         grid = square_grid(3)
         assert odd_midpoint_check(grid)
-        assert grid.value_at(F(1, 2) + F(1, 6)) == grid.mean()
+        assert grid.value_at_index(2) == grid.mean()
 
     def test_midpoint_square_N5(self):
         assert odd_midpoint_check(square_grid(5))
 
     def test_midpoint_constant(self):
         assert odd_midpoint_check(PsiGrid(INTEGER, 5, (F(1),) * 11))
+
+    @pytest.mark.parametrize("N", (2, 4, 10))
+    def test_midpoint_refuses_even_N(self, N):
+        with pytest.raises(PreconditionError, match="requires odd N"):
+            odd_midpoint_check(square_grid(N))
+
+    @pytest.mark.parametrize("N", range(3, 42, 2))
+    def test_midpoint_square_matches_closed_form(self, N):
+        assert odd_midpoint_check(square_grid(N)) == midpoint_bound_spin(N)
 
     def test_closed_form_block_bound(self):
         for S in range(2, 101):
