@@ -6,7 +6,6 @@ from .majorize import (
     KaramataResult,
     NonNegVector,
     OddConvexFunction,
-    PiecewiseLinearConvex,
     SingleCrossing,
     karamata_verify,
     majorizes,
@@ -60,9 +59,8 @@ from .wells import (
 
 __all__ = [
     # majorize
-    "KaramataResult", "NonNegVector", "OddConvexFunction", "PiecewiseLinearConvex",
-    "SingleCrossing", "karamata_verify", "majorizes", "partial_sums",
-    "single_crossing_majorizes",
+    "KaramataResult", "NonNegVector", "OddConvexFunction", "SingleCrossing",
+    "karamata_verify", "majorizes", "partial_sums", "single_crossing_majorizes",
     # oracle
     "CouplingSet", "Lattice", "ProbeConfig", "bernoulli_float_atoms",
     "domination_check", "gibbs_expectation", "random_probe",

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import oracle, wells
-from .errors import VerificationError
+from .errors import ResourceLimitError, VerificationError
 from .majorize import NonNegVector, OddConvexFunction, majorizes, partial_sums, single_crossing_majorizes
 from .oracle import MeasureLike, ProbeConfig, bernoulli_float_atoms, random_probe
 from .rationals import parse_rational, parse_rational_vector
@@ -71,12 +71,19 @@ def parse_measure(spec: str) -> DiscreteMeasure:
 
 def parse_probe_measure(token: str) -> MeasureLike:
     """Probe-side measure token; also supports bernoulli-rms:<S>, the
-    two-point measure at the RMS magnitude of the spin-S measure."""
+    two-point measure at the RMS magnitude of the spin-S measure. A spin
+    (in either family) whose 2S+1 atoms exceed oracle.CONFIG_CAP is
+    refused before any atom is built."""
     token = token.removeprefix("preset:")
-    if token.startswith("bernoulli-rms:"):
-        S = SpinValue.parse(token.split(":", 1)[1])
-        return bernoulli_float_atoms(math.sqrt(float(spin_second_moment(S))))
-    return parse_measure(f"preset:{token}")
+    family, _, param = token.partition(":")
+    if family not in ("spin", "bernoulli-rms"):
+        return parse_measure(f"preset:{token}")
+    S = SpinValue.parse(param)
+    if S.twice + 1 > oracle.CONFIG_CAP:
+        raise ResourceLimitError(f"spin measure has 2S+1 > {oracle.CONFIG_CAP} atoms")
+    if family == "spin":
+        return spin_measure(S)
+    return bernoulli_float_atoms(math.sqrt(float(spin_second_moment(S))))
 
 
 # Grid presets psi(t) = |N t|**p, by their power p.

@@ -1,25 +1,19 @@
 """Majorization order on non-negative vectors, in exact rational arithmetic.
 
-Vectors hold `Fraction` entries and convex test functions are either exact
-piecewise-linear data or symbolic odd powers, so every inequality check
-reduces to integer comparisons. Nothing here ever rounds.
+Vectors hold `Fraction` entries and the only convex test functions are the
+odd powers t**(2m+1), the ones the paper's Karamata argument needs, so every
+inequality check reduces to integer comparisons. Nothing here ever rounds.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Union
 
-from .errors import (
-    DomainError,
-    LengthMismatchError,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import LengthMismatchError, PreconditionError, ValidationError
 from .rationals import parse_rational
 
 RationalLike = Union[Fraction, int, str]
@@ -67,6 +61,12 @@ def partial_sums(v: NonNegVector) -> list[Fraction]:
     return list(accumulate(v.decreasing))
 
 
+def _first_shortfall(sa: Iterable[Fraction], sb: Iterable[Fraction]) -> int | None:
+    """The 1-based first position where the running sums sa fall below the
+    running sums sb, or None when they never do."""
+    return next((i for i, (a, b) in enumerate(zip(sa, sb), 1) if a < b), None)
+
+
 def majorizes(x: NonNegVector, y: NonNegVector) -> bool:
     """Exact test of the majorization order: equal totals and dominating
     partial sums of the decreasing rearrangements."""
@@ -74,9 +74,7 @@ def majorizes(x: NonNegVector, y: NonNegVector) -> bool:
         raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
     sx = partial_sums(x)
     sy = partial_sums(y)
-    if sx[-1] != sy[-1]:
-        return False
-    return all(a >= b for a, b in zip(sx[:-1], sy[:-1]))
+    return sx[-1] == sy[-1] and _first_shortfall(sx, sy) is None
 
 
 @dataclass(frozen=True)
@@ -121,83 +119,24 @@ def single_crossing_majorizes(x: NonNegVector, y: NonNegVector) -> SingleCrossin
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearConvex:
-    """Convex piecewise-linear function given by exact breakpoints.
-
-    Convexity is equivalent to non-decreasing chord slopes, which is
-    checked exactly at construction time.
-    """
-
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        pts = self.breakpoints
-        if len(pts) < 2:
-            raise ValidationError("need at least two breakpoints")
-        for (t0, _), (t1, _) in zip(pts, pts[1:]):
-            if not t0 < t1:
-                raise ValidationError("breakpoint abscissae must strictly increase")
-        slopes = [(v1 - v0) / (t1 - t0) for (t0, v0), (t1, v1) in zip(pts, pts[1:])]
-        for s0, s1 in zip(slopes, slopes[1:]):
-            if s0 > s1:
-                raise ValidationError("slopes decrease: function is not convex")
-
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[RationalLike, RationalLike]]) -> "PiecewiseLinearConvex":
-        return cls(tuple((parse_rational(t), parse_rational(v)) for t, v in points))
-
-    def value(self, t: RationalLike) -> Fraction:
-        t = parse_rational(t)
-        lo, hi = self.breakpoints[0][0], self.breakpoints[-1][0]
-        if t < lo or t > hi:
-            raise DomainError(f"{t} outside [{lo}, {hi}]")
-        abscissae = [p[0] for p in self.breakpoints]
-        i = bisect_right(abscissae, t) - 1
-        if i == len(abscissae) - 1:
-            return self.breakpoints[-1][1]
-        (t0, v0), (t1, v1) = self.breakpoints[i], self.breakpoints[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-
-@dataclass(frozen=True)
 class OddConvexFunction:
-    """Odd function whose restriction to t >= 0 is convex with value 0 at 0.
+    """The odd power t -> t**exponent, convex on t >= 0 with value 0 at 0."""
 
-    Either a symbolic odd power t**(2m+1), or the odd extension of an
-    exact piecewise-linear convex function on [0, M] with value 0 at 0.
-    """
-
-    exponent: int | None = None
-    base: PiecewiseLinearConvex | None = None
+    exponent: int
 
     def __post_init__(self) -> None:
-        if (self.exponent is None) == (self.base is None):
-            raise ValidationError("provide exactly one of exponent / base")
-        if self.exponent is not None:
-            if self.exponent < 1 or self.exponent % 2 == 0:
-                raise ValidationError("exponent must be a positive odd integer")
-        else:
-            t0, v0 = self.base.breakpoints[0]
-            if t0 != 0 or v0 != 0:
-                raise ValidationError("piecewise base must start at (0, 0)")
+        if self.exponent < 1 or self.exponent % 2 == 0:
+            raise ValidationError("exponent must be a positive odd integer")
 
     @classmethod
     def power(cls, m: int) -> "OddConvexFunction":
         """The odd power t -> t**(2m+1)."""
         if m < 0:
             raise ValidationError("m must be non-negative")
-        return cls(exponent=2 * m + 1)
+        return cls(2 * m + 1)
 
     def value(self, t: RationalLike) -> Fraction:
-        t = parse_rational(t)
-        if self.exponent is not None:
-            return t**self.exponent
-        if t >= 0:
-            return self.base.value(t)
-        return -self.base.value(-t)
-
-
-ConvexFunction = Union[PiecewiseLinearConvex, OddConvexFunction]
+        return parse_rational(t) ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -208,9 +147,10 @@ class KaramataResult:
 
 
 def karamata_verify(
-    x: NonNegVector, y: NonNegVector, phi: ConvexFunction
+    x: NonNegVector, y: NonNegVector, phi: OddConvexFunction
 ) -> KaramataResult:
-    """Evaluate both sides of the convex-sum inequality for x majorizing y.
+    """Evaluate both sides of sum phi(x_i) >= sum phi(y_i) for x majorizing
+    y and an odd power phi, convex on the non-negative entries.
 
     The majorization order is a precondition; given it, holds=True is a
     theorem, so a False result is a bug witness, never a soft failure.

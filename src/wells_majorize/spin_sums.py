@@ -19,7 +19,7 @@ Two grid flavours appear throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Optional
@@ -29,9 +29,9 @@ from .majorize import (
     NonNegVector,
     OddConvexFunction,
     SingleCrossing,
+    _first_shortfall,
     _single_crossing_index,
     karamata_verify,
-    majorizes,
     single_crossing_majorizes,
 )
 from .rationals import parse_rational
@@ -222,17 +222,24 @@ class ConstructionPair:
     w: Optional[NonNegVector] = None  # integer variant only: repaired pairing
 
 
-def _excesses_and_deficits(grid: PsiGrid) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """The grid's mean, its deficits mean - v for v <= mean and its
-    excesses v - mean for v > mean, both sorted decreasingly. Raises
-    InvariantError when under half the samples sit at or below the mean."""
+def _excesses_and_deficits(grid: PsiGrid) -> ConstructionPair:
+    """The pair built around the grid's mean: y holds the deficits
+    mean - v for v <= mean and x the excesses v - mean for v > mean, both
+    sorted decreasingly, with x zero-padded to the deficit count. Raises
+    InvariantError when under half the samples sit at or below the mean,
+    or when the two totals differ."""
     mean = grid.mean()
     deficits = sorted((mean - v for v in grid.values if v <= mean), reverse=True)
     excesses = sorted((v - mean for v in grid.values if v > mean), reverse=True)
-    if 2 * len(deficits) < len(grid.values):
+    n, q = len(deficits), len(excesses)
+    if 2 * n < len(grid.values):
         samples = "(N+1)" if grid.variant == HALF_ODD else "(2N+1)"
         raise InvariantError(f"below-mean count fell under {samples}/2")
-    return mean, deficits, excesses
+    x = NonNegVector(tuple(excesses) + (Fraction(0),) * (n - q))
+    y = NonNegVector(tuple(deficits))
+    if x.total() != y.total():
+        raise InvariantError("construction totals differ")
+    return ConstructionPair(x=x, y=y, n=n, q=q, mean=mean)
 
 
 def build_half_odd_pair(grid: PsiGrid) -> ConstructionPair:
@@ -244,13 +251,7 @@ def build_half_odd_pair(grid: PsiGrid) -> ConstructionPair:
     """
     if grid.variant != HALF_ODD:
         raise PreconditionError("half-odd grid required")
-    mean, deficits, excesses = _excesses_and_deficits(grid)
-    n, q = len(deficits), len(excesses)
-    x = excesses + [Fraction(0)] * (n - q)
-    xv, yv = NonNegVector(tuple(x)), NonNegVector(tuple(deficits))
-    if xv.total() != yv.total():
-        raise InvariantError("construction totals differ")
-    return ConstructionPair(x=xv, y=yv, n=n, q=q, mean=mean)
+    return _excesses_and_deficits(grid)
 
 
 def build_integer_triple(grid: PsiGrid) -> ConstructionPair:
@@ -265,16 +266,13 @@ def build_integer_triple(grid: PsiGrid) -> ConstructionPair:
         raise PreconditionError("integer grid required")
     if grid.subdivisions < 2:
         raise PreconditionError("integer construction needs N >= 2")
-    mean, deficits, excesses = _excesses_and_deficits(grid)
-    n, q = len(deficits), len(excesses)
-    x = excesses + [Fraction(0)] * (n - q)
-    w = x[:2] + [Fraction(0)] + x[2:-1] if n - q >= 1 and n >= 3 else x
-    xv = NonNegVector(tuple(x))
-    yv = NonNegVector(tuple(deficits))
-    wv = NonNegVector(tuple(w))
-    if not (xv.total() == yv.total() == wv.total()):
+    pair = _excesses_and_deficits(grid)
+    x = pair.x.entries
+    w = x[:2] + (Fraction(0),) + x[2:-1] if pair.n - pair.q >= 1 and pair.n >= 3 else x
+    wv = NonNegVector(w)
+    if wv.total() != pair.x.total():
         raise InvariantError("construction totals differ")
-    return ConstructionPair(x=xv, y=yv, n=n, q=q, mean=mean, w=wv)
+    return replace(pair, w=wv)
 
 
 def leading_block_check(grid: PsiGrid) -> bool:
@@ -324,22 +322,23 @@ def midpoint_bound_spin(S: int) -> bool:
 
 def _karamata_tail(
     grid: PsiGrid, x: NonNegVector, y: NonNegVector, phi: OddConvexFunction, witnesses: list
-) -> tuple[bool, Fraction]:
-    """Tail shared by both theorem pipelines: cross-check that x majorizes
-    y, run the Karamata evaluation, and match its difference against the
-    directly computed centered sum. Appends a witness for each failed
-    step; returns whether all of them held, and the centered sum."""
-    maj = majorizes(x, y)
-    if not maj:
+) -> Fraction:
+    """Tail shared by both theorem pipelines: run the Karamata evaluation,
+    whose precondition cross-checks that x majorizes y, and match its
+    difference against the directly computed centered sum. Appends a
+    witness for each failed step and returns the centered sum."""
+    try:
+        kara = karamata_verify(x, y, phi)
+    except PreconditionError:
+        kara = None
         witnesses.append({"reason": "majorization cross-check failed", "x": x, "y": y})
-    kara = karamata_verify(x, y, phi) if maj else None
     mean = grid.mean()
     full_sum = sum((phi.value(v - mean) for v in grid.values), Fraction(0))
     if kara is not None and kara.lhs - kara.rhs != full_sum:
         witnesses.append({"reason": "karamata difference != centered sum"})
     if full_sum < 0:
         witnesses.append({"reason": "centered sum negative", "value": full_sum})
-    return maj and kara.holds and full_sum >= 0, full_sum
+    return full_sum
 
 
 def verify_half_odd_theorem(
@@ -348,10 +347,11 @@ def verify_half_odd_theorem(
     """Verify that the centered odd-convex sum over a half-odd grid is >= 0.
 
     Route: build the (x, y) pair, certify x majorizes y by the
-    single-crossing criterion (trivial when x == y), cross-check against
-    the direct partial-sum test, run the Karamata evaluation, and confirm
-    it matches the directly computed centered sum. Any failed step is
-    reported with a witness.
+    single-crossing criterion (trivial when x == y), run the Karamata
+    evaluation, whose precondition cross-checks the majorization by the
+    direct partial-sum test, and confirm it matches the directly computed
+    centered sum. Any failed step is reported with a witness and fails
+    the report.
     """
     if grid.variant != HALF_ODD:
         raise PreconditionError("half-odd grid required")
@@ -368,14 +368,13 @@ def verify_half_odd_theorem(
         if not crossing.applies:
             witnesses.append({"reason": "single crossing does not apply", "x": x, "y": y})
 
-    ok, full_sum = _karamata_tail(grid, x, y, phi, witnesses)
+    full_sum = _karamata_tail(grid, x, y, phi, witnesses)
     # The full centered sum excludes nothing; dropping the j=0 term (the
     # minimum, hence a non-positive summand) can only increase it.
     tail_sum = full_sum - phi.value(grid.values[0] - pair.mean)
-    ok = ok and (crossing is None or crossing.applies) and tail_sum >= 0
     return VerificationReport(
         command="theorem-half-odd",
-        status=PASS if ok else FAIL,
+        status=PASS if not witnesses and tail_sum >= 0 else FAIL,
         parameters={"N": grid.subdivisions, "variant": grid.variant},
         details={
             "x": x,
@@ -410,7 +409,7 @@ def split_domination_check(w: NonNegVector, y: NonNegVector) -> SplitDomination:
         raise PreconditionError("length mismatch")
     sw = list(accumulate(w.entries))
     sy = list(accumulate(y.entries))
-    failing = next((i + 1 for i, (a, b) in enumerate(zip(sw, sy)) if a < b), None)
+    failing = _first_shortfall(sw, sy)
     head_ok = w[0] >= y[0]
     block_ok = len(w) >= 3 and sw[1] >= sy[2]
     return SplitDomination(
@@ -432,9 +431,10 @@ def verify_integer_theorem(
     condition when N is odd; failure of any reports hypothesis_not_met
     (distinct from the inequality failing). Then the
     (x, y, w) triple is built, w's running sums are shown to dominate y's
-    by the block-plus-single-crossing split, x dominates w by sorting, the
-    majorization x > y is cross-checked independently, and the Karamata
-    evaluation is matched against the directly computed centered sum.
+    by the block-plus-single-crossing split, x dominates w by sorting, and
+    the Karamata evaluation, whose precondition cross-checks x > y, is
+    matched against the directly computed centered sum. Any failed step
+    is reported with a witness and fails the report.
     """
     if grid.variant != INTEGER:
         raise PreconditionError("integer grid required")
@@ -465,16 +465,13 @@ def verify_integer_theorem(
             witnesses.append({"reason": "w running sums fail", "index": split.failing_index})
         # x is the decreasing rearrangement of w, so its running sums
         # dominate w's; verified rather than assumed.
-        sx = list(accumulate(x.entries))
-        sw = list(accumulate(w.entries))
-        if any(a < b for a, b in zip(sx, sw)):
+        if _first_shortfall(accumulate(x.entries), accumulate(w.entries)) is not None:
             witnesses.append({"reason": "x running sums fail against w"})
 
-    ok, full_sum = _karamata_tail(grid, x, y, phi, witnesses)
-    ok = ok and (degenerate or split.holds)
+    full_sum = _karamata_tail(grid, x, y, phi, witnesses)
     return VerificationReport(
         command="theorem-integer",
-        status=PASS if ok else FAIL,
+        status=PASS if not witnesses else FAIL,
         parameters=params,
         details={
             "x": x,

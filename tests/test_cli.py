@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wells_majorize import cli, wells
+from wells_majorize import cli, spin_sums, wells
 from wells_majorize.cli import main
+from wells_majorize.majorize import NonNegVector
 from wells_majorize.rationals import parse_rational
 
 DATA = Path(__file__).parent / "data"
@@ -314,6 +316,71 @@ class TestTheoremCommand:
         assert "unknown psi preset" in err
 
 
+def broken(builder, **vectors):
+    """The construction `builder` makes, with the named vectors replaced."""
+    return lambda grid: dataclasses.replace(
+        builder(grid), **{k: NonNegVector.of(*v) for k, v in vectors.items()}
+    )
+
+
+# The square grids behind `theorem half-odd --n 4` (samples 0, 1, 4, 9, 16:
+# x = 10,3,0 and y = 6,5,2) and `theorem integer --n 6` (x = 22,22,11,11,2,2,0,
+# y = 14,13,13,10,10,5,5, w = 22,22,0,11,11,2,2).
+HALF_ODD_ARGV = ["theorem", "half-odd", "--n", "4"]
+INTEGER_ARGV = ["theorem", "integer", "--n", "6"]
+
+
+class TestTheoremWitnesses:
+    """Every failure witness of the theorem pipelines, reached by a broken
+    construction, gives status fail and exit 1."""
+
+    @pytest.mark.parametrize("argv, target, vectors, reason", [
+        (HALF_ODD_ARGV, "build_half_odd_pair", {"x": (1, 1), "y": (2, 0)},
+         "majorization cross-check failed"),
+        (HALF_ODD_ARGV, "build_half_odd_pair",
+         {"x": (22, 22, 11, 11, 2, 2, 0), "y": (14, 13, 13, 10, 10, 5, 5)},
+         "single crossing does not apply"),
+        (HALF_ODD_ARGV, "build_half_odd_pair", {"x": (11, 2, 0)},
+         "karamata difference != centered sum"),
+        (INTEGER_ARGV, "build_integer_triple", {"x": (23, 21, 11, 11, 2, 2, 0)},
+         "karamata difference != centered sum"),
+    ])
+    def test_broken_construction_fails(self, capsys, monkeypatch, argv, target, vectors, reason):
+        monkeypatch.setattr(spin_sums, target, broken(getattr(spin_sums, target), **vectors))
+        code, data = run_json(capsys, argv)
+        assert (code, data["status"]) == (1, "fail")
+        assert reason in [w["reason"] for w in data["witnesses"]]
+
+    def test_w_witness_names_the_first_failing_position(self, capsys, monkeypatch):
+        # Running sums of w: 22, 22, 44, ...; of y: 14, 27, 40, ...
+        fake = broken(spin_sums.build_integer_triple, w=(22, 0, 22, 11, 11, 2, 2))
+        monkeypatch.setattr(spin_sums, "build_integer_triple", fake)
+        code, data = run_json(capsys, INTEGER_ARGV)
+        assert code == 1
+        assert data["witnesses"] == [{"reason": "w running sums fail", "index": 2}]
+
+    def test_x_against_w_is_the_only_witness(self, capsys, monkeypatch):
+        # x out of order: still a rearrangement of the true x, so only its
+        # running sums against w (33 < 44 at position 2) can catch it.
+        fake = broken(spin_sums.build_integer_triple, x=(22, 11, 22, 11, 2, 2, 0))
+        monkeypatch.setattr(spin_sums, "build_integer_triple", fake)
+        code, data = run_json(capsys, INTEGER_ARGV)
+        assert code == 1
+        assert data["witnesses"] == [{"reason": "x running sums fail against w"}]
+
+    def test_negative_centered_sum(self, capsys, monkeypatch):
+        # A grid mean of 7 above the samples 0, 1, 4, 9, 16 (true mean 6)
+        # makes the linear centered sum 30 - 5 * 7 = -5; the pair is the
+        # one built from the true mean.
+        grid = spin_sums.PsiGrid.from_function(lambda t: (4 * t) ** 2, 4, spin_sums.HALF_ODD)
+        pair = spin_sums.build_half_odd_pair(grid)
+        monkeypatch.setattr(spin_sums, "build_half_odd_pair", lambda grid: pair)
+        monkeypatch.setattr(spin_sums.PsiGrid, "mean", lambda self: F(7))
+        code, data = run_json(capsys, HALF_ODD_ARGV + ["--phi-power", "0"])
+        assert (code, data["status"]) == (1, "fail")
+        assert {"reason": "centered sum negative", "value": "-5"} in data["witnesses"]
+
+
 class TestProbeCommand:
     ARGS = ["probe", "--pair", "bernoulli-rms:2,spin:2", "--trials", "25"]
 
@@ -362,6 +429,27 @@ class TestProbeCommand:
             "--format", "json",
         ])
         assert (code, out, err) == (2, "", "error: atom outside the float range\n")
+
+    @pytest.mark.parametrize("pair", [
+        "spin:1e9,spin:1", "spin:1,preset:spin:1000000", "bernoulli-rms:1e400,spin:1",
+        "spin:1,bernoulli-rms:500000",
+    ])
+    def test_spin_over_the_configuration_cap_is_refused(self, capsys, monkeypatch, pair):
+        # Refused before a single atom of the huge spin is built.
+        for name in ("spin_measure", "spin_second_moment"):
+            build = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda S, build=build: (
+                build(S) if S.twice < 3 else pytest.fail(f"built spin {S.as_fraction}")))
+        code, out, err = run(capsys, ["probe", "--pair", pair, "--trials", "1", "--format", "json"])
+        assert (code, out, err) == (2, "", "error: spin measure has 2S+1 > 1000000 atoms\n")
+
+    def test_spin_at_the_configuration_cap_is_built(self, monkeypatch):
+        # 2S+1 = CONFIG_CAP exactly is allowed; a smaller cap keeps it quick.
+        monkeypatch.setattr(cli.oracle, "CONFIG_CAP", 7)
+        assert len(cli.parse_probe_measure("spin:3").atoms) == 7
+        assert len(cli.parse_probe_measure("bernoulli-rms:3")) == 2
+        with pytest.raises(cli.ResourceLimitError):
+            cli.parse_probe_measure("spin:7/2")
 
 
 class TestArgumentErrors:

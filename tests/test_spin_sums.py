@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from wells_majorize import cli, spin_sums
 from wells_majorize.errors import InvariantError, PreconditionError, ValidationError
-from wells_majorize.majorize import OddConvexFunction, majorizes
+from wells_majorize.majorize import NonNegVector, OddConvexFunction, majorizes
 from wells_majorize.report import HYPOTHESIS_NOT_MET, PASS
 from wells_majorize.spin_sums import (
     HALF_ODD,
@@ -371,12 +371,24 @@ class TestSplitDomination:
         assert split.tail_single_crossing
 
     def test_detects_failure(self):
-        from wells_majorize.majorize import NonNegVector
-
         w = NonNegVector.of(1, 5)
         y = NonNegVector.of(4, 2)
         split = split_domination_check(w, y)
         assert not split.holds and split.failing_index == 1
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_literal_running_sums(self, data):
+        # Running sums in the given order, compared position by position;
+        # totals may differ.
+        n = data.draw(st.integers(1, 8))
+        entries = st.lists(st.integers(0, 4).map(F), min_size=n, max_size=n)
+        w, y = data.draw(entries), data.draw(entries)
+        split = split_domination_check(NonNegVector(tuple(w)), NonNegVector(tuple(y)))
+        below = [k for k in range(1, n + 1) if sum(w[:k]) < sum(y[:k])]
+        assert split.failing_index == (below[0] if below else None)
+        assert split.holds == (not below)
+        assert split.block_ok == (n >= 3 and w[0] + w[1] >= y[0] + y[1] + y[2])
 
 
 class TestIntegerTheorem:
