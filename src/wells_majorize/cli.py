@@ -45,6 +45,15 @@ from .wells import (
 USAGE_EXIT = 2
 
 
+def _capped_spin(param: str) -> SpinValue:
+    """The spin of a spin or bernoulli-rms token, refused when its 2S+1
+    atoms exceed oracle.CONFIG_CAP, before any atom is built."""
+    S = SpinValue.parse(param)
+    if S.twice + 1 > oracle.CONFIG_CAP:
+        raise ResourceLimitError(f"spin measure has 2S+1 > {oracle.CONFIG_CAP} atoms")
+    return S
+
+
 def parse_measure(spec: str) -> DiscreteMeasure:
     """A measure literal: preset:<family>:<param> or a JSON file path."""
     if spec.startswith("preset:"):
@@ -55,7 +64,7 @@ def parse_measure(spec: str) -> DiscreteMeasure:
         if family == "mu-lambda":
             return mu_lambda_measure(parse_rational(param))
         if family == "spin":
-            return spin_measure(SpinValue.parse(param))
+            return spin_measure(_capped_spin(param))
         if family == "bernoulli":
             return bernoulli_measure(parse_rational(param))
         raise VerificationError(f"unknown preset family {family!r}")
@@ -71,16 +80,12 @@ def parse_measure(spec: str) -> DiscreteMeasure:
 
 def parse_probe_measure(token: str) -> MeasureLike:
     """Probe-side measure token; also supports bernoulli-rms:<S>, the
-    two-point measure at the RMS magnitude of the spin-S measure. A spin
-    (in either family) whose 2S+1 atoms exceed oracle.CONFIG_CAP is
-    refused before any atom is built."""
+    two-point measure at the RMS magnitude of the spin-S measure."""
     token = token.removeprefix("preset:")
     family, _, param = token.partition(":")
     if family not in ("spin", "bernoulli-rms"):
         return parse_measure(f"preset:{token}")
-    S = SpinValue.parse(param)
-    if S.twice + 1 > oracle.CONFIG_CAP:
-        raise ResourceLimitError(f"spin measure has 2S+1 > {oracle.CONFIG_CAP} atoms")
+    S = _capped_spin(param)
     if family == "spin":
         return spin_measure(S)
     return bernoulli_float_atoms(math.sqrt(float(spin_second_moment(S))))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import InvariantError, PreconditionError, ValidationError
 from .majorize import (
@@ -70,6 +70,11 @@ def spin_sum(S: SpinValue, m: int) -> Fraction:
     the arithmetic integral we work with k = 2j and pull out 4**(2m+1):
     3 j^2 - S(S+1) = (3 k^2 - 2S(2S+2)) / 4.
 
+    With s = 1/3 + 1/(3S), the second moment of the spin-S measure, the sum
+    is (2S+1) (3S^2)^(2m+1) times that measure's centered moment of
+    (x^2 - s)^(2m+1), `wells_term(spin_measure(S), s, 2m+1)`, and has its
+    sign.
+
     This is the literal definition, one power per term. `verify_conjecture`
     computes whole rows with `_spin_sum_row` and checks each row's last
     entry against this function.
@@ -83,34 +88,33 @@ def spin_sum(S: SpinValue, m: int) -> Fraction:
     return Fraction(total, 4**e)
 
 
-def _spin_sum_row(S: SpinValue, ms: list[int]) -> list[Fraction]:
-    """spin_sum(S, m) for each m of the increasing, non-empty list ms.
+def _odd_power_sums(terms: list[tuple[int, int]], first: int) -> Iterator[int]:
+    """Yield sum c * d**n over the integer pairs (d, c) of terms for the
+    odd orders n = first, first + 2, ..., each from the running products
+    of the one before times d*d, computed only when it is asked for."""
+    squares = [d * d for d, _ in terms]
+    powers = [c * d**first for d, c in terms]
+    while True:
+        yield sum(powers)
+        powers = list(map(int.__mul__, powers, squares))
 
-    The summand is even in k, so each |k| is summed once and counted twice
-    for k != 0. Each term t = 3 k^2 - base is raised to the first order
-    once; every later order multiplies the running powers by t*t (by
-    (t*t)**step where ms skips values). The last entry is checked against
-    the definition, spin_sum(S, ms[-1]), and a mismatch raises
-    InvariantError.
+
+def _spin_sum_row(S: SpinValue, m_first: int, m_last: int) -> list[Fraction]:
+    """spin_sum(S, m) for each m = m_first..m_last, with m_first <= m_last.
+
+    The summand is even in k, so each |k| is one term t = 3 k^2 - base of
+    weight 2, or 1 for k = 0, and the row is read from `_odd_power_sums`.
+    The last entry is checked against the definition,
+    spin_sum(S, m_last), and a mismatch raises InvariantError.
     """
     s2 = S.twice
     base = s2 * (s2 + 2)
-    terms = [3 * k * k - base for k in range(s2 % 2, s2 + 1, 2)]
-    squares = [t * t for t in terms]
-    single = s2 % 2 == 0  # k = 0 is a term, counted once
-    m_prev = ms[0]
-    powers = [t ** (2 * m_prev + 1) for t in terms]
-    row = []
-    for m in ms:
-        if m != m_prev:
-            step = squares if m == m_prev + 1 else [q ** (m - m_prev) for q in squares]
-            powers = list(map(int.__mul__, powers, step))
-            m_prev = m
-        total = 2 * sum(powers) - (powers[0] if single else 0)
-        row.append(Fraction(total, 4 ** (2 * m + 1)))
-    if row[-1] != spin_sum(S, ms[-1]):
+    terms = [(3 * k * k - base, 2 if k else 1) for k in range(s2 % 2, s2 + 1, 2)]
+    sums = _odd_power_sums(terms, 2 * m_first + 1)
+    row = [Fraction(t, 4 ** (2 * m + 1)) for m, t in zip(range(m_first, m_last + 1), sums)]
+    if row[-1] != spin_sum(S, m_last):
         raise InvariantError(
-            f"spin-sum row for S = {S.as_fraction} disagrees with spin_sum at m = {ms[-1]}"
+            f"spin-sum row for S = {S.as_fraction} disagrees with spin_sum at m = {m_last}"
         )
     return row
 
@@ -127,12 +131,12 @@ def verify_conjecture(S_max: SpinValue, m_max: int) -> VerificationReport:
     """
     if m_max < 0:
         raise ValidationError("m_max must be >= 0")
-    ms = list(range(1, m_max + 1)) if m_max >= 1 else [0]
+    ms = range(min(m_max, 1), m_max + 1)
     rows = []
     unexpected = []
     for twice in range(1, S_max.twice + 1):
         S = SpinValue(twice)
-        values = _spin_sum_row(S, ms)
+        values = _spin_sum_row(S, ms[0], m_max)
         rows.append({"S": S.as_fraction, "values": values})
         for m, v in zip(ms, values):
             if twice == 2 and m >= 1:

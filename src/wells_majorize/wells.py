@@ -14,12 +14,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import comb, lcm
 from typing import Iterable
 
 from .errors import DomainError, InvariantError, PreconditionError, ValidationError
 from .rationals import format_rational, parse_rational
-from .spin_sums import SpinValue
+from .spin_sums import SpinValue, _odd_power_sums
 
 CLOSED_FORM = "closed_form"
 CERTIFIED_UP_TO_N_MAX = "certified_up_to_n_max"
@@ -166,44 +167,31 @@ def passes_up_to(mu: DiscreteMeasure, s_squared: Fraction | int | str, n_max: in
     A truncation of the all-n criterion: a True result certifies the
     necessary conditions only up to n_max. Evaluated in exact integers
     (see `_scaled_differences`); even orders are sums of non-negative
-    terms, so only the odd ones are computed, with running products, up
-    to the first negative one. `wells_term` is the definition.
+    terms, so only the odd ones are read from `_odd_power_sums`, up to
+    the first negative one. `wells_term` is the definition.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     s = parse_rational(s_squared)
     terms = [(d, c) for d, c in _scaled_differences(mu, s) if d]
-    squares = [d * d for d, _ in terms]
-    powers = [c * d for d, c in terms]  # c * d^n, for n = 1 first
-    for n in range(1, n_max + 1, 2):
-        if n > 1:
-            powers = [p * sq for p, sq in zip(powers, squares)]
-        if sum(powers) < 0:
-            return False
-    return True
+    return all(t >= 0 for t in islice(_odd_power_sums(terms, 1), (n_max + 1) // 2))
 
 
 def tail_sign_ok(mu: DiscreteMeasure, s_squared: Fraction | int | str) -> bool:
     """Exact large-n necessary condition for the all-n criterion.
 
-    For odd n -> infinity the atoms with the largest |x^2 - s| dominate
-    the integral. If the negative side strictly wins in magnitude, or
-    ties in magnitude with strictly more weight, some large odd moment is
-    negative and the criterion fails; that is decidable exactly, with no
-    truncation. Decided on the integer differences and weights of
-    `_scaled_differences`, whose positive scale factors change no
+    For odd n -> infinity the atoms with the largest |x^2 - s| = top
+    dominate the integral, which takes the sign of their weight at +top
+    less that at -top; a negative one makes some large odd moment
+    negative, decidable exactly, with no truncation. If every difference
+    is 0, the two weights are the same one and the condition holds.
+    Decided on the integer differences (distinct, one per v^2) and weights
+    of `_scaled_differences`, whose positive scale factors change no
     comparison.
     """
-    diffs = _scaled_differences(mu, parse_rational(s_squared))
-    pos = max((d for d, _ in diffs if d > 0), default=0)
-    neg = max((-d for d, _ in diffs if d < 0), default=0)
-    if neg > pos:
-        return False
-    if neg == pos and neg > 0:
-        w_pos = sum(c for d, c in diffs if d == pos)
-        w_neg = sum(c for d, c in diffs if d == -neg)
-        return w_pos >= w_neg
-    return True
+    weights = dict(_scaled_differences(mu, parse_rational(s_squared)))
+    top = max(map(abs, weights))
+    return weights.get(top, 0) >= weights.get(-top, 0)
 
 
 @dataclass(frozen=True)
@@ -220,10 +208,6 @@ class TMinusResult:
             raise InvariantError("empty bracket")
         if self.status == CLOSED_FORM and self.lo != self.hi:
             raise InvariantError("closed form must be a point bracket")
-
-
-def _threshold_predicate(mu: DiscreteMeasure, s_squared: Fraction, n_max: int) -> bool:
-    return tail_sign_ok(mu, s_squared) and passes_up_to(mu, s_squared, n_max)
 
 
 def t_minus_upper(
@@ -246,6 +230,9 @@ def t_minus_upper(
     lowering s by h raises every difference v^2 - s by h, so the largest
     positive one strictly grows and the largest negative magnitude
     strictly shrinks.
+
+    The top of the range is never a candidate: with more than two atoms
+    some |v| < max|atom|, so at S = max|atom| P_1 < 0 and the tail fails.
     """
     tol = parse_rational(tol)
     if tol <= 0:
@@ -256,13 +243,11 @@ def t_minus_upper(
     if len(mu.atoms) == 2:
         # Two-point measure: the threshold is the atom magnitude itself.
         return TMinusResult(lo=top, hi=top, n_max_checked=n_max, status=CLOSED_FORM)
-    if _threshold_predicate(mu, top * top, n_max):
-        return TMinusResult(lo=top, hi=top, n_max_checked=n_max, status=CERTIFIED_UP_TO_N_MAX)
-
     lo, hi = Fraction(0), top
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if _threshold_predicate(mu, mid * mid, n_max):
+        s = mid * mid
+        if tail_sign_ok(mu, s) and passes_up_to(mu, s, n_max):
             lo = mid
         else:
             hi = mid

@@ -193,6 +193,13 @@ class TestTMinusCommand:
         assert code == 2
         assert "unknown preset family" in err
 
+    @pytest.mark.parametrize("spin", ["1e400", "2000000", "1000001/2"])
+    def test_spin_over_the_configuration_cap_is_refused(self, capsys, monkeypatch, spin):
+        # Refused before a single atom of the huge spin is built.
+        monkeypatch.setattr(cli, "spin_measure", lambda S: pytest.fail("spin measure built"))
+        code, out, err = run(capsys, ["t-minus", "--measure", f"preset:spin:{spin}"])
+        assert (code, out, err) == (2, "", "error: spin measure has 2S+1 > 1000000 atoms\n")
+
     @pytest.mark.parametrize("measure", ["preset:bernoulli:1", "preset:spin:2"])
     @pytest.mark.parametrize(
         "flags", [["--n-max", "0"], ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"]]

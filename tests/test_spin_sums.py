@@ -26,6 +26,7 @@ from wells_majorize.spin_sums import (
     verify_half_odd_theorem,
     verify_integer_theorem,
 )
+from wells_majorize.wells import spin_measure, spin_second_moment, wells_term
 
 
 def square_grid(N, variant=INTEGER):
@@ -125,20 +126,24 @@ class TestVerifyConjecture:
             spin_sum(SpinValue(4), -1)
 
 
-# Increasing lists of orders: [0], runs starting above 1, and runs that
-# skip orders.
-orders = st.one_of(
-    st.just([0]),
-    st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True).map(sorted),
-)
-
-
 class TestSpinSumRow:
-    @given(twice=st.integers(1, 60), ms=orders)
+    @given(twice=st.integers(1, 60), m_first=st.integers(0, 40), length=st.integers(1, 12))
     @settings(max_examples=150, deadline=None)
-    def test_row_matches_definition(self, twice, ms):
+    def test_row_matches_definition(self, twice, m_first, length):
         S = SpinValue(twice)
-        assert _spin_sum_row(S, ms) == [spin_sum(S, m) for m in ms]
+        ms = range(m_first, m_first + length)
+        assert _spin_sum_row(S, ms[0], ms[-1]) == [spin_sum(S, m) for m in ms]
+
+    def test_sum_is_a_scaled_centered_moment(self):
+        # spin_sum(S, m) = (2S+1) (3S^2)^(2m+1) P_(2m+1)(s) at the spin
+        # measure's second moment s = 1/3 + 1/(3S).
+        for twice in range(1, 21):
+            S = SpinValue(twice)
+            mu, s = spin_measure(S), spin_second_moment(S)
+            for m in range(6):
+                n = 2 * m + 1
+                scale = (twice + 1) * (3 * S.as_fraction**2) ** n
+                assert spin_sum(S, m) == scale * wells_term(mu, s, n)
 
     def test_wrong_definition_is_an_invariant_error(self, monkeypatch, capsys):
         original = spin_sums.spin_sum

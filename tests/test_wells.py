@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wells_majorize.errors import DomainError, PreconditionError, ValidationError
@@ -222,13 +222,13 @@ def tail_sign_reference(mu, s):
 
 @st.composite
 def even_measure_and_s(draw):
-    """An even measure with 2-5 atom pairs +-p/q, maybe a zero atom, and a
+    """An even measure with 1-5 atom pairs +-p/q, maybe a zero atom, and a
     rational s: arbitrary, an atom's own v^2 (where a summand vanishes), or
     the midpoint of two squares (where the tail magnitudes tie)."""
     values = draw(
         st.lists(
             st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12),
-            min_size=2,
+            min_size=1,
             max_size=5,
             unique=True,
         )
@@ -266,13 +266,14 @@ def measure_and_points(draw):
 class TestIntegerPredicate:
     """The integer moment sums against the `Fraction` definition."""
 
-    @given(even_measure_and_s(), st.integers(min_value=1, max_value=14))
+    @given(measure_and_points(), st.integers(min_value=1, max_value=14))
     @settings(max_examples=250, deadline=None)
-    def test_matches_fraction_definitions(self, measure_and_s, n_max):
-        mu, s = measure_and_s
-        expected = all(wells_term(mu, s, n) >= 0 for n in range(1, n_max + 1))
-        assert passes_up_to(mu, s, n_max) == expected
-        assert tail_sign_ok(mu, s) == tail_sign_reference(mu, s)
+    def test_matches_fraction_definitions(self, case, n_max):
+        mu, points = case
+        for s in points:
+            expected = all(wells_term(mu, s, n) >= 0 for n in range(1, n_max + 1))
+            assert passes_up_to(mu, s, n_max) == expected, s
+            assert tail_sign_ok(mu, s) == tail_sign_reference(mu, s), s
 
     def test_tail_tie_at_midpoint_of_squares(self):
         # s = 1/2 puts the zero atom and the atoms at +-1 at distance 1/2;
@@ -341,6 +342,17 @@ class TestTMinusUpper:
         holds = [tail_sign_ok(mu, s) and passes_up_to(mu, s, n_max) for s in points]
         for s1, s2, at_s1, at_s2 in zip(points, points[1:], holds, holds[1:]):
             assert at_s1 or not at_s2, (s1, s2)
+
+    @given(even_measure_and_s())
+    @settings(max_examples=200, deadline=None)
+    def test_top_of_range_never_passes(self, case):
+        # Why the bisection never tries S = max|atom|: past two atoms,
+        # both the first moment and the tail condition fail there.
+        mu, _ = case
+        assume(len(mu.atoms) > 2)
+        top_squared = mu.max_abs_value() ** 2
+        assert not passes_up_to(mu, top_squared, 1)
+        assert not tail_sign_ok(mu, top_squared)
 
     @pytest.mark.parametrize("mu", [bernoulli_measure(1), spin_measure(SpinValue.parse(2))])
     def test_rejects_nonpositive_n_max(self, mu):
