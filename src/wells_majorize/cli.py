@@ -83,12 +83,9 @@ def parse_probe_measure(token: str) -> MeasureLike:
     two-point measure at the RMS magnitude of the spin-S measure."""
     token = token.removeprefix("preset:")
     family, _, param = token.partition(":")
-    if family not in ("spin", "bernoulli-rms"):
+    if family != "bernoulli-rms":
         return parse_measure(f"preset:{token}")
-    S = _capped_spin(param)
-    if family == "spin":
-        return spin_measure(S)
-    return bernoulli_float_atoms(math.sqrt(float(spin_second_moment(S))))
+    return bernoulli_float_atoms(math.sqrt(float(spin_second_moment(_capped_spin(param)))))
 
 
 # Grid presets psi(t) = |N t|**p, by their power p.

@@ -107,11 +107,6 @@ _FSUM_MAX_SIZE = 2048
 # Addends per chunk of the binned sum, so that its work buffers stay in
 # the L2 cache.
 _CHUNK = 1 << 15
-# Each addend adds below 2**26 to its bin's integer part and below 2**27
-# units of 2**-27 to its fraction part, so the float64 bin totals of at
-# most 2**26 addends stay below 2**53 units and are exact. They are
-# flushed to a Python int after this many chunks.
-_FLUSH_CHUNKS = (1 << 26) // _CHUNK
 # frexp exponents of the finite nonzero doubles.
 _MIN_EXPONENT, _MAX_EXPONENT = -1073, 1024
 
@@ -149,35 +144,36 @@ def _binned_sum(x: np.ndarray) -> int:
     2**26 in magnitude, and low = m * 2**26 - high, a multiple of 2**-27
     in (-1, 1). Both parts keep the addend's sign, so two bincounts per
     chunk of _CHUNK addends, keyed by e alone, give the sum of every
-    (high + low) * 2**(e - 26). Raises ValueError on an infinity or NaN.
+    (high + low) * 2**(e - 26). Each addend adds below 2**26 to its bin's
+    high total and below 2**27 units of 2**-27 to its low total, so both
+    float64 totals stay below 2**53 units, and exact, for up to 2**26
+    addends; gibbs_expectation sums at most CONFIG_CAP. Raises ValueError
+    on an infinity or NaN.
     """
     bins = _MAX_EXPONENT - _MIN_EXPONENT + 1
     mantissa, high = np.empty(_CHUNK), np.empty(_CHUNK)
     exponent, key = np.empty(_CHUNK, dtype=np.intc), np.empty(_CHUNK, dtype=np.intp)
-    total = 0
+    high_sums, low_sums = np.zeros(bins), np.zeros(bins)
     # An infinity or NaN leaves a NaN bin total, which raises below.
     with np.errstate(invalid="ignore"):
-        for block in range(0, x.size, _CHUNK * _FLUSH_CHUNKS):
-            high_sums, low_sums = np.zeros(bins), np.zeros(bins)
-            for start in range(block, min(block + _CHUNK * _FLUSH_CHUNKS, x.size), _CHUNK):
-                chunk = x[start:start + _CHUNK]
-                m, e, h, k = (buf[:chunk.size] for buf in (mantissa, exponent, high, key))
-                np.frexp(chunk, out=(m, e))
-                m *= 2.0**26
-                np.trunc(m, out=h)
-                m -= h
-                np.subtract(e, _MIN_EXPONENT, out=k)
-                high_sums += np.bincount(k, weights=h, minlength=bins)
-                low_sums += np.bincount(k, weights=m, minlength=bins)
-            sums = high_sums + low_sums  # zero exactly where a bin adds nothing
-            if not np.isfinite(sums).all():
-                raise ValueError("non-finite addend")
-            low_sums *= 2.0**27
-            # Bin i holds e = i + _MIN_EXPONENT, and 2**1127 times
-            # (high + low) * 2**(e - 26) is (high + low) * 2**27 << (i + 1).
-            for i in np.flatnonzero(sums).tolist():
-                total += ((int(high_sums[i]) << 27) + int(low_sums[i])) << (i + 1)
-    return total
+        for start in range(0, x.size, _CHUNK):
+            chunk = x[start:start + _CHUNK]
+            m, e, h, k = (buf[:chunk.size] for buf in (mantissa, exponent, high, key))
+            np.frexp(chunk, out=(m, e))
+            m *= 2.0**26
+            np.trunc(m, out=h)
+            m -= h
+            np.subtract(e, _MIN_EXPONENT, out=k)
+            high_sums += np.bincount(k, weights=h, minlength=bins)
+            low_sums += np.bincount(k, weights=m, minlength=bins)
+        sums = high_sums + low_sums  # zero exactly where a bin adds nothing
+    if not np.isfinite(sums).all():
+        raise ValueError("non-finite addend")
+    low_sums *= 2.0**27
+    # Bin i holds e = i + _MIN_EXPONENT, and 2**1127 times
+    # (high + low) * 2**(e - 26) is (high + low) * 2**27 << (i + 1).
+    return sum(((int(high_sums[i]) << 27) + int(low_sums[i])) << (i + 1)
+               for i in np.flatnonzero(sums).tolist())
 
 
 def gibbs_expectation(
@@ -285,32 +281,6 @@ class ProbeConfig:
             raise PreconditionError(f"tol must be finite and >= 0, got {self.tol}")
 
 
-@dataclass(frozen=True)
-class ProbeInstance:
-    lattice: Lattice
-    couplings: CouplingSet
-    B: tuple[int, ...]
-
-    def describe(self) -> dict:
-        return {
-            "sites": list(self.lattice.sites),
-            "couplings": [[sorted(s), j] for s, j in self.couplings.terms],
-            "B": list(self.B),
-        }
-
-
-def _draw_instance(rng: random.Random, config: ProbeConfig) -> ProbeInstance:
-    n = rng.randint(1, config.site_cap)
-    sites = tuple(range(n))
-    terms: dict[frozenset[int], float] = {}
-    for _ in range(rng.randint(1, 2 * n)):
-        size = rng.randint(1, min(MAX_SUBSET_SIZE, n))
-        subset = frozenset(rng.sample(sites, size))
-        terms[subset] = terms.get(subset, 0.0) + rng.uniform(0.0, COUPLING_MAX)
-    B = tuple(sorted(rng.sample(sites, rng.randint(1, n))))
-    return ProbeInstance(Lattice(sites), CouplingSet.from_dict(terms), B)
-
-
 def random_probe(
     config: ProbeConfig, mu: MeasureLike, nu: MeasureLike
 ) -> VerificationReport:
@@ -323,14 +293,22 @@ def random_probe(
     rng = random.Random(config.seed)
     mu, nu = float_atoms(mu), float_atoms(nu)
     witnesses = []
-    passes = 0
     for trial in range(config.trials):
-        inst = _draw_instance(rng, config)
-        res = domination_check(inst.lattice, inst.couplings, mu, nu, inst.B, tol=config.tol)
-        if res.holds:
-            passes += 1
-        else:
-            witnesses.append({"trial": trial, "lhs": res.lhs, "rhs": res.rhs, **inst.describe()})
+        n = rng.randint(1, config.site_cap)
+        sites = tuple(range(n))
+        terms: dict[frozenset[int], float] = {}
+        for _ in range(rng.randint(1, 2 * n)):
+            size = rng.randint(1, min(MAX_SUBSET_SIZE, n))
+            subset = frozenset(rng.sample(sites, size))
+            terms[subset] = terms.get(subset, 0.0) + rng.uniform(0.0, COUPLING_MAX)
+        B = sorted(rng.sample(sites, rng.randint(1, n)))
+        couplings = CouplingSet.from_dict(terms)
+        res = domination_check(Lattice(sites), couplings, mu, nu, B, tol=config.tol)
+        if not res.holds:
+            witnesses.append({
+                "trial": trial, "lhs": res.lhs, "rhs": res.rhs, "sites": list(sites),
+                "couplings": [[sorted(s), j] for s, j in couplings.terms], "B": B,
+            })
     return VerificationReport(
         command="probe",
         status=PASS if not witnesses else FAIL,
@@ -340,6 +318,6 @@ def random_probe(
             "site_cap": config.site_cap,
             "tol": config.tol,
         },
-        details={"passes": passes},
+        details={"passes": config.trials - len(witnesses)},
         witnesses=witnesses,
     )

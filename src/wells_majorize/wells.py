@@ -128,12 +128,11 @@ def mu_lambda_measure(lam: Fraction | int | str) -> DiscreteMeasure:
 
 
 def spin_second_moment(S: SpinValue) -> Fraction:
-    """Second moment of the spin-S measure; equals 1/3 + 1/(3S) exactly."""
-    value = spin_measure(S).second_moment()
-    closed = Fraction(1, 3) + Fraction(1, 3) / S.as_fraction
-    if value != closed:
-        raise InvariantError("spin second moment disagrees with closed form")
-    return value
+    """Second moment of the spin-S measure, 1/3 + 1/(3S), built from no
+    atoms. The 2S+1 atoms are j/S for j = -S..S in unit steps, and the
+    sum over j = -S..S of j^2 is S(S+1)(2S+1)/3, so their mean square is
+    (S+1)/(3S)."""
+    return Fraction(1, 3) + Fraction(1, 3) / S.as_fraction
 
 
 def wells_term(mu: DiscreteMeasure, s_squared: Fraction | int | str, n: int) -> Fraction:
@@ -345,5 +344,5 @@ def tc_bounds(S: SpinValue) -> TcBounds:
     if S.as_fraction == 1:
         msw = Fraction(1, 2)
     else:
-        msw = Fraction(1, 3) + Fraction(1, 3) / S.as_fraction
+        msw = spin_second_moment(S)
     return TcBounds(griffiths=griffiths, msw=msw, improvement=msw / griffiths)

@@ -450,6 +450,22 @@ class TestProbeCommand:
         code, out, err = run(capsys, ["probe", "--pair", pair, "--trials", "1", "--format", "json"])
         assert (code, out, err) == (2, "", "error: spin measure has 2S+1 > 1000000 atoms\n")
 
+    def test_rms_spin_under_the_cap_builds_no_atoms(self, capsys, monkeypatch):
+        build = wells.spin_measure
+        monkeypatch.setattr(wells, "spin_measure", lambda S: (
+            build(S) if S.twice < 3 else pytest.fail(f"built spin {S.as_fraction}")))
+        code, _, err = run(capsys, ["probe", "--pair", "bernoulli-rms:499999,spin:1", "--trials", "0"])
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("token, preset", [
+        ("spin", "preset:spin"), ("spin:1:2", "preset:spin:1:2"),
+        ("preset:spin:1:2", "preset:spin:1:2"), ("mu-lambda:1:2", "preset:mu-lambda:1:2"),
+    ])
+    def test_malformed_token_is_a_bad_preset(self, capsys, token, preset):
+        code, out, err = run(capsys, ["probe", "--pair", f"{token},spin:1", "--trials", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: bad preset {preset!r}, expected preset:<family>:<param>\n"
+
     def test_spin_at_the_configuration_cap_is_built(self, monkeypatch):
         # 2S+1 = CONFIG_CAP exactly is allowed; a smaller cap keeps it quick.
         monkeypatch.setattr(cli.oracle, "CONFIG_CAP", 7)

@@ -16,7 +16,6 @@ from wells_majorize.errors import (
 from wells_majorize import oracle
 from wells_majorize.oracle import (
     _CHUNK,
-    _FLUSH_CHUNKS,
     _FSUM_MAX_SIZE,
     CouplingSet,
     Lattice,
@@ -444,15 +443,14 @@ class TestExactSum:
         x[::3] = SCALES["subnormal"](rng, x[::3].size)
         assert repr(_exact_sum(x, "sum")) == repr(math.fsum(x.tolist()))
 
-    def test_sums_past_the_flush_bound(self):
-        # Between flushes at most _FLUSH_CHUNKS * _CHUNK addends reach a
-        # bin, each adding below 2**27 units to either of its totals.
-        assert _FLUSH_CHUNKS * _CHUNK * 2**27 <= 2**53
+    def test_sums_at_the_configuration_cap(self):
+        # An expectation sums at most CONFIG_CAP addends, each adding
+        # below 2**27 units to either of its bin's float64 totals.
+        assert oracle.CONFIG_CAP * 2**27 <= 2**53
         # The largest mantissa, broadcast so that no addend takes memory,
-        # into a second block of chunks that ends inside a chunk.
-        count = _FLUSH_CHUNKS * _CHUNK + 3 * _CHUNK + 5
-        x = np.broadcast_to(np.float64(1.0 - 2.0**-53), (count,))
-        assert _binned_sum(x) == count * (2**53 - 1) << 1074
+        # into every addend of one bin, ending inside a chunk.
+        x = np.broadcast_to(np.float64(1.0 - 2.0**-53), (oracle.CONFIG_CAP,))
+        assert _binned_sum(x) == oracle.CONFIG_CAP * (2**53 - 1) << 1074
 
     @pytest.mark.parametrize("size", [3, _FSUM_MAX_SIZE + 3, 2 * _CHUNK + 3])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -103,6 +103,11 @@ class TestMeasureFamilies:
         assert values[0] == 1  # the two-point case
         assert all(v > F(1, 3) for v in values)
 
+    def test_spin_second_moment_matches_the_atoms(self):
+        for t in range(1, 201):
+            S = SpinValue(t)
+            assert spin_second_moment(S) == spin_measure(S).second_moment()
+
 
 class TestWellsTerm:
     def test_two_point_collapses_to_power(self):
