@@ -5,7 +5,10 @@ Unlike the exact modules, expectations here use double precision: the
 Boltzmann weight is transcendental, so the exactness lives in the
 complete configuration enumeration, with exact, correctly rounded
 summation and an explicit tolerance on every comparison. The inverse
-temperature is absorbed into the couplings.
+temperature is absorbed into the couplings. A probe builds each
+measure's enumeration tables (spin views, prior tensor, coupling
+monomials) once and shares them across its trials; nothing is cached
+beyond one probe.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ MAX_SUBSET_SIZE = 3
 # comparison magnitude is an irrational root).
 FloatAtoms = Sequence[tuple[float, float]]
 MeasureLike = Union[DiscreteMeasure, FloatAtoms]
+# A measure's tables for n sites: the spin view of each axis of the
+# (k,) * n tensor, the prior tensor, and coupling monomials by axes.
+_Tables = tuple[list[np.ndarray], np.ndarray, dict[tuple[int, ...], np.ndarray]]
 
 
 def float_atoms(measure: MeasureLike) -> list[tuple[float, float]]:
@@ -176,10 +182,54 @@ def _binned_sum(x: np.ndarray) -> int:
                for i in np.flatnonzero(sums).tolist())
 
 
+def _check_cap(k: int, n: int) -> None:
+    if k**n > CONFIG_CAP:
+        raise ResourceLimitError(f"{k}**{n} configurations exceed cap {CONFIG_CAP}")
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise PreconditionError(f"tol must be finite and >= 0, got {tol}")
+
+
+class _PreparedMeasure:
+    """The enumeration tables of one measure, built once and shared by
+    every gibbs_expectation call it is passed to.
+
+    `atoms` is the measure as float_atoms returns it, a list of
+    (value, weight) float pairs validated once; a caller holding only
+    the object reads k = len(atoms) from it. For each site count n the
+    object keeps, from the first expectation over n sites on, the
+    per-axis spin views of the (k,) * n tensor, the prior tensor and the
+    coupling monomials. A monomial is keyed by its subset's axis
+    positions in the subset's own iteration order and formed as
+    math.prod over those views, so it has the same bits as the product
+    gibbs_expectation would otherwise form. The tables live as long as
+    the object and are never written.
+    """
+
+    def __init__(self, measure: MeasureLike) -> None:
+        self.atoms = float_atoms(measure)
+        self._values = np.array([v for v, _ in self.atoms])
+        self._weights = np.array([w for _, w in self.atoms])
+        self._tables: dict[int, _Tables] = {}
+
+    def tables(self, n: int) -> _Tables:
+        """The tables for n sites, built on first use."""
+        tables = self._tables.get(n)
+        if tables is None:
+            k = len(self.atoms)
+            shapes = [(1,) * i + (k,) + (1,) * (n - 1 - i) for i in range(n)]
+            prior = math.prod(self._weights.reshape(shape) for shape in shapes)
+            prior.flags.writeable = False
+            tables = self._tables[n] = ([self._values.reshape(shape) for shape in shapes], prior, {})
+        return tables
+
+
 def gibbs_expectation(
     lattice: Lattice,
     couplings: CouplingSet,
-    measure: MeasureLike,
+    measure: MeasureLike | _PreparedMeasure,
     B: Iterable[int],
 ) -> float:
     """<sigma^B> by complete enumeration of the product measure.
@@ -191,28 +241,25 @@ def gibbs_expectation(
     B order). The energy and its Boltzmann factors span only the axes of
     the sites some coupling touches, and multiply the prior tensor last.
     Both sums are exact and correctly rounded, so results are
-    reproducible to the last bit for a given input. Raises NumericError
-    when an expectation or the partition function is not a finite
-    positive float.
+    reproducible to the last bit for a given input. `measure` may be a
+    _PreparedMeasure, whose tables are then reused; a bare measure gets
+    a fresh one. Raises NumericError when an expectation or the partition
+    function is not a finite positive float.
     """
     B = tuple(B)
-    site_set = set(lattice.sites)
+    axis = {site: i for i, site in enumerate(lattice.sites)}
     for subset, _ in couplings.terms:
-        if not subset <= site_set:
+        if not subset <= axis.keys():
             raise ValidationError(f"coupling subset {sorted(subset)} outside the lattice")
-    if not set(B) <= site_set:
+    if not set(B) <= axis.keys():
         raise ValidationError("observable subset outside the lattice")
-    atoms = float_atoms(measure)
-    k, n = len(atoms), len(lattice.sites)
-    if k**n > CONFIG_CAP:
-        raise ResourceLimitError(f"{k}**{n} configurations exceed cap {CONFIG_CAP}")
+    if not isinstance(measure, _PreparedMeasure):
+        measure = _PreparedMeasure(measure)
+    n = len(lattice.sites)
+    _check_cap(len(measure.atoms), n)
     if not B:
         return 1.0
-
-    values = np.array([v for v, _ in atoms])
-    weights = np.array([w for _, w in atoms])
-    axis_shapes = [(1,) * i + (k,) + (1,) * (n - 1 - i) for i in range(n)]
-    spin = {site: values.reshape(shape) for site, shape in zip(lattice.sites, axis_shapes)}
+    spin, prior, monomials = measure.tables(n)
 
     # Overflow shows up as inf or NaN in the sums, which raise NumericError.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,8 +267,12 @@ def gibbs_expectation(
         # the energy grows by broadcasting or is updated in place.
         energy = np.zeros((1,) * n)
         for subset, strength in couplings.terms:
-            term = strength * math.prod(spin[site] for site in subset)
-            if energy.size == k**n:
+            axes = tuple(axis[site] for site in subset)
+            monomial = monomials.get(axes)
+            if monomial is None:
+                monomial = monomials[axes] = math.prod(spin[i] for i in axes)
+            term = strength * monomial
+            if energy.size == prior.size:
                 energy -= term
             else:
                 energy = energy - term
@@ -229,14 +280,14 @@ def gibbs_expectation(
         # keeps every Boltzmann factor in (0, 1], so strong couplings
         # cannot overflow exp and the partition function stays finite.
         boltz = np.exp(np.subtract(energy.min(), energy, out=energy), out=energy)
-        # IEEE multiplication commutes, so prior * boltz is boltz * prior
-        # in every cell.
-        weighted = math.prod(weights.reshape(shape) for shape in axis_shapes)
-        weighted *= boltz
+        # IEEE multiplication commutes, so boltz * prior is prior * boltz
+        # in every cell; a Boltzmann tensor over every cell takes the
+        # product in place.
+        weighted = np.multiply(boltz, prior, out=boltz if boltz.size == prior.size else None)
         Z = _exact_sum(weighted, "partition function degenerate")
         if Z <= 0.0:
             raise NumericError(f"partition function degenerate: {Z}")
-        weighted *= math.prod(spin[site] for site in B)
+        weighted *= math.prod(spin[axis[site]] for site in B)
         value = _exact_sum(weighted, "expectation not finite") / Z
     if not math.isfinite(value):
         raise NumericError(f"expectation not finite: {value}")
@@ -258,7 +309,9 @@ def domination_check(
     B: Iterable[int],
     tol: float = DEFAULT_TOL,
 ) -> DominationResult:
-    """Check <sigma^B>_mu <= <sigma^B>_nu up to an absolute tolerance."""
+    """Check <sigma^B>_mu <= <sigma^B>_nu up to an absolute tolerance,
+    which must be finite and >= 0."""
+    _check_tol(tol)
     B = tuple(B)
     lhs = gibbs_expectation(lattice, couplings, mu, B)
     rhs = gibbs_expectation(lattice, couplings, nu, B)
@@ -277,8 +330,7 @@ class ProbeConfig:
     def __post_init__(self) -> None:
         if self.trials < 0 or self.site_cap < 1:
             raise PreconditionError("trials must be >= 0 and site_cap >= 1")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise PreconditionError(f"tol must be finite and >= 0, got {self.tol}")
+        _check_tol(self.tol)
 
 
 def random_probe(
@@ -289,9 +341,14 @@ def random_probe(
     Deterministic for a given seed: trials run sequentially in draw order.
     Violations are reported with the full serialized instance as witness;
     with zero violations and zero trials the result is an empty pass.
+    Each measure's enumeration tables are built once and shared by every
+    trial, and a site cap whose largest instance would exceed CONFIG_CAP
+    for either measure is refused before any trial.
     """
     rng = random.Random(config.seed)
-    mu, nu = float_atoms(mu), float_atoms(nu)
+    mu, nu = _PreparedMeasure(mu), _PreparedMeasure(nu)
+    for prepared in (mu, nu):
+        _check_cap(len(prepared.atoms), config.site_cap)
     witnesses = []
     for trial in range(config.trials):
         n = rng.randint(1, config.site_cap)

@@ -450,6 +450,15 @@ class TestProbeCommand:
         code, out, err = run(capsys, ["probe", "--pair", pair, "--trials", "1", "--format", "json"])
         assert (code, out, err) == (2, "", "error: spin measure has 2S+1 > 1000000 atoms\n")
 
+    @pytest.mark.parametrize("trials", ["0", "3"])
+    def test_site_cap_over_the_configuration_cap_is_refused(self, capsys, trials):
+        # Refused up front, even with no trial or only small draws to run.
+        code, out, err = run(capsys, [
+            "probe", "--pair", "spin:1,spin:1", "--trials", trials, "--site-cap", "20",
+            "--seed", "22", "--format", "json",
+        ])
+        assert (code, out, err) == (2, "", "error: 3**20 configurations exceed cap 1000000\n")
+
     def test_rms_spin_under_the_cap_builds_no_atoms(self, capsys, monkeypatch):
         build = wells.spin_measure
         monkeypatch.setattr(wells, "spin_measure", lambda S: (

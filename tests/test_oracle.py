@@ -38,6 +38,8 @@ from wells_majorize.wells import (
 )
 
 PM_ONE = bernoulli_float_atoms(1.0)
+# Three atoms whose products depend on the order of their factors.
+SKEW = [(0.49, 0.25), (-1.83, 0.25), (-1.57, 0.5)]
 
 
 def pair_coupling(J):
@@ -202,6 +204,13 @@ class TestDominationCheck:
         )
         assert not res.holds and res.lhs > res.rhs
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-12])
+    def test_rejects_bad_tolerance(self, monkeypatch, tol):
+        # Refused before any expectation, as ProbeConfig refuses it.
+        monkeypatch.setattr(oracle, "gibbs_expectation", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(PreconditionError, match="tol must be finite and >= 0"):
+            domination_check(Lattice.of_size(2), pair_coupling(1.0), PM_ONE, PM_ONE, (0, 1), tol=tol)
+
 
 class TestRandomProbe:
     def test_deterministic_for_seed(self):
@@ -227,8 +236,30 @@ class TestRandomProbe:
         monkeypatch.setattr(oracle, "gibbs_expectation", spy)
         mu, nu = mu_lambda_measure(Fraction(1, 4)), spin_measure(SpinValue.parse(1))
         random_probe(ProbeConfig(seed=3, trials=5, site_cap=3), mu, nu)
+        # One prepared measure each, shared by every trial.
         assert len(seen) == 10 and len({id(m) for m in seen}) == 2
-        assert seen[:2] == [float_atoms(mu), float_atoms(nu)]
+        assert seen[0] is not seen[1]
+        assert [seen[0].atoms, seen[1].atoms] == [float_atoms(mu), float_atoms(nu)]
+
+    @pytest.mark.parametrize("trials", [0, 3])
+    @pytest.mark.parametrize("spin_is_mu", [True, False])
+    def test_site_cap_over_the_configuration_cap_is_refused(self, monkeypatch, trials, spin_is_mu):
+        # 3**13 cells exceed the cap, 2**13 do not. Seed 18 draws 3, 3
+        # and 6 sites, so this probe used to pass without ever meeting
+        # the cap; now the cap is checked for either measure on the
+        # largest instance, before any trial.
+        monkeypatch.setattr(oracle, "domination_check", lambda *a, **k: pytest.fail("ran a trial"))
+        spin = spin_measure(SpinValue.parse(1))
+        pair = (spin, PM_ONE) if spin_is_mu else (PM_ONE, spin)
+        config = ProbeConfig(seed=18, trials=trials, site_cap=13)
+        with pytest.raises(ResourceLimitError, match=r"^3\*\*13 configurations exceed cap 1000000$"):
+            random_probe(config, *pair)
+
+    def test_site_cap_at_the_configuration_cap_is_accepted(self):
+        # 10 atoms on 6 sites is exactly CONFIG_CAP configurations.
+        ten = [(float(v), 0.1) for v in range(-5, 5)]
+        report = random_probe(ProbeConfig(seed=1, trials=0, site_cap=6), ten, PM_ONE)
+        assert report.status == PASS
 
     def test_rms_two_point_vs_spin_passes(self):
         # The canonical two-point comparison measure never beats the spin
@@ -275,23 +306,28 @@ SPINS = ["1/2", "1", "3/2", "2", "5/2", "3", "7/2", "4"]
 
 
 @st.composite
-def gibbs_instances(draw, max_configs=20_000):
-    """An instance with 1-7 sites in shuffled lattice order, 1-3-body
-    couplings in [0, 2], an observable of any size (repeats allowed) and
-    an irrational two-point, a spin (2-9 atoms), a three-point measure
+def measures(draw):
+    """An irrational two-point, a spin (2-9 atoms), a three-point measure
     with a zero atom or 2-4 arbitrary float atoms, whose products depend
     on the order of their factors."""
     family = draw(st.sampled_from(["bernoulli-rms", "spin", "mu-lambda", "float"]))
     if family == "float":
         values = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4, unique=True))
-        measure = [(v, draw(st.floats(0.01, 1.0))) for v in values]
-    elif family == "bernoulli-rms":
+        return [(v, draw(st.floats(0.01, 1.0))) for v in values]
+    if family == "bernoulli-rms":
         S = SpinValue.parse(draw(st.sampled_from(SPINS)))
-        measure = bernoulli_float_atoms(math.sqrt(float(spin_second_moment(S))))
-    elif family == "spin":
-        measure = spin_measure(SpinValue.parse(draw(st.sampled_from(SPINS))))
-    else:
-        measure = mu_lambda_measure(Fraction(draw(st.integers(1, 19)), 20))
+        return bernoulli_float_atoms(math.sqrt(float(spin_second_moment(S))))
+    if family == "spin":
+        return spin_measure(SpinValue.parse(draw(st.sampled_from(SPINS))))
+    return mu_lambda_measure(Fraction(draw(st.integers(1, 19)), 20))
+
+
+@st.composite
+def gibbs_instances(draw, max_configs=20_000):
+    """An instance with 1-7 sites in shuffled lattice order, 1-3-body
+    couplings in [0, 2], an observable of any size (repeats allowed) and
+    a measure drawn by measures()."""
+    measure = draw(measures())
     k = len(float_atoms(measure))
     n = draw(st.integers(1, max(n for n in range(1, 8) if k**n <= max_configs)))
     sites = draw(st.permutations([3 * i + 1 for i in range(n)]))
@@ -324,7 +360,7 @@ class TestTensorEnumeration:
     @example(example_instance(
         (4, 1, 7),
         {(1, 4): 2.0, (7,): 0.3, (1,): 1.2},
-        [(0.49, 0.25), (-1.83, 0.25), (-1.57, 0.5)],
+        SKEW,
         [7, 1],
     ))
     def test_matches_grid_enumeration_to_the_bit(self, instance):
@@ -357,7 +393,7 @@ class TestTensorEnumeration:
         instance = (
             Lattice(sites),
             CouplingSet.from_dict({frozenset(sites): 1.1}),
-            [(0.49, 0.25), (-1.83, 0.25), (-1.57, 0.5)],
+            SKEW,
             sites,
         )
         assert repr(gibbs_expectation(*instance)) == repr(grid_expectation(*instance))
@@ -382,6 +418,52 @@ class TestTensorEnumeration:
         huge = bernoulli_float_atoms(1e200)
         with pytest.raises(NumericError, match="partition function degenerate|expectation not finite"):
             gibbs_expectation(Lattice.of_size(2), CouplingSet.from_dict(terms), huge, B)
+
+
+@st.composite
+def shared_measure_instances(draw, max_configs=5_000):
+    """One measure and a shuffled list of instances under it: 1-3
+    coupling-and-observable patterns, each on 1-5 sites, each laid on
+    1-3 lattices whose labels are drawn from 0-11 in any order, so site
+    counts interleave and the same subsets recur under other labels."""
+    measure = draw(measures())
+    k = len(float_atoms(measure))
+    n_max = max(n for n in range(1, 6) if k**n <= max_configs)
+    instances = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, n_max))
+        subsets = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=min(3, n))
+        terms = draw(st.dictionaries(subsets, st.floats(0.0, 2.0), max_size=2 * n))
+        B = draw(st.lists(st.integers(0, n - 1), max_size=n + 1))
+        for _ in range(draw(st.integers(1, 3))):
+            sites = draw(st.lists(st.integers(0, 11), min_size=n, max_size=n, unique=True))
+            couplings = {frozenset(sites[i] for i in subset): J for subset, J in terms.items()}
+            instances.append(example_instance(tuple(sites), couplings, measure, [sites[i] for i in B]))
+    return measure, draw(st.permutations(instances))
+
+
+class TestPreparedMeasure:
+    """One prepared measure, reused by many expectations, gives bit for
+    bit what a fresh one per expectation gives."""
+
+    @given(shared_measure_instances())
+    @settings(max_examples=150, deadline=None)
+    # The three-site subset iterates its axes in another order on
+    # (7, 3, 11) than on (0, 1, 2), and these atoms' products depend on
+    # that order, so a monomial keyed by its set of axes alone fails here.
+    @example((SKEW, [
+        example_instance((0, 1, 2), {(0, 1, 2): 0.9, (1,): 0.4}, SKEW, [0, 1]),
+        example_instance((4,), {(4,): 1.5}, SKEW, [4]),
+        example_instance((7, 3, 11), {(7, 3, 11): 0.9, (3,): 0.4}, SKEW, [7, 3]),
+        example_instance((11, 3, 7), {(11, 3, 7): 0.9}, SKEW, [3, 3, 7]),
+    ]))
+    def test_reuse_matches_a_fresh_measure_to_the_bit(self, case):
+        measure, instances = case
+        prepared = oracle._PreparedMeasure(measure)
+        assert prepared.atoms == float_atoms(measure)
+        for lattice, couplings, _, B in instances:
+            shared = gibbs_expectation(lattice, couplings, prepared, B)
+            assert repr(shared) == repr(gibbs_expectation(lattice, couplings, measure, B))
 
 
 def fraction_sum(values):
