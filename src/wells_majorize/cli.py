@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -252,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and print its report in the chosen format.
-    timing_ms is the subcommand's wall time, before rendering."""
+    timing_ms is the subcommand's wall time, before rendering. A reader
+    that closes standard output early does not change the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
@@ -263,11 +265,21 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT
     report.timing_ms = (time.perf_counter() - start) * 1000.0
     if args.format == "json":
-        print(report.to_json())
+        text = report.to_json() + "\n"
     elif args.format == "csv":
-        print(report.to_csv(), end="")
+        text = report.to_csv()
     else:
-        print(report.to_text())
+        text = report.to_text() + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output early, as `| head` does. The
+        # unwritten rest goes to os.devnull, so the flush at interpreter
+        # shutdown cannot fail again, and the verdict's code still stands.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report.exit_code
 
 

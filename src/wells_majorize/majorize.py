@@ -1,12 +1,17 @@
 """Majorization order on non-negative vectors, in exact rational arithmetic.
 
-Vectors hold `Fraction` entries and the only convex test functions are the
-odd powers t**(2m+1), the ones the paper's Karamata argument needs, so every
-inequality check reduces to integer comparisons. Nothing here ever rounds.
+Vectors hold `Fraction` entries, but every comparison, running sum and
+power runs on Python integers: each vector is put once over one common
+denominator D, the lcm of its entries' denominators, and two vectors
+compared with each other over the lcm of theirs. A `Fraction` is built
+only for a value that a public function returns. The only convex test
+functions are the odd powers t**(2m+1), the ones the paper's Karamata
+argument needs. Nothing here ever rounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -14,7 +19,7 @@ from itertools import accumulate
 from typing import Iterable, Union
 
 from .errors import LengthMismatchError, PreconditionError, ValidationError
-from .rationals import parse_rational
+from .rationals import clear_denominators, parse_rational
 
 RationalLike = Union[Fraction, int, str]
 
@@ -31,7 +36,7 @@ class NonNegVector:
         for e in self.entries:
             if not isinstance(e, Fraction):
                 raise ValidationError(f"entry {e!r} is not a Fraction")
-            if e < 0:
+            if e.numerator < 0:
                 raise ValidationError(f"negative entry {e}")
 
     @classmethod
@@ -48,20 +53,57 @@ class NonNegVector:
         return self.entries[i]
 
     @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...]]:
+        return clear_denominators(self.entries)
+
+    @cached_property
+    def _order(self) -> list[int]:
+        """Indices of the entries in decreasing order. Stable: ties keep
+        their original index order."""
+        scaled = self._scaled[1]
+        return sorted(range(len(scaled)), key=scaled.__getitem__, reverse=True)
+
+    @cached_property
     def decreasing(self) -> tuple[Fraction, ...]:
-        # Stable: ties keep their original index order.
-        return tuple(sorted(self.entries, reverse=True))
+        return tuple(self.entries[i] for i in self._order)
+
+    @cached_property
+    def _decreasing_scaled(self) -> tuple[int, ...]:
+        scaled = self._scaled[1]
+        return tuple(scaled[i] for i in self._order)
 
     def total(self) -> Fraction:
-        return sum(self.entries, Fraction(0))
+        D, scaled = self._scaled
+        return Fraction(sum(scaled), D)
+
+
+def _over_common_denominator(
+    x: NonNegVector, y: NonNegVector, decreasing: bool = False
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The entries of x and y, or of their decreasing rearrangements, as
+    integers over one common denominator, the lcm of the two vectors'."""
+    D = math.lcm(x._scaled[0], y._scaled[0])
+
+    def rescaled(v: NonNegVector) -> tuple[int, ...]:
+        k = D // v._scaled[0]
+        ints = v._decreasing_scaled if decreasing else v._scaled[1]
+        return ints if k == 1 else tuple(a * k for a in ints)
+
+    return rescaled(x), rescaled(y)
+
+
+def _power_sum(D: int, scaled: Iterable[int], n: int) -> Fraction:
+    """sum (a / D)**n over the integers a of scaled, as one Fraction."""
+    return Fraction(sum(a**n for a in scaled), D**n)
 
 
 def partial_sums(v: NonNegVector) -> list[Fraction]:
     """Running sums of the decreasing rearrangement; the last is the total."""
-    return list(accumulate(v.decreasing))
+    D = v._scaled[0]
+    return [Fraction(s, D) for s in accumulate(v._decreasing_scaled)]
 
 
-def _first_shortfall(sa: Iterable[Fraction], sb: Iterable[Fraction]) -> int | None:
+def _first_shortfall(sa: Iterable[int], sb: Iterable[int]) -> int | None:
     """The 1-based first position where the running sums sa fall below the
     running sums sb, or None when they never do."""
     return next((i for i, (a, b) in enumerate(zip(sa, sb), 1) if a < b), None)
@@ -72,8 +114,9 @@ def majorizes(x: NonNegVector, y: NonNegVector) -> bool:
     partial sums of the decreasing rearrangements."""
     if len(x) != len(y):
         raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
-    sx = partial_sums(x)
-    sy = partial_sums(y)
+    xs, ys = _over_common_denominator(x, y, decreasing=True)
+    sx = list(accumulate(xs))
+    sy = list(accumulate(ys))
     return sx[-1] == sy[-1] and _first_shortfall(sx, sy) is None
 
 
@@ -85,9 +128,7 @@ class SingleCrossing:
     crossing_index: int | None = None  # 1-based position of the crossing
 
 
-def _single_crossing_index(
-    xs: tuple[Fraction, ...], ys: tuple[Fraction, ...]
-) -> int | None:
+def _single_crossing_index(xs: tuple[int, ...], ys: tuple[int, ...]) -> int | None:
     """The first position where xs is at or below ys (len(xs) if there is
     none), provided xs never rises above ys again from there on; None when
     it does. Sequences are compared as given, not rearranged."""
@@ -107,7 +148,7 @@ def single_crossing_majorizes(x: NonNegVector, y: NonNegVector) -> SingleCrossin
     """
     if len(x) != len(y):
         raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
-    xs, ys = x.decreasing, y.decreasing
+    xs, ys = _over_common_denominator(x, y, decreasing=True)
     if sum(xs) != sum(ys):
         raise PreconditionError("single-crossing criterion requires equal totals")
     first = _single_crossing_index(xs, ys)
@@ -157,6 +198,5 @@ def karamata_verify(
     """
     if not majorizes(x, y):
         raise PreconditionError("inputs are not in majorization order")
-    lhs = sum((phi.value(e) for e in x), Fraction(0))
-    rhs = sum((phi.value(e) for e in y), Fraction(0))
+    lhs, rhs = (_power_sum(*v._scaled, phi.exponent) for v in (x, y))
     return KaramataResult(holds=lhs >= rhs, lhs=lhs, rhs=rhs)

@@ -2,14 +2,18 @@
 
 Rationals are carried everywhere as `fractions.Fraction` (arbitrary
 precision, always in lowest terms, positive denominator) and cross the
-CLI boundary as strings "p/q" or "p", never as floats.
+CLI boundary as strings "p/q" or "p", never as floats. Inner loops carry
+a sequence of them as integers over one common denominator
+(`clear_denominators`).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ValidationError
 
@@ -74,6 +78,13 @@ def format_rational(q: Fraction) -> str:
     except ValueError:  # str() refuses integers over MAX_DIGITS digits
         parts = (q.numerator,) if q.denominator == 1 else (q.numerator, q.denominator)
         return "/".join(str(Decimal(n)) for n in parts)
+
+
+def clear_denominators(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(D, the values times D), with D the lcm of their denominators: the
+    values as exact integers over one common denominator."""
+    D = math.lcm(*(q.denominator for q in values))
+    return D, tuple(q.numerator * (D // q.denominator) for q in values)
 
 
 def parse_rational_vector(text: str) -> tuple[Fraction, ...]:

@@ -19,8 +19,10 @@ Two grid flavours appear throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterator, Optional
 
@@ -30,11 +32,13 @@ from .majorize import (
     OddConvexFunction,
     SingleCrossing,
     _first_shortfall,
+    _over_common_denominator,
+    _power_sum,
     _single_crossing_index,
     karamata_verify,
     single_crossing_majorizes,
 )
-from .rationals import parse_rational
+from .rationals import clear_denominators, parse_rational
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS, VerificationReport
 
 HALF_ODD = "half-odd"
@@ -161,6 +165,9 @@ class PsiGrid:
     strictly increasing, discretely convex.
     integer variant: values (psi(-N/N), ..., psi(N/N)), even, non-negative,
     discretely convex.
+
+    The samples are validated, and their mean computed, once per grid on
+    integers over their common denominator.
     """
 
     variant: str
@@ -169,14 +176,14 @@ class PsiGrid:
 
     def __post_init__(self) -> None:
         N = self.subdivisions
-        vals = self.values
         if self.variant not in (HALF_ODD, INTEGER):
             raise ValidationError(f"unknown variant {self.variant!r}")
         if N < 1:
             raise ValidationError(f"{self.variant} grid needs N >= 1")
         expected = N + 1 if self.variant == HALF_ODD else 2 * N + 1
-        if len(vals) != expected:
-            raise ValidationError(f"expected {expected} samples, got {len(vals)}")
+        if len(self.values) != expected:
+            raise ValidationError(f"expected {expected} samples, got {len(self.values)}")
+        vals = self._scaled[1]
         if any(v < 0 for v in vals):
             raise ValidationError("samples must be non-negative")
         if self.variant == HALF_ODD:
@@ -210,8 +217,26 @@ class PsiGrid:
         offset = 0 if self.variant == HALF_ODD else self.subdivisions
         return self.values[j + offset]
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...]]:
+        return clear_denominators(self.values)
+
+    @cached_property
+    def _mean(self) -> Fraction:
+        D, vals = self._scaled
+        return Fraction(sum(vals), len(vals) * D)
+
     def mean(self) -> Fraction:
-        return Fraction(sum(self.values), len(self.values))
+        return self._mean
+
+
+def _centered(grid: PsiGrid, mean: Fraction) -> tuple[int, list[int]]:
+    """(C, the samples less the mean, times C), with C the lcm of the
+    samples' common denominator and the mean's denominator."""
+    D, vals = grid._scaled
+    C = math.lcm(D, mean.denominator)
+    k, M = C // D, mean.numerator * (C // mean.denominator)
+    return C, [v * k - M for v in vals]
 
 
 @dataclass(frozen=True)
@@ -233,16 +258,17 @@ def _excesses_and_deficits(grid: PsiGrid) -> ConstructionPair:
     InvariantError when under half the samples sit at or below the mean,
     or when the two totals differ."""
     mean = grid.mean()
-    deficits = sorted((mean - v for v in grid.values if v <= mean), reverse=True)
-    excesses = sorted((v - mean for v in grid.values if v > mean), reverse=True)
+    C, centered = _centered(grid, mean)
+    deficits = sorted((-c for c in centered if c <= 0), reverse=True)
+    excesses = sorted((c for c in centered if c > 0), reverse=True)
     n, q = len(deficits), len(excesses)
     if 2 * n < len(grid.values):
         samples = "(N+1)" if grid.variant == HALF_ODD else "(2N+1)"
         raise InvariantError(f"below-mean count fell under {samples}/2")
-    x = NonNegVector(tuple(excesses) + (Fraction(0),) * (n - q))
-    y = NonNegVector(tuple(deficits))
-    if x.total() != y.total():
+    if sum(excesses) != sum(deficits):
         raise InvariantError("construction totals differ")
+    x = NonNegVector(tuple(Fraction(e, C) for e in excesses) + (Fraction(0),) * (n - q))
+    y = NonNegVector(tuple(Fraction(d, C) for d in deficits))
     return ConstructionPair(x=x, y=y, n=n, q=q, mean=mean)
 
 
@@ -336,8 +362,7 @@ def _karamata_tail(
     except PreconditionError:
         kara = None
         witnesses.append({"reason": "majorization cross-check failed", "x": x, "y": y})
-    mean = grid.mean()
-    full_sum = sum((phi.value(v - mean) for v in grid.values), Fraction(0))
+    full_sum = _power_sum(*_centered(grid, grid.mean()), phi.exponent)
     if kara is not None and kara.lhs - kara.rhs != full_sum:
         witnesses.append({"reason": "karamata difference != centered sum"})
     if full_sum < 0:
@@ -411,16 +436,17 @@ def split_domination_check(w: NonNegVector, y: NonNegVector) -> SplitDomination:
     position 4 on."""
     if len(w) != len(y):
         raise PreconditionError("length mismatch")
-    sw = list(accumulate(w.entries))
-    sy = list(accumulate(y.entries))
+    ws, ys = _over_common_denominator(w, y)
+    sw = list(accumulate(ws))
+    sy = list(accumulate(ys))
     failing = _first_shortfall(sw, sy)
-    head_ok = w[0] >= y[0]
+    head_ok = ws[0] >= ys[0]
     block_ok = len(w) >= 3 and sw[1] >= sy[2]
     return SplitDomination(
         holds=failing is None,
         head_ok=head_ok,
         block_ok=block_ok,
-        tail_single_crossing=_single_crossing_index(w.entries[3:], y.entries[3:]) is not None,
+        tail_single_crossing=_single_crossing_index(ws[3:], ys[3:]) is not None,
         failing_index=failing,
     )
 
@@ -469,7 +495,8 @@ def verify_integer_theorem(
             witnesses.append({"reason": "w running sums fail", "index": split.failing_index})
         # x is the decreasing rearrangement of w, so its running sums
         # dominate w's; verified rather than assumed.
-        if _first_shortfall(accumulate(x.entries), accumulate(w.entries)) is not None:
+        xs, ws = _over_common_denominator(x, w)
+        if _first_shortfall(accumulate(xs), accumulate(ws)) is not None:
             witnesses.append({"reason": "x running sums fail against w"})
 
     full_sum = _karamata_tail(grid, x, y, phi, witnesses)

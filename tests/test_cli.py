@@ -562,6 +562,25 @@ class TestArgumentErrors:
         assert "details.msw: 1/2" in out
 
 
+class TestClosedStdout:
+    def test_reader_closing_after_one_line_keeps_the_exit_code(self):
+        # About 1.7 MB of JSON, far more than a pipe buffer holds, so the
+        # report is still being written when the reader closes its end.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = ["verify-conjecture", "--s-max", "200", "--m-max", "30", "--format", "json"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "wells_majorize.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert first == b"{\n"
+        assert err == b""
+        assert code == 0
+
+
 # Value pools per flag for the fuzz test: valid and malformed tokens, all
 # small enough that every run is quick.
 SPINS = ["1/2", "1", "3/2", "7/2", "0", "-1", "2/3", "x", "", "1e5000"]

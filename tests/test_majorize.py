@@ -247,3 +247,100 @@ def test_majorizes_matches_literal_definition(data):
     entries = st.lists(st.integers(0, 4).map(F), min_size=n, max_size=n)
     x, y = data.draw(entries), data.draw(entries)
     assert majorizes(NonNegVector(tuple(x)), NonNegVector(tuple(y))) == literal_majorizes(x, y)
+
+
+# The integer kernels against a literal Fraction reference: the textbook
+# definitions, computed entry by entry in Fraction arithmetic. Entries mix
+# small denominators with large coprime ones, so the common denominator of
+# a vector, and of a pair, is often far from any one entry's.
+DENOMINATORS = st.one_of(st.integers(1, 12), st.sampled_from([10**6 + 3, 10**9 + 7, 998244353]))
+mixed_fractions = st.one_of(
+    st.just(F(0)), st.builds(F, st.integers(0, 60), DENOMINATORS)
+)
+
+
+@st.composite
+def mixed_pairs(draw, max_size=40):
+    """(x, y) of one length 1..max_size. x is y reordered, then moved by
+    transfers from a smaller entry to a larger one (x majorizes y) or the
+    other way (x has y's total but mostly does not majorize it), or x is
+    drawn on its own. Entries repeat from a small pool, so ties are common."""
+    n = draw(st.integers(1, max_size))
+    pool = draw(st.lists(mixed_fractions, min_size=1, max_size=5))
+    entries = st.one_of(st.sampled_from(pool), mixed_fractions)
+    y = draw(st.lists(entries, min_size=n, max_size=n))
+    how = draw(st.sampled_from(["to larger", "to smaller", "independent"]))
+    if how == "independent":
+        return draw(st.lists(entries, min_size=n, max_size=n)), y
+    x = list(draw(st.permutations(y)))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        lo, hi = (i, j) if x[i] <= x[j] else (j, i)
+        if how == "to larger":
+            delta = x[lo] * draw(st.fractions(0, 1, max_denominator=7))
+            x[lo], x[hi] = x[lo] - delta, x[hi] + delta
+        else:
+            delta = (x[hi] - x[lo]) * draw(st.fractions(0, 1, max_denominator=7))
+            x[lo], x[hi] = x[lo] + delta, x[hi] - delta
+    return x, y
+
+
+def literal_partial_sums(entries):
+    running, out = F(0), []
+    for e in sorted(entries, reverse=True):
+        running += e
+        out.append(running)
+    return out
+
+
+def literal_single_crossing(x, y):
+    """(applies, crossing_index) by the definition on the decreasing
+    rearrangements: strictly above before some l >= 2, at or below from l on."""
+    xs, ys = sorted(x, reverse=True), sorted(y, reverse=True)
+    first = next((i for i in range(len(xs)) if xs[i] <= ys[i]), len(xs))
+    if first in (0, len(xs)) or any(xs[i] > ys[i] for i in range(first, len(xs))):
+        return False, None
+    return True, first + 1
+
+
+def literal_power_sum(entries, n):
+    return sum((e**n for e in entries), F(0))
+
+
+class TestIntegerKernelsAgainstFractions:
+    @given(mixed_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_partial_sums_and_rearrangement(self, pair):
+        for entries in pair:
+            v = NonNegVector(tuple(entries))
+            sums = partial_sums(v)
+            assert sums == literal_partial_sums(entries)
+            assert all(type(s) is F for s in sums)
+            assert v.total() == sum(entries, F(0))
+            # Stable: ties keep their index order, as the same objects.
+            expected = sorted(entries, reverse=True)
+            assert all(a is b for a, b in zip(v.decreasing, expected, strict=True))
+
+    @given(mixed_pairs(), st.integers(0, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_order_checks(self, pair, m):
+        x, y = pair
+        xv, yv = NonNegVector(tuple(x)), NonNegVector(tuple(y))
+        holds = literal_majorizes(x, y)
+        assert majorizes(xv, yv) == holds
+
+        if sum(x, F(0)) != sum(y, F(0)):
+            with pytest.raises(PreconditionError, match="requires equal totals"):
+                single_crossing_majorizes(xv, yv)
+        else:
+            crossing = single_crossing_majorizes(xv, yv)
+            assert (crossing.applies, crossing.crossing_index) == literal_single_crossing(x, y)
+            assert holds or not crossing.applies
+
+        phi = OddConvexFunction.power(m)
+        if not holds:
+            with pytest.raises(PreconditionError, match="not in majorization order"):
+                karamata_verify(xv, yv, phi)
+            return
+        lhs, rhs = literal_power_sum(x, 2 * m + 1), literal_power_sum(y, 2 * m + 1)
+        assert karamata_verify(xv, yv, phi) == KaramataResult(holds=lhs >= rhs, lhs=lhs, rhs=rhs)

@@ -13,6 +13,7 @@ from wells_majorize.spin_sums import (
     INTEGER,
     PsiGrid,
     SpinValue,
+    SplitDomination,
     _spin_sum_row,
     build_half_odd_pair,
     build_integer_triple,
@@ -433,3 +434,100 @@ class TestIntegerTheorem:
         report = verify_integer_theorem(square_grid(9), OddConvexFunction.power(2))
         assert report.status == PASS
         assert majorizes(report.details["x"], report.details["y"])
+
+
+# The integer kernels against a literal Fraction reference: the textbook
+# definitions, computed sample by sample in Fraction arithmetic. Samples
+# and entries mix small denominators with large coprime ones.
+DENOMINATORS = st.one_of(st.integers(1, 12), st.sampled_from([10**6 + 3, 10**9 + 7, 998244353]))
+mixed_fractions = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 60), DENOMINATORS))
+positive_fractions = st.builds(F, st.integers(1, 60), DENOMINATORS)
+
+
+@st.composite
+def convex_grids(draw, variant):
+    """A valid grid with mixed denominators: half-odd with N = 1..39 and a
+    positive first step, integer with N = 2..19 and a non-negative one,
+    then non-negative bends, zero about half the time."""
+    if variant == HALF_ODD:
+        N, step = draw(st.integers(1, 39)), draw(positive_fractions)
+    else:
+        N, step = draw(st.integers(2, 19)), draw(mixed_fractions)
+    vals = [draw(mixed_fractions)]
+    for i in range(N):
+        step += draw(mixed_fractions) if i else 0
+        vals.append(vals[-1] + step)
+    if variant == INTEGER:
+        vals = vals[:0:-1] + vals
+    return PsiGrid(variant, N, tuple(vals))
+
+
+def literal_construction(values):
+    """(mean, n, q, x, y) of the excess/deficit construction."""
+    mean = sum(values, F(0)) / len(values)
+    deficits = sorted((mean - v for v in values if v <= mean), reverse=True)
+    excesses = sorted((v - mean for v in values if v > mean), reverse=True)
+    n, q = len(deficits), len(excesses)
+    return mean, n, q, tuple(excesses) + (F(0),) * (n - q), tuple(deficits)
+
+
+def literal_centered_sum(values, exponent):
+    mean = sum(values, F(0)) / len(values)
+    return sum(((v - mean) ** exponent for v in values), F(0))
+
+
+def literal_split(w, y):
+    n = len(w)
+    below = [k for k in range(1, n + 1) if sum(w[:k], F(0)) < sum(y[:k], F(0))]
+    tw, ty = w[3:], y[3:]
+    first = next((i for i in range(len(tw)) if tw[i] <= ty[i]), len(tw))
+    return SplitDomination(
+        holds=not below,
+        head_ok=w[0] >= y[0],
+        block_ok=n >= 3 and w[0] + w[1] >= y[0] + y[1] + y[2],
+        tail_single_crossing=all(tw[i] <= ty[i] for i in range(first, len(tw))),
+        failing_index=below[0] if below else None,
+    )
+
+
+class TestIntegerKernelsAgainstFractions:
+    @given(convex_grids(HALF_ODD), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_half_odd_pair_and_theorem(self, grid, m):
+        mean, n, q, x, y = literal_construction(grid.values)
+        pair = build_half_odd_pair(grid)
+        assert (pair.mean, pair.n, pair.q, pair.w) == (mean, n, q, None)
+        assert (pair.x.entries, pair.y.entries) == (x, y)
+        report = verify_half_odd_theorem(grid, OddConvexFunction.power(m))
+        assert report.status == PASS
+        assert report.details["centered_sum"] == literal_centered_sum(grid.values, 2 * m + 1)
+
+    @given(convex_grids(INTEGER), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_triple_and_theorem(self, grid, m):
+        mean, n, q, x, y = literal_construction(grid.values)
+        w = x[:2] + (F(0),) + x[2:-1] if n - q >= 1 and n >= 3 else x
+        if 2 * n < len(grid.values):
+            # A flat bottom, such as 2, 1, 0, 0, 0, 1, 2, leaves under half
+            # the samples at or below the mean.
+            with pytest.raises(InvariantError, match=r"below-mean count fell under \(2N\+1\)/2"):
+                build_integer_triple(grid)
+        else:
+            triple = build_integer_triple(grid)
+            assert (triple.mean, triple.n, triple.q) == (mean, n, q)
+            assert (triple.x.entries, triple.y.entries, triple.w.entries) == (x, y, w)
+        report = verify_integer_theorem(grid, OddConvexFunction.power(m))
+        if report.status != HYPOTHESIS_NOT_MET:
+            assert report.status == PASS
+            assert report.details["centered_sum"] == literal_centered_sum(grid.values, 2 * m + 1)
+            if x != y:
+                assert report.details["split"] == literal_split(w, y)
+
+    @given(st.integers(1, 40).flatmap(
+        lambda n: st.tuples(*[st.lists(mixed_fractions, min_size=n, max_size=n)] * 2)
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_split_domination(self, pair):
+        w, y = pair
+        split = split_domination_check(NonNegVector(tuple(w)), NonNegVector(tuple(y)))
+        assert split == literal_split(w, y)
