@@ -255,8 +255,9 @@ def _excesses_and_deficits(grid: PsiGrid) -> ConstructionPair:
     """The pair built around the grid's mean: y holds the deficits
     mean - v for v <= mean and x the excesses v - mean for v > mean, both
     sorted decreasingly, with x zero-padded to the deficit count. Raises
-    InvariantError when under half the samples sit at or below the mean,
-    or when the two totals differ."""
+    PreconditionError when under half the samples sit at or below the
+    mean, as on a grid with a flat bottom, and InvariantError when the two
+    totals differ."""
     mean = grid.mean()
     C, centered = _centered(grid, mean)
     deficits = sorted((-c for c in centered if c <= 0), reverse=True)
@@ -264,7 +265,7 @@ def _excesses_and_deficits(grid: PsiGrid) -> ConstructionPair:
     n, q = len(deficits), len(excesses)
     if 2 * n < len(grid.values):
         samples = "(N+1)" if grid.variant == HALF_ODD else "(2N+1)"
-        raise InvariantError(f"below-mean count fell under {samples}/2")
+        raise PreconditionError(f"below-mean count fell under {samples}/2")
     if sum(excesses) != sum(deficits):
         raise InvariantError("construction totals differ")
     x = NonNegVector(tuple(Fraction(e, C) for e in excesses) + (Fraction(0),) * (n - q))

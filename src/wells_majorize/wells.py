@@ -160,19 +160,55 @@ def _scaled_differences(mu: DiscreteMeasure, s: Fraction) -> list[tuple[int, int
     return [(a * q - pD, c) for a, c in squares]
 
 
+def _stop_loss_dominates(terms: list[tuple[int, int]]) -> bool:
+    """True iff sum over d > t of c (d - t) >= sum over d < -t of c (|d| - t)
+    for every t >= 0, for nonzero integers d in increasing order.
+
+    The difference of the two sides is sum c d - t * (sum of c, counted
+    negative for d < 0), over the d with |d| > t. It is piecewise linear
+    in t with kinks only at the |d| and vanishes past the largest, so
+    t = 0 and each |d| suffice. One two-ended merge visits the |d| from
+    the largest down, the two sides' equal |d| together, keeping both
+    sums over the d beyond the current t.
+    """
+    i, j = 0, len(terms) - 1
+    excess = slope = 0
+    while i <= j:
+        (dn, cn), (dp, cp) = terms[i], terms[j]
+        t = max(-dn, dp)
+        if excess < t * slope:
+            return False
+        if dp == t:
+            excess, slope, j = excess + cp * dp, slope + cp, j - 1
+        if dn == -t:
+            excess, slope, i = excess + cn * dn, slope - cn, i + 1
+    return excess >= 0
+
+
 def passes_up_to(mu: DiscreteMeasure, s_squared: Fraction | int | str, n_max: int) -> bool:
     """True iff every centered moment of order n = 1..n_max is >= 0.
 
     A truncation of the all-n criterion: a True result certifies the
     necessary conditions only up to n_max. Evaluated in exact integers
     (see `_scaled_differences`); even orders are sums of non-negative
-    terms, so only the odd ones are read from `_odd_power_sums`, up to
-    the first negative one. `wells_term` is the definition.
+    terms, so only the odd ones matter. `wells_term` is the definition.
+
+    The stop-loss certificate `_stop_loss_dominates` is tried first. For
+    odd n >= 3, x^n = integral over t > 0 of n(n-1) t^(n-2) [(x - t)_+ -
+    (-x - t)_+] dt, and n = 1 is the bracket at t = 0. So when the
+    positive differences' stop-loss sum dominates the negative ones' at
+    every t >= 0, every odd moment is >= 0, whatever n_max is: this is
+    the weighted, weak form of majorization (Marshall, Olkin & Arnold,
+    *Inequalities*, 2nd ed. 2011, ch. 3 and 5; Shaked & Shanthikumar,
+    *Stochastic Orders*, 2007, ch. 4). Only when it fails are the odd
+    moments read from `_odd_power_sums`, up to the first negative one.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     s = parse_rational(s_squared)
     terms = [(d, c) for d, c in _scaled_differences(mu, s) if d]
+    if _stop_loss_dominates(terms):
+        return True
     return all(t >= 0 for t in islice(_odd_power_sums(terms, 1), (n_max + 1) // 2))
 
 
@@ -232,6 +268,12 @@ def t_minus_upper(
 
     The top of the range is never a candidate: with more than two atoms
     some |v| < max|atom|, so at S = max|atom| P_1 < 0 and the tail fails.
+
+    The bisection runs on integers: with top = tp/tq, the bracket after j
+    steps is [top * a / 2^j, top * (a + 1) / 2^j], kept as (a, j), so its
+    width is top / 2^j, each midpoint's square is one
+    Fraction(tp^2 m^2, tq^2 4^j) with m = 2a + 1, and lo and hi are
+    formed once, at the end.
     """
     tol = parse_rational(tol)
     if tol <= 0:
@@ -242,14 +284,15 @@ def t_minus_upper(
     if len(mu.atoms) == 2:
         # Two-point measure: the threshold is the atom magnitude itself.
         return TMinusResult(lo=top, hi=top, n_max_checked=n_max, status=CLOSED_FORM)
-    lo, hi = Fraction(0), top
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s = mid * mid
-        if tail_sign_ok(mu, s) and passes_up_to(mu, s, n_max):
-            lo = mid
-        else:
-            hi = mid
+    tp, tq = top.numerator, top.denominator
+    width, limit = tp * tol.denominator, tol.numerator * tq
+    a = j = 0
+    while width > limit << j:
+        m = 2 * a + 1
+        j += 1
+        s = Fraction(tp * tp * m * m, tq * tq << 2 * j)
+        a = m if tail_sign_ok(mu, s) and passes_up_to(mu, s, n_max) else m - 1
+    lo, hi = Fraction(tp * a, tq << j), Fraction(tp * (a + 1), tq << j)
     return TMinusResult(lo=lo, hi=hi, n_max_checked=n_max, status=CERTIFIED_UP_TO_N_MAX)
 
 

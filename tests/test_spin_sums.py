@@ -510,7 +510,9 @@ class TestIntegerKernelsAgainstFractions:
         if 2 * n < len(grid.values):
             # A flat bottom, such as 2, 1, 0, 0, 0, 1, 2, leaves under half
             # the samples at or below the mean.
-            with pytest.raises(InvariantError, match=r"below-mean count fell under \(2N\+1\)/2"):
+            with pytest.raises(
+                PreconditionError, match=r"below-mean count fell under \(2N\+1\)/2"
+            ):
                 build_integer_triple(grid)
         else:
             triple = build_integer_triple(grid)

@@ -1,13 +1,15 @@
 import math
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, islice
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wells_majorize import wells
 from wells_majorize.errors import DomainError, PreconditionError, ValidationError
-from wells_majorize.spin_sums import SpinValue
+from wells_majorize.spin_sums import SpinValue, _odd_power_sums
 from wells_majorize.wells import (
     CERTIFIED_UP_TO_N_MAX,
     CLOSED_FORM,
@@ -28,6 +30,15 @@ from wells_majorize.wells import (
     tc_bounds,
     wells_term,
 )
+
+# The measure +-2/11, +-3/4, +-1 with weights 3/22, 3/11, 1/11 each. At
+# s = 4847/10000, just below its squared threshold (about 0.48473), the
+# stop-loss certificate fails while every odd moment to order 201 holds.
+FALLBACK = DiscreteMeasure.from_pairs(
+    [(sign * F(v), F(w)) for v, w in (("2/11", "3/22"), ("3/4", "3/11"), ("1", "1/11"))
+     for sign in (1, -1)]
+)
+FALLBACK_S = F(4847, 10000)
 
 
 class TestDiscreteMeasure:
@@ -305,7 +316,107 @@ class TestIntegerPredicate:
             passes_up_to(spin_measure(SpinValue.parse(2)), F(1, 2), 0)
 
 
+def odd_power_loop(mu, s, n_max):
+    """`passes_up_to` without the certificate: the odd moments one by one."""
+    terms = [(d, c) for d, c in wells._scaled_differences(mu, s) if d]
+    return all(t >= 0 for t in islice(_odd_power_sums(terms, 1), (n_max + 1) // 2))
+
+
+def certificate_holds(mu, s):
+    return wells._stop_loss_dominates([(d, c) for d, c in wells._scaled_differences(mu, s) if d])
+
+
+@st.composite
+def measure_and_certificate_point(draw):
+    """An even measure as in `even_measure_and_s` and s drawn from 0, an
+    atom's v^2, the second moment, the top v^2 or an arbitrary rational."""
+    mu, s = draw(even_measure_and_s())
+    squares = [v * v for v, _ in mu.atoms]
+    s = draw(st.sampled_from([F(0), s, mu.second_moment(), max(squares), *squares]))
+    return mu, s
+
+
+class TestStopLossCertificate:
+    """`passes_up_to` tries the certificate before the odd-moment loop."""
+
+    @given(measure_and_certificate_point())
+    @example((FALLBACK, FALLBACK_S))
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_as_the_loop_and_sound(self, case):
+        mu, s = case
+        for n_max in (1, 7, 51, 201):
+            assert passes_up_to(mu, s, n_max) == odd_power_loop(mu, s, n_max), n_max
+        if certificate_holds(mu, s):
+            assert all(wells_term(mu, s, n) >= 0 for n in range(1, 62, 2))
+
+    def test_fallback_example_runs_the_loop(self):
+        # The explicit example above reaches the loop, and the loop passes.
+        assert not certificate_holds(FALLBACK, FALLBACK_S)
+        with mock.patch.object(wells, "_odd_power_sums", wraps=_odd_power_sums) as spy:
+            assert passes_up_to(FALLBACK, FALLBACK_S, 201)
+        spy.assert_called_once()
+
+    def test_spin_four_is_certified_without_powers(self):
+        # A bypassed certificate would raise 10^4 / 2 odd powers here.
+        mu = spin_measure(SpinValue.parse(4))
+        with mock.patch.object(wells, "_odd_power_sums", wraps=_odd_power_sums) as spy:
+            assert passes_up_to(mu, mu.second_moment(), 10**4)
+        spy.assert_not_called()
+
+    @pytest.mark.parametrize(
+        "terms, holds",
+        [
+            ([], True),
+            ([(-1, 1), (1, 1)], True),
+            ([(-1, 2), (1, 1)], False),
+            ([(-3, 1), (1, 3)], False),  # equal means, but the far negative wins
+            ([(-1, 3), (3, 1)], True),
+            ([(-2, 1), (1, 1), (2, 1)], True),
+            ([(-5, 1), (-1, 1), (2, 4)], False),
+        ],
+    )
+    def test_small_cases(self, terms, holds):
+        assert wells._stop_loss_dominates(terms) == holds
+
+
+def fraction_bisection(mu, n_max, tol):
+    """The bisection on `Fraction` endpoints, with its step count."""
+    lo, hi, steps = F(0), mu.max_abs_value(), 0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        s = mid * mid
+        steps += 1
+        if tail_sign_ok(mu, s) and passes_up_to(mu, s, n_max):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, steps
+
+
 class TestTMinusUpper:
+    @given(
+        even_measure_and_s(),
+        st.integers(min_value=1, max_value=30),
+        st.one_of(
+            st.sampled_from([F(1, 10**6), F(1, 3), F(7, 10**9), F(1, 2**20)]),
+            st.fractions(min_value=F(1, 10**4), max_value=20, max_denominator=10**4),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_bisection_matches_fraction_reference(self, case, n_max, tol):
+        mu, _ = case
+        assume(tol > 0 and len(mu.atoms) > 2)
+        with mock.patch.object(wells, "tail_sign_ok", wraps=tail_sign_ok) as spy:
+            res = t_minus_upper(mu, n_max=n_max, tol=tol)
+        assert (res.lo, res.hi, spy.call_count) == fraction_bisection(mu, n_max, tol)
+
+    @pytest.mark.parametrize("scale", [1, F(3, 2)])
+    def test_tolerance_at_or_above_top_takes_no_step(self, scale):
+        mu = spin_measure(SpinValue.parse(2))
+        with mock.patch.object(wells, "tail_sign_ok", wraps=tail_sign_ok) as spy:
+            res = t_minus_upper(mu, tol=scale * mu.max_abs_value())
+        assert (res.lo, res.hi, spy.call_count) == (0, 1, 0)
+
     def test_two_point_closed_form(self):
         res = t_minus_upper(bernoulli_measure(F(5, 7)))
         assert res == TMinusResult(F(5, 7), F(5, 7), 50, CLOSED_FORM)
