@@ -4,11 +4,14 @@ domination probe.
 Unlike the exact modules, expectations here use double precision: the
 Boltzmann weight is transcendental, so the exactness lives in the
 complete configuration enumeration, with exact, correctly rounded
-summation and an explicit tolerance on every comparison. The inverse
-temperature is absorbed into the couplings. A probe builds each
-measure's enumeration tables (spin views, prior tensor, coupling
-monomials) once and shares them across its trials; nothing is cached
-beyond one probe.
+summation and an explicit tolerance on every comparison. A domination
+verdict on a large enumeration is first tried from plain float sums: a
+pass is proven when its margin exceeds a rigorous bound on their
+distance from the exact sums, and witnesses and near-ties are decided
+on the exact sums. The inverse temperature is absorbed into the
+couplings. A probe builds each measure's enumeration tables (spin views,
+prior tensor, coupling monomials) once and shares them across its
+trials; nothing is cached beyond one probe.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import contextlib
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -115,6 +118,10 @@ _FSUM_MAX_SIZE = 2048
 _CHUNK = 1 << 15
 # frexp exponents of the finite nonzero doubles.
 _MIN_EXPONENT, _MAX_EXPONENT = -1073, 1024
+# Unit roundoff of float64, and the range of float partition functions
+# and observable bounds inside which _bounded_expectation's bound holds.
+_U = 2.0**-53
+_SAFE_MIN, _SAFE_MAX = 2.0**-500, 2.0**500
 
 
 def _exact_sum(x: np.ndarray, what: str) -> float:
@@ -226,27 +233,29 @@ class _PreparedMeasure:
         return tables
 
 
-def gibbs_expectation(
+def _gibbs_sums(
     lattice: Lattice,
     couplings: CouplingSet,
     measure: MeasureLike | _PreparedMeasure,
-    B: Iterable[int],
-) -> float:
-    """<sigma^B> by complete enumeration of the product measure.
+    B: tuple[int, ...],
+    total: Callable[[np.ndarray, str], float],
+) -> tuple[_PreparedMeasure, float, float]:
+    """Validate and enumerate one instance: its prepared measure, the
+    partition function Z and the numerator N, the sum over cells of
+    sigma^B times the Gibbs weight, each summed by total(cells, what).
 
     The k**n configurations are the cells of a (k,) * n tensor with one
     axis per site in lattice order. The prior, each coupling term and the
     observable are broadcast products of per-site vectors, multiplied in
     a fixed order (lattice order, the coupling subset's iteration order,
     B order). The energy and its Boltzmann factors span only the axes of
-    the sites some coupling touches, and multiply the prior tensor last.
-    Both sums are exact and correctly rounded, so results are
-    reproducible to the last bit for a given input. `measure` may be a
-    _PreparedMeasure, whose tables are then reused; a bare measure gets
-    a fresh one. Raises NumericError when an expectation or the partition
-    function is not a finite positive float.
+    the sites some coupling touches, and multiply the prior tensor last,
+    so every caller sums the same cells to the bit. Z is summed first,
+    and a Z that is not positive raises NumericError before N is formed.
+    `measure` may be a _PreparedMeasure, whose tables are then reused; a
+    bare measure gets a fresh one. With B empty nothing is enumerated and
+    Z = N = 1.0.
     """
-    B = tuple(B)
     axis = {site: i for i, site in enumerate(lattice.sites)}
     for subset, _ in couplings.terms:
         if not subset <= axis.keys():
@@ -258,10 +267,10 @@ def gibbs_expectation(
     n = len(lattice.sites)
     _check_cap(len(measure.atoms), n)
     if not B:
-        return 1.0
+        return measure, 1.0, 1.0
     spin, prior, monomials = measure.tables(n)
 
-    # Overflow shows up as inf or NaN in the sums, which raise NumericError.
+    # Overflow shows up as inf or NaN in the sums.
     with np.errstate(over="ignore", invalid="ignore"):
         # Each cell sees the same subtractions in the same order whether
         # the energy grows by broadcasting or is updated in place.
@@ -284,35 +293,135 @@ def gibbs_expectation(
         # in every cell; a Boltzmann tensor over every cell takes the
         # product in place.
         weighted = np.multiply(boltz, prior, out=boltz if boltz.size == prior.size else None)
-        Z = _exact_sum(weighted, "partition function degenerate")
+        Z = total(weighted, "partition function degenerate")
         if Z <= 0.0:
             raise NumericError(f"partition function degenerate: {Z}")
         weighted *= math.prod(spin[axis[site]] for site in B)
-        value = _exact_sum(weighted, "expectation not finite") / Z
+        return measure, Z, total(weighted, "expectation not finite")
+
+
+def gibbs_expectation(
+    lattice: Lattice,
+    couplings: CouplingSet,
+    measure: MeasureLike | _PreparedMeasure,
+    B: Iterable[int],
+) -> float:
+    """<sigma^B> by complete enumeration of the product measure.
+
+    The ratio N / Z of _gibbs_sums, whose two sums are exact and
+    correctly rounded, so results are reproducible to the last bit for a
+    given input. `measure` may be a _PreparedMeasure, whose tables are
+    then reused. Raises NumericError when an expectation or the partition
+    function is not a finite positive float.
+    """
+    _, Z, N = _gibbs_sums(lattice, couplings, measure, tuple(B), _exact_sum)
+    value = N / Z
     if not math.isfinite(value):
         raise NumericError(f"expectation not finite: {value}")
     return value
 
 
+def _float_sum(cells: np.ndarray, what: str) -> float:
+    """numpy's float64 sum of the cells, added in numpy's own order."""
+    return float(cells.sum())
+
+
+def _bounded_expectation(
+    lattice: Lattice,
+    couplings: CouplingSet,
+    measure: MeasureLike | _PreparedMeasure,
+    B: tuple[int, ...],
+) -> tuple[float, float] | None:
+    """An estimate q of gibbs_expectation(lattice, couplings, measure, B)
+    from plain float sums and a bound E >= |q - gibbs_expectation(...)|,
+    or None where the sums leave the range the bound covers.
+
+    Both take the same c = k**n cells from _gibbs_sums: weights w_i >= 0
+    and products p_i = fl(w_i * o_i), where o_i is sigma^B in cell i.
+    With Z = sum w_i and N = sum p_i exact, r = N / Z and u = 2**-53,
+    gibbs_expectation returns v = fl(fl(N) / fl(Z)) from correctly
+    rounded sums; this returns q = fl(N' / Z') from numpy's sums.
+    - Summation, in any order of addition (Higham, Accuracy and Stability
+      of Numerical Algorithms, 2nd ed., 2002, section 4.2):
+      |Z' - Z| <= g * Z and |N' - N| <= g * sum |p_i|, g = gamma_c =
+      c * u / (1 - c * u).
+    - Observable: rounding to nearest is monotone, so |o_i| <= P, the
+      float product of |B| copies of the largest |atom|, and
+      |p_i| <= fl(w_i * P) <= (1 + u) * P * w_i + 2**-1075. Hence
+      sum |p_i| <= M * Z and |r| <= M with M = (1 + u) * P +
+      c * 2**-1075 / Z, and P, Z' in [2**-500, 2**500] give
+      M <= (1 + 2u) * P.
+    - Ratio: N'/Z' - r = ((N' - N) - r * (Z' - Z)) / Z' and
+      Z' >= (1 - g) * Z, so |N'/Z' - r| <= 2 * g * M / (1 - g): g * M
+      from the numerator and g * M from the partition function.
+    - Roundings: q is within u * |N'/Z'| + 2**-1075 of N'/Z';
+      fl(N) / fl(Z) is within 2u / (1 - u) * |r| of r, and v within
+      u * |fl(N) / fl(Z)| + 2**-1075 of that.
+    Summed, |q - v| <= (2 * g + 4 * u) * P times 1 + 1e-9 (c <=
+    CONFIG_CAP keeps g below 2**-32), plus 2**-1074, which is below
+    2.01 * (g + 2u) * P. E = 3 * (g + 2u) * P leaves room for the
+    rounding of E itself and of the verdict in domination_check. In that
+    range Z > 0 and every sum of gibbs_expectation is finite, so it
+    returns v without raising. A float Z' of 0 means every weight is 0,
+    so the NumericError _gibbs_sums raises for it is gibbs_expectation's.
+    """
+    measure, Z, N = _gibbs_sums(lattice, couplings, measure, B, _float_sum)
+    P = 1.0
+    largest = max(abs(v) for v, _ in measure.atoms)
+    for _ in B:
+        P *= largest
+    if not (_SAFE_MIN <= Z <= _SAFE_MAX and _SAFE_MIN <= P <= _SAFE_MAX):
+        return None
+    cells = len(measure.atoms) ** len(lattice.sites)
+    gamma = cells * _U / (1 - cells * _U)
+    return N / Z, 3 * (gamma + 2 * _U) * P
+
+
 @dataclass(frozen=True)
 class DominationResult:
+    """The verdict lhs <= rhs + tol on <sigma^B>_mu (lhs) and
+    <sigma^B>_nu (rhs). Where `bound` is 0.0, lhs and rhs are
+    gibbs_expectation's exact-sum values; on a pass proven from float
+    sums they are estimates, each within `bound` of that value."""
+
     holds: bool
     lhs: float
     rhs: float
+    bound: float = 0.0
 
 
 def domination_check(
     lattice: Lattice,
     couplings: CouplingSet,
-    mu: MeasureLike,
-    nu: MeasureLike,
+    mu: MeasureLike | _PreparedMeasure,
+    nu: MeasureLike | _PreparedMeasure,
     B: Iterable[int],
     tol: float = DEFAULT_TOL,
 ) -> DominationResult:
     """Check <sigma^B>_mu <= <sigma^B>_nu up to an absolute tolerance,
-    which must be finite and >= 0."""
+    which must be finite and >= 0.
+
+    Where the larger of the two enumerations has more than _FSUM_MAX_SIZE
+    cells, _bounded_expectation first estimates each side as q +- E, and
+    the pass is proven when
+        fl(q_nu + tol) - q_mu > E_mu + E_nu + 5u * (|q_mu| + |q_nu| + tol),
+    whose last term covers the rounding of this test and of rhs + tol in
+    the exact verdict; the result then carries the estimates and the
+    larger E. Every other verdict (undecided, failing, or with sums out
+    of the bound's range) is decided on gibbs_expectation's values, with
+    bound 0.0, and raises what gibbs_expectation raises.
+    """
     _check_tol(tol)
     B = tuple(B)
+    # The atom counts, read before gibbs_expectation validates the atoms.
+    k = max(len(getattr(measure, "atoms", measure)) for measure in (mu, nu))
+    if B and k ** len(lattice.sites) > _FSUM_MAX_SIZE:
+        lhs = _bounded_expectation(lattice, couplings, mu, B)
+        rhs = lhs and _bounded_expectation(lattice, couplings, nu, B)
+        if rhs:
+            (q_mu, e_mu), (q_nu, e_nu) = lhs, rhs
+            if (q_nu + tol) - q_mu > e_mu + e_nu + 5 * _U * (abs(q_mu) + abs(q_nu) + tol):
+                return DominationResult(holds=True, lhs=q_mu, rhs=q_nu, bound=max(e_mu, e_nu))
     lhs = gibbs_expectation(lattice, couplings, mu, B)
     rhs = gibbs_expectation(lattice, couplings, nu, B)
     return DominationResult(holds=lhs <= rhs + tol, lhs=lhs, rhs=rhs)

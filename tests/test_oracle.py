@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from wells_majorize import oracle
 from wells_majorize.oracle import (
     _CHUNK,
     _FSUM_MAX_SIZE,
+    DEFAULT_TOL,
     CouplingSet,
     Lattice,
     ProbeConfig,
@@ -464,6 +466,137 @@ class TestPreparedMeasure:
         for lattice, couplings, _, B in instances:
             shared = gibbs_expectation(lattice, couplings, prepared, B)
             assert repr(shared) == repr(gibbs_expectation(lattice, couplings, measure, B))
+
+
+@st.composite
+def probe_instances(draw, max_configs=20_000):
+    """Two measures, each from measures() or with 2-5 equally weighted
+    atoms up to 1e3 in magnitude, and an instance drawn as random_probe
+    draws one: 1 to 2n terms on 1-3 sites with strengths in [0, 2], added
+    up where a subset repeats, and a sorted observable of 1-n sites. The
+    site count, half the time the largest one, reaches both sides of
+    _FSUM_MAX_SIZE cells."""
+    wide = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=5, unique=True).map(
+        lambda values: [(v, 1 / len(values)) for v in values]
+    )
+    mu, nu = draw(measures() | wide), draw(measures() | wide)
+    k = max(len(float_atoms(mu)), len(float_atoms(nu)))
+    n_max = max(n for n in range(1, 8) if k**n <= max_configs)
+    n = draw(st.just(n_max) | st.integers(1, n_max))
+    sites = tuple(range(n))
+    terms: dict[frozenset[int], float] = {}
+    for _ in range(draw(st.integers(1, 2 * n))):
+        subset = frozenset(draw(st.lists(st.sampled_from(sites), min_size=1, max_size=min(3, n), unique=True)))
+        terms[subset] = terms.get(subset, 0.0) + draw(st.floats(0.0, 2.0))
+    B = sorted(draw(st.lists(st.sampled_from(sites), min_size=1, max_size=n, unique=True)))
+    return Lattice(sites), CouplingSet.from_dict(terms), mu, nu, B
+
+
+# Trial 64 of `probe --pair bernoulli:1,mu-lambda:1/4 --trials 200
+# --site-cap 6 --seed 1736812843`: one site in a weak field, whose +-J
+# Boltzmann weights nearly cancel in the numerator. Its few cells keep
+# domination_check on the exact sums, so the property test bounds
+# _bounded_expectation's estimate on it directly.
+WEAK_FIELD = (
+    Lattice((0,)),
+    CouplingSet.from_dict({frozenset({0}): 9.249907995556583e-06}),
+    bernoulli_measure(1),
+    mu_lambda_measure(Fraction(1, 4)),
+    [0],
+)
+
+
+class TestProvenVerdicts:
+    """A pass proven from float sums is the verdict the exact sums give,
+    and every other verdict carries the exact sums' values."""
+
+    @given(instance=probe_instances(), tol=st.sampled_from([0.0, 1e-12, DEFAULT_TOL]))
+    @settings(max_examples=200, deadline=None)
+    @example(instance=WEAK_FIELD, tol=DEFAULT_TOL)
+    def test_verdict_and_bound_match_the_exact_sums(self, instance, tol):
+        lattice, couplings, mu, nu, B = instance
+        exact = [gibbs_expectation(lattice, couplings, m, B) for m in (mu, nu)]
+        for measure, value in zip((mu, nu), exact):
+            estimate = oracle._bounded_expectation(lattice, couplings, measure, tuple(B))
+            if estimate is not None:
+                q, bound = estimate
+                assert abs(q - value) <= bound
+        res = domination_check(lattice, couplings, mu, nu, B, tol=tol)
+        assert res.holds == (exact[0] <= exact[1] + tol)
+        if res.bound == 0.0:
+            assert [repr(res.lhs), repr(res.rhs)] == [repr(value) for value in exact]
+        else:
+            assert res.holds
+            assert abs(res.lhs - exact[0]) <= res.bound and abs(res.rhs - exact[1]) <= res.bound
+
+    @pytest.mark.parametrize(
+        "nu, tol, holds",
+        [
+            (bernoulli_measure(Fraction(1, 2)), DEFAULT_TOL, False),  # fails
+            (spin_measure(SpinValue.parse(4)), 0.0, True),  # an exact tie
+            (spin_measure(SpinValue.parse(4)), 1e-12, True),  # a margin below the bound
+        ],
+    )
+    def test_failing_and_undecided_verdicts_are_exact(self, nu, tol, holds):
+        # Trial 9 of `probe --pair spin:4,bernoulli:1/2 --trials 12
+        # --site-cap 5 --seed 7`: 9**5 cells, so the float sums are tried
+        # first.
+        lattice = Lattice.of_size(5)
+        couplings = CouplingSet.from_dict({
+            (0, 2, 4): 1.3809873142719558, (0, 1, 4): 1.7990660201159043,
+            (1, 3, 4): 0.797957664640546, (3,): 1.593185506915613, (1,): 0.1346952316860497,
+        })
+        mu, B = spin_measure(SpinValue.parse(4)), (0, 3, 4)
+        res = domination_check(lattice, couplings, mu, nu, B, tol=tol)
+        assert (res.holds, res.bound) == (holds, 0.0)
+        assert repr(res.lhs) == repr(gibbs_expectation(lattice, couplings, mu, B))
+        assert repr(res.rhs) == repr(gibbs_expectation(lattice, couplings, nu, B))
+
+    def test_clear_pass_is_proven(self):
+        lattice = Lattice.of_size(5)
+        couplings = CouplingSet.from_dict({frozenset({0, 1}): 0.7, frozenset({1, 2, 3}): 1.2})
+        mu, nu = bernoulli_measure(Fraction(1, 2)), spin_measure(SpinValue.parse(4))
+        res = domination_check(lattice, couplings, mu, nu, (0, 1))
+        assert res.holds and 0.0 < res.bound < 1e-9
+        assert abs(res.rhs - gibbs_expectation(lattice, couplings, nu, (0, 1))) <= res.bound
+
+    def test_exact_ties_fall_back_and_pass(self, monkeypatch):
+        # spin:2 against itself with tol 0: every trial is an exact tie,
+        # which the bound cannot decide, and up to 5**6 cells per side.
+        exact_cells, tried = [], []
+        bounded = oracle._bounded_expectation
+
+        def spy_gibbs(lattice, couplings, measure, B):
+            exact_cells.append(len(measure.atoms) ** len(lattice.sites))
+            return gibbs_expectation(lattice, couplings, measure, B)
+
+        def spy_bounded(*args):
+            tried.append(args)
+            return bounded(*args)
+
+        monkeypatch.setattr(oracle, "gibbs_expectation", spy_gibbs)
+        monkeypatch.setattr(oracle, "_bounded_expectation", spy_bounded)
+        spin = spin_measure(SpinValue.parse(2))
+        report = random_probe(ProbeConfig(seed=0, trials=10, site_cap=6, tol=0.0), spin, spin)
+        assert report.status == PASS and report.details["passes"] == 10
+        assert len(exact_cells) == 20 and max(exact_cells) > _FSUM_MAX_SIZE
+        assert tried
+
+    @pytest.mark.parametrize(
+        "terms, B",
+        [
+            ({frozenset({0, 1}): 1.0}, (0, 1)),  # energies overflow
+            ({frozenset({0}): 1.0}, (0, 1)),  # only the observable overflows
+        ],
+    )
+    def test_non_finite_sums_raise_as_the_exact_path_does(self, terms, B):
+        # 2**12 cells, past the size at which the float sums are tried.
+        huge = bernoulli_float_atoms(1e200)
+        lattice, couplings = Lattice.of_size(12), CouplingSet.from_dict(terms)
+        with pytest.raises(NumericError) as exact:
+            gibbs_expectation(lattice, couplings, huge, B)
+        with pytest.raises(NumericError, match=f"^{re.escape(str(exact.value))}$"):
+            domination_check(lattice, couplings, huge, PM_ONE, B)
 
 
 def fraction_sum(values):
