@@ -166,8 +166,8 @@ class PsiGrid:
     integer variant: values (psi(-N/N), ..., psi(N/N)), even, non-negative,
     discretely convex.
 
-    The samples are validated, and their mean computed, once per grid on
-    integers over their common denominator.
+    The samples are validated, their mean computed and the grid centred
+    on it once per grid, on integers over their common denominator.
     """
 
     variant: str
@@ -229,14 +229,14 @@ class PsiGrid:
     def mean(self) -> Fraction:
         return self._mean
 
-
-def _centered(grid: PsiGrid, mean: Fraction) -> tuple[int, list[int]]:
-    """(C, the samples less the mean, times C), with C the lcm of the
-    samples' common denominator and the mean's denominator."""
-    D, vals = grid._scaled
-    C = math.lcm(D, mean.denominator)
-    k, M = C // D, mean.numerator * (C // mean.denominator)
-    return C, [v * k - M for v in vals]
+    @cached_property
+    def _centered(self) -> tuple[int, tuple[int, ...]]:
+        """(C, the samples less `mean()`, times C), with C the lcm of the
+        samples' common denominator and the mean's denominator."""
+        (D, vals), mean = self._scaled, self.mean()
+        C = math.lcm(D, mean.denominator)
+        k, M = C // D, mean.numerator * (C // mean.denominator)
+        return C, tuple(v * k - M for v in vals)
 
 
 @dataclass(frozen=True)
@@ -258,8 +258,7 @@ def _excesses_and_deficits(grid: PsiGrid) -> ConstructionPair:
     PreconditionError when under half the samples sit at or below the
     mean, as on a grid with a flat bottom, and InvariantError when the two
     totals differ."""
-    mean = grid.mean()
-    C, centered = _centered(grid, mean)
+    mean, (C, centered) = grid.mean(), grid._centered
     deficits = sorted((-c for c in centered if c <= 0), reverse=True)
     excesses = sorted((c for c in centered if c > 0), reverse=True)
     n, q = len(deficits), len(excesses)
@@ -363,7 +362,7 @@ def _karamata_tail(
     except PreconditionError:
         kara = None
         witnesses.append({"reason": "majorization cross-check failed", "x": x, "y": y})
-    full_sum = _power_sum(*_centered(grid, grid.mean()), phi.exponent)
+    full_sum = _power_sum(*grid._centered, phi.exponent)
     if kara is not None and kara.lhs - kara.rhs != full_sum:
         witnesses.append({"reason": "karamata difference != centered sum"})
     if full_sum < 0:

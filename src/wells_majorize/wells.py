@@ -6,6 +6,9 @@ moment integral of (x^2 - S^2)**n is non-negative. The threshold value
 T_- is the largest such S; this module computes certified rational
 brackets for it, classifies canonical measures (T_- equal to the RMS
 spin), and evaluates the closed-form transition-temperature bound ratios.
+Each measure is cleared once into integers over common denominators;
+validation, the second moment, the moment sums and the tail rule read
+that view, and `wells_term` keeps the `Fraction` definition.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import comb, lcm
+from math import comb
 from typing import Iterable
 
 from .errors import DomainError, InvariantError, PreconditionError, ValidationError
-from .rationals import format_rational, parse_rational
+from .rationals import clear_denominators, format_rational, parse_rational
 from .spin_sums import SpinValue, _odd_power_sums
 
 CLOSED_FORM = "closed_form"
@@ -38,21 +41,30 @@ class DiscreteMeasure:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise ValidationError("measure needs at least one atom")
-        values = [v for v, _ in self.atoms]
-        if len(set(values)) != len(values):
+        for atom in self.atoms:  # a bool or a float is not an exact rational
+            if not (isinstance(atom, (list, tuple)) and len(atom) == 2
+                    and all(type(q) in (Fraction, int) for q in atom)):
+                raise ValidationError(f"atom {atom!r} is not a pair of exact rationals")
+        _, xs, W, cs = self._cleared
+        if len(set(xs)) != len(xs):
             raise ValidationError("duplicate atom values")
-        total = Fraction(0)
-        table = dict(self.atoms)
-        for v, w in self.atoms:
-            if w <= 0:
+        table = dict(zip(xs, cs))
+        for (v, _), x, c in zip(self.atoms, xs, cs):
+            if c <= 0:
                 raise ValidationError(f"non-positive weight at {v}")
-            if table.get(-v) != w:
+            if table.get(-x) != c:
                 raise ValidationError(f"measure is not even at value {v}")
-            total += w
-        if total != 1:
-            raise ValidationError(f"weights sum to {format_rational(total)}, not 1")
-        if len(self.atoms) == 1 and self.atoms[0][0] == 0:
+        if sum(cs) != W:
+            raise ValidationError(f"weights sum to {format_rational(Fraction(sum(cs), W))}, not 1")
+        if len(xs) == 1 and xs[0] == 0:
             raise ValidationError("point mass at 0 is excluded")
+
+    @cached_property
+    def _cleared(self) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
+        """(V, the values times V, W, the weights times W): the atoms as
+        integers over common denominators, for validation and the moments."""
+        values, weights = zip(*self.atoms)
+        return (*clear_denominators(values), *clear_denominators(weights))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, object]]) -> "DiscreteMeasure":
@@ -78,25 +90,22 @@ class DiscreteMeasure:
         return cls.from_pairs(pairs)
 
     def second_moment(self) -> Fraction:
-        return sum((w * v * v for v, w in self.atoms), Fraction(0))
+        V, xs, W, cs = self._cleared
+        return Fraction(sum(c * x * x for x, c in zip(xs, cs)), V * V * W)
 
     def max_abs_value(self) -> Fraction:
         return max(abs(v) for v, _ in self.atoms)
 
     @cached_property
     def cleared_squares(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """The squared atoms over one common denominator: (D, ((a, c), ...))
-        with v^2 = a/D and c/W the total weight at v^2, one entry per
-        distinct v^2 in increasing order. W is the common denominator of
-        the weights; only the signs and ratios of the c matter, so it is
-        not kept. Computed once per measure for the integer moment sums."""
-        D = lcm(*(v.denominator**2 for v, _ in self.atoms))
-        W = lcm(*(w.denominator for _, w in self.atoms))
+        """(D, ((a, c), ...)), one entry per distinct v^2 in increasing
+        order, with v^2 = a/D for D = V^2 and c/W the total weight at v^2
+        (see `_cleared`); only the signs and ratios of the c matter."""
+        V, xs, _, cs = self._cleared
         weights: dict[int, int] = {}
-        for v, w in self.atoms:
-            a = v.numerator**2 * (D // v.denominator**2)
-            weights[a] = weights.get(a, 0) + w.numerator * (W // w.denominator)
-        return D, tuple(sorted(weights.items()))
+        for x, c in zip(xs, cs):
+            weights[x * x] = weights.get(x * x, 0) + c
+        return V * V, tuple(sorted(weights.items()))
 
 
 def bernoulli_measure(T: Fraction | int | str) -> DiscreteMeasure:
@@ -147,19 +156,6 @@ def wells_term(mu: DiscreteMeasure, s_squared: Fraction | int | str, n: int) -> 
     return sum((w * (v * v - s) ** n for v, w in mu.atoms), Fraction(0))
 
 
-def _scaled_differences(mu: DiscreteMeasure, s: Fraction) -> list[tuple[int, int]]:
-    """(d, c) per distinct v^2, where d = (v^2 - s) * q * D for s = p/q and
-    c is the weight scaled by W (see `DiscreteMeasure.cleared_squares`).
-
-    Then (qD)^n * W * P_n(s) = sum c * d^n, so each integer sum has the
-    sign of the moment P_n(s), and comparisons between the d or between
-    the c are those between the unscaled differences or weights.
-    """
-    D, squares = mu.cleared_squares
-    pD, q = s.numerator * D, s.denominator
-    return [(a * q - pD, c) for a, c in squares]
-
-
 def _stop_loss_dominates(terms: list[tuple[int, int]]) -> bool:
     """True iff sum over d > t of c (d - t) >= sum over d < -t of c (|d| - t)
     for every t >= 0, for nonzero integers d in increasing order.
@@ -189,9 +185,11 @@ def passes_up_to(mu: DiscreteMeasure, s_squared: Fraction | int | str, n_max: in
     """True iff every centered moment of order n = 1..n_max is >= 0.
 
     A truncation of the all-n criterion: a True result certifies the
-    necessary conditions only up to n_max. Evaluated in exact integers
-    (see `_scaled_differences`); even orders are sums of non-negative
-    terms, so only the odd ones matter. `wells_term` is the definition.
+    necessary conditions only up to n_max. With v^2 = a/D and weights c/W
+    from `DiscreteMeasure.cleared_squares` and s = p/q, the nonzero
+    d = a q - p D give the exact integer (qD)^n W P_n(s) = sum c d^n. Even
+    orders are sums of non-negative terms, so only the odd ones matter.
+    `wells_term` is the definition.
 
     The stop-loss certificate `_stop_loss_dominates` is tried first. For
     odd n >= 3, x^n = integral over t > 0 of n(n-1) t^(n-2) [(x - t)_+ -
@@ -206,7 +204,9 @@ def passes_up_to(mu: DiscreteMeasure, s_squared: Fraction | int | str, n_max: in
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
     s = parse_rational(s_squared)
-    terms = [(d, c) for d, c in _scaled_differences(mu, s) if d]
+    D, squares = mu.cleared_squares
+    pD, q = s.numerator * D, s.denominator
+    terms = [(d, c) for a, c in squares if (d := a * q - pD)]
     if _stop_loss_dominates(terms):
         return True
     return all(t >= 0 for t in islice(_odd_power_sums(terms, 1), (n_max + 1) // 2))
@@ -215,18 +215,19 @@ def passes_up_to(mu: DiscreteMeasure, s_squared: Fraction | int | str, n_max: in
 def tail_sign_ok(mu: DiscreteMeasure, s_squared: Fraction | int | str) -> bool:
     """Exact large-n necessary condition for the all-n criterion.
 
-    For odd n -> infinity the atoms with the largest |x^2 - s| = top
-    dominate the integral, which takes the sign of their weight at +top
-    less that at -top; a negative one makes some large odd moment
-    negative, decidable exactly, with no truncation. If every difference
-    is 0, the two weights are the same one and the condition holds.
-    Decided on the integer differences (distinct, one per v^2) and weights
-    of `_scaled_differences`, whose positive scale factors change no
-    comparison.
+    For odd n -> infinity the atoms with the largest |v^2 - s| dominate
+    the integral, which takes the sign of their weight above s less that
+    below; a negative one makes some large odd moment negative, decidable
+    exactly, with no truncation. The largest lies at min v^2 or max v^2,
+    so with the two ends (a_lo, c_lo), (a_hi, c_hi) of `cleared_squares`
+    and s = p/q the rule holds iff s < (min v^2 + max v^2)/2, that is
+    balance = (a_lo + a_hi) q - 2 p D > 0, or balance = 0 and c_hi >= c_lo.
     """
-    weights = dict(_scaled_differences(mu, parse_rational(s_squared)))
-    top = max(map(abs, weights))
-    return weights.get(top, 0) >= weights.get(-top, 0)
+    s = parse_rational(s_squared)
+    D, squares = mu.cleared_squares
+    (a_lo, c_lo), (a_hi, c_hi) = squares[0], squares[-1]
+    balance = (a_lo + a_hi) * s.denominator - 2 * s.numerator * D
+    return balance > 0 or (balance == 0 and c_hi >= c_lo)
 
 
 @dataclass(frozen=True)
@@ -261,10 +262,8 @@ def t_minus_upper(
     Bisection is sound because the predicate holds on a down-set of
     s = S^2: if it holds at s, it holds at s - h for every h > 0. For the
     moments, P_n(s - h) = sum_k C(n, k) h^k P_{n-k}(s) with P_0 = 1, a sum
-    of non-negative terms once P_1..P_n(s) are. For `tail_sign_ok`,
-    lowering s by h raises every difference v^2 - s by h, so the largest
-    positive one strictly grows and the largest negative magnitude
-    strictly shrinks.
+    of non-negative terms once P_1..P_n(s) are. `tail_sign_ok` holds for
+    every s below a midpoint, and at it by a weight condition.
 
     The top of the range is never a candidate: with more than two atoms
     some |v| < max|atom|, so at S = max|atom| P_1 < 0 and the tail fails.

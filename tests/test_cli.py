@@ -242,8 +242,9 @@ def corpus_records(path=CORPUS):
 class TestTMinusCorpus:
     """`t-minus --format json` output, timing aside, is byte-identical to a
     committed corpus: spin presets, the three-point family at three
-    truncation orders, two deep runs, the two-point measure and twelve
-    fixed even measures read from files."""
+    truncation orders, two deep runs, the two-point measure and seventeen
+    fixed even measures read from files (unsorted atoms, coprime value
+    denominators, mixed weight denominators and zero atoms among them)."""
 
     @pytest.mark.parametrize(
         "record", corpus_records(), ids=lambda r: " ".join(r["argv"][2:])

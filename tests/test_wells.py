@@ -76,6 +76,59 @@ class TestDiscreteMeasure:
         assert mu.max_abs_value() == F(3, 2)
 
 
+def atoms(*pairs):
+    """Atoms as given, unsorted, from (value, weight) literals."""
+    return tuple((F(v), F(w)) for v, w in pairs)
+
+
+class TestMalformedMeasures:
+    """Each refusal's type and message; where one measure has several
+    faults, the first check in the validation order reports it."""
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            ((), "measure needs at least one atom"),
+            (atoms(("-1", "1/2"), ("1", "1/4"), ("1", "1/4")), "duplicate atom values"),
+            (atoms(("-1", "3/2"), ("0", "-2"), ("1", "3/2")), "non-positive weight at 0"),
+            (atoms(("-1/2", "0"), ("1/2", "0"), ("0", "1")), "non-positive weight at -1/2"),
+            (atoms(("-1", "1/4"), ("0", "1/4"), ("1", "1/2")), "measure is not even at value -1"),
+            (atoms(("-1/3", "1/4"), ("1/3", "1/4")), "weights sum to 1/2, not 1"),
+            (atoms(("0", "1")), "point mass at 0 is excluded"),
+            # Several faults at once: the order of the checks decides.
+            (atoms(("0", "1/2")), "weights sum to 1/2, not 1"),
+            (atoms(("-2/3", "1/2"), ("2/3", "1/2"), ("2/3", "1/3")), "duplicate atom values"),
+            (atoms(("-1", "-1/2"), ("1", "3/2"), ("0", "1/7")), "non-positive weight at -1"),
+            (
+                atoms(("-2", "1/4"), ("2", "1/2"), ("1", "-1/4"), ("-1", "-1/4")),
+                "measure is not even at value -2",
+            ),
+            (atoms(("-3/2", "1/4"), ("3/2", "1/3")), "measure is not even at value -3/2"),
+            # Not exact rationals, or not pairs.
+            (((0.5, 0.5), (-0.5, 0.5)), "atom (0.5, 0.5) is not a pair of exact rationals"),
+            (
+                ((True, F(1, 2)), (-1, F(1, 2))),
+                "atom (True, Fraction(1, 2)) is not a pair of exact rationals",
+            ),
+            (((F(1),),), "atom (Fraction(1, 1),) is not a pair of exact rationals"),
+            (
+                ((F(1), F(1, 2), 0), (F(-1), F(1, 2))),
+                "atom (Fraction(1, 1), Fraction(1, 2), 0) is not a pair of exact rationals",
+            ),
+            ((("1", "1/2"), ("-1", "1/2")), "atom ('1', '1/2') is not a pair of exact rationals"),
+        ],
+    )
+    def test_refusal_and_message(self, atoms, message):
+        with pytest.raises(ValidationError) as info:
+            DiscreteMeasure(atoms)
+        assert str(info.value) == message
+
+    def test_integer_atoms_are_exact(self):
+        mu = DiscreteMeasure(((-1, F(1, 2)), (1, F(1, 2))))
+        assert mu.second_moment() == 1
+        assert tail_sign_ok(mu, 1) and passes_up_to(mu, 1, 9)
+
+
 class TestMeasureFamilies:
     def test_bernoulli_second_moment_is_t_squared(self):
         for T in (F(1), F(1, 2), F(7, 3)):
@@ -316,14 +369,62 @@ class TestIntegerPredicate:
             passes_up_to(spin_measure(SpinValue.parse(2)), F(1, 2), 0)
 
 
+def tail_sign_dict_rule(mu, s):
+    """The leading-term rule over every difference: the weight at the
+    largest |d| against that at -|d|."""
+    weights = dict(differences(mu, s))
+    top = max(map(abs, weights))
+    return weights.get(top, 0) >= weights.get(-top, 0)
+
+
+class TestIntegerView:
+    """Every question `wells` asks of a measure reads its cleared integers;
+    these pin each answer to its `Fraction` definition."""
+
+    @given(even_measure_and_s())
+    @example((mu_lambda_measure(F(1, 2)), F(1, 2)))  # tied extremes, tied weights
+    @example((mu_lambda_measure(F(1, 3)), F(1, 2)))  # tied extremes, heavier at 0
+    @example((mu_lambda_measure(F(3, 5)), F(1, 2)))  # tied extremes, heavier at 1
+    @example((bernoulli_measure(F(3, 2)), F(9, 4)))  # one distinct square, s on it
+    @example((bernoulli_measure(F(3, 2)), F(2)))  # one distinct square, s below
+    @example((bernoulli_measure(F(3, 2)), F(5, 2)))  # one distinct square, s above
+    @example((spin_measure(SpinValue.parse(2)), F(1, 4)))  # s equal to a square
+    @example((spin_measure(SpinValue.parse(2)), F(0)))  # s equal to the smallest square
+    @example((spin_measure(SpinValue.parse(2)), F(1)))  # s equal to the largest square
+    @settings(max_examples=300, deadline=None)
+    def test_tail_rule_is_the_leading_term_rule(self, case):
+        mu, s = case
+        assert tail_sign_ok(mu, s) == tail_sign_dict_rule(mu, s)
+        assert tail_sign_ok(mu, s) == tail_sign_reference(mu, s)
+
+    @given(even_measure_and_s())
+    @settings(max_examples=200, deadline=None)
+    def test_second_moment_and_squares_match_fractions(self, case):
+        mu, _ = case
+        assert mu.second_moment() == sum((w * v * v for v, w in mu.atoms), F(0))
+        weight_at = {}
+        for v, w in mu.atoms:
+            weight_at[v * v] = weight_at.get(v * v, 0) + w
+        D, squares = mu.cleared_squares
+        W = sum(c for _, c in squares)
+        assert [(F(a, D), F(c, W)) for a, c in squares] == sorted(weight_at.items())
+
+
+def differences(mu, s):
+    """(d, c) per distinct v^2, with d = (v^2 - s) q D for s = p/q, read
+    from `cleared_squares`: each d has the sign of v^2 - s."""
+    D, squares = mu.cleared_squares
+    return [(a * s.denominator - s.numerator * D, c) for a, c in squares]
+
+
 def odd_power_loop(mu, s, n_max):
     """`passes_up_to` without the certificate: the odd moments one by one."""
-    terms = [(d, c) for d, c in wells._scaled_differences(mu, s) if d]
+    terms = [(d, c) for d, c in differences(mu, s) if d]
     return all(t >= 0 for t in islice(_odd_power_sums(terms, 1), (n_max + 1) // 2))
 
 
 def certificate_holds(mu, s):
-    return wells._stop_loss_dominates([(d, c) for d, c in wells._scaled_differences(mu, s) if d])
+    return wells._stop_loss_dominates([(d, c) for d, c in differences(mu, s) if d])
 
 
 @st.composite
