@@ -8,7 +8,9 @@ summation and an explicit tolerance on every comparison. A domination
 verdict on a large enumeration is first tried from plain float sums: a
 pass is proven when its margin exceeds a rigorous bound on their
 distance from the exact sums, and witnesses and near-ties are decided
-on the exact sums. The inverse temperature is absorbed into the
+on the exact sums. The probe proves its small trials the same way in
+batches, one array of trials per site count, with the same cells as
+one expectation builds. The inverse temperature is absorbed into the
 couplings. A probe builds each measure's enumeration tables (spin views,
 prior tensor, coupling monomials) once and shares them across its
 trials; nothing is cached beyond one probe.
@@ -112,7 +114,12 @@ class CouplingSet:
 
 
 # Up to this many addends math.fsum over a list is cheaper than binning.
+# It is also the largest enumeration random_probe proves in batches.
 _FSUM_MAX_SIZE = 2048
+# Cells per array of a batch of small trials, and trials random_probe
+# draws before it proves the window's small ones together.
+_BATCH_CELLS = 1 << 16
+_WINDOW = 256
 # Addends per chunk of the binned sum, so that its work buffers stay in
 # the L2 cache.
 _CHUNK = 1 << 15
@@ -201,7 +208,8 @@ def _check_tol(tol: float) -> None:
 
 class _PreparedMeasure:
     """The enumeration tables of one measure, built once and shared by
-    every gibbs_expectation call it is passed to.
+    every gibbs_expectation call and every batch of trials it is passed
+    to.
 
     `atoms` is the measure as float_atoms returns it, a list of
     (value, weight) float pairs validated once; a caller holding only
@@ -219,7 +227,9 @@ class _PreparedMeasure:
         self.atoms = float_atoms(measure)
         self._values = np.array([v for v, _ in self.atoms])
         self._weights = np.array([w for _, w in self.atoms])
+        self._largest = max(abs(v) for v, _ in self.atoms)
         self._tables: dict[int, _Tables] = {}
+        self._flat: dict[int, tuple[dict[tuple[int, ...], int], np.ndarray]] = {}
 
     def tables(self, n: int) -> _Tables:
         """The tables for n sites, built on first use."""
@@ -231,6 +241,42 @@ class _PreparedMeasure:
             prior.flags.writeable = False
             tables = self._tables[n] = ([self._values.reshape(shape) for shape in shapes], prior, {})
         return tables
+
+    def monomial(self, n: int, axes: tuple[int, ...]) -> np.ndarray:
+        """The product of the spin views of `axes`, in that order, for n
+        sites, built on first use."""
+        spin, _, monomials = self.tables(n)
+        monomial = monomials.get(axes)
+        if monomial is None:
+            monomial = monomials[axes] = math.prod(spin[i] for i in axes)
+        return monomial
+
+    def flat_monomials(
+        self, n: int, keys: Iterable[tuple[int, ...]]
+    ) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
+        """The monomials over `keys` for n sites, each flattened to one
+        row of k**n cells in C order, and the row of each key. The key ()
+        is a row of ones. Rows are built on first use and kept with the
+        other tables."""
+        k = len(self.atoms)
+        index, rows = self._flat.get(n) or ({}, np.empty((0, k**n)))
+        new = [axes for axes in dict.fromkeys(keys) if axes not in index]
+        if new:
+            added = np.empty((len(new), k**n))
+            for i, axes in enumerate(new):
+                index[axes] = len(rows) + i
+                added[i].reshape((k,) * n)[...] = self.monomial(n, axes) if axes else 1.0
+            rows = np.concatenate([rows, added])
+            self._flat[n] = (index, rows)
+        return index, rows
+
+    def observable_bound(self, size: int) -> float:
+        """P, the float product of `size` copies of the largest |atom|,
+        which bounds |sigma^B| in every cell for |B| = size."""
+        P = 1.0
+        for _ in range(size):
+            P *= self._largest
+        return P
 
 
 def _gibbs_sums(
@@ -268,7 +314,7 @@ def _gibbs_sums(
     _check_cap(len(measure.atoms), n)
     if not B:
         return measure, 1.0, 1.0
-    spin, prior, monomials = measure.tables(n)
+    spin, prior, _ = measure.tables(n)
 
     # Overflow shows up as inf or NaN in the sums.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -276,11 +322,7 @@ def _gibbs_sums(
         # the energy grows by broadcasting or is updated in place.
         energy = np.zeros((1,) * n)
         for subset, strength in couplings.terms:
-            axes = tuple(axis[site] for site in subset)
-            monomial = monomials.get(axes)
-            if monomial is None:
-                monomial = monomials[axes] = math.prod(spin[i] for i in axes)
-            term = strength * monomial
+            term = strength * measure.monomial(n, tuple(axis[site] for site in subset))
             if energy.size == prior.size:
                 energy -= term
             else:
@@ -366,15 +408,28 @@ def _bounded_expectation(
     so the NumericError _gibbs_sums raises for it is gibbs_expectation's.
     """
     measure, Z, N = _gibbs_sums(lattice, couplings, measure, B, _float_sum)
-    P = 1.0
-    largest = max(abs(v) for v, _ in measure.atoms)
-    for _ in B:
-        P *= largest
-    if not (_SAFE_MIN <= Z <= _SAFE_MAX and _SAFE_MIN <= P <= _SAFE_MAX):
-        return None
-    cells = len(measure.atoms) ** len(lattice.sites)
+    q, E = _estimate(Z, N, measure.observable_bound(len(B)), len(measure.atoms) ** len(lattice.sites))
+    return (q, float(E)) if E < math.inf else None
+
+
+def _estimate(Z, N, P, cells: int):
+    """q = N / Z and the bound E of _bounded_expectation for float sums
+    Z and N over `cells` cells and the observable bound P, on floats or
+    elementwise on arrays of trials. E is inf where Z or P leaves
+    [_SAFE_MIN, _SAFE_MAX], the range in which the bound holds, so that
+    _proven_pass never holds there."""
     gamma = cells * _U / (1 - cells * _U)
-    return N / Z, 3 * (gamma + 2 * _U) * P
+    in_range = (_SAFE_MIN <= Z) & (Z <= _SAFE_MAX) & (_SAFE_MIN <= P) & (P <= _SAFE_MAX)
+    return N / Z, np.where(in_range, 3 * (gamma + 2 * _U) * P, np.inf)
+
+
+def _proven_pass(q_mu, e_mu, q_nu, e_nu, tol: float):
+    """Whether lhs <= rhs + tol is proven from the estimates q_mu +- e_mu
+    and q_nu +- e_nu of _estimate, on floats or elementwise on arrays:
+        fl(q_nu + tol) - q_mu > E_mu + E_nu + 5u * (|q_mu| + |q_nu| + tol),
+    whose last term covers the rounding of this test and of rhs + tol in
+    the exact verdict."""
+    return (q_nu + tol) - q_mu > e_mu + e_nu + 5 * _U * (abs(q_mu) + abs(q_nu) + tol)
 
 
 @dataclass(frozen=True)
@@ -403,13 +458,10 @@ def domination_check(
 
     Where the larger of the two enumerations has more than _FSUM_MAX_SIZE
     cells, _bounded_expectation first estimates each side as q +- E, and
-    the pass is proven when
-        fl(q_nu + tol) - q_mu > E_mu + E_nu + 5u * (|q_mu| + |q_nu| + tol),
-    whose last term covers the rounding of this test and of rhs + tol in
-    the exact verdict; the result then carries the estimates and the
-    larger E. Every other verdict (undecided, failing, or with sums out
-    of the bound's range) is decided on gibbs_expectation's values, with
-    bound 0.0, and raises what gibbs_expectation raises.
+    a pass that _proven_pass proves carries the estimates and the larger
+    E. Every other verdict (undecided, failing, or with sums out of the
+    bound's range) is decided on gibbs_expectation's values, with bound
+    0.0, and raises what gibbs_expectation raises.
     """
     _check_tol(tol)
     B = tuple(B)
@@ -418,10 +470,9 @@ def domination_check(
     if B and k ** len(lattice.sites) > _FSUM_MAX_SIZE:
         lhs = _bounded_expectation(lattice, couplings, mu, B)
         rhs = lhs and _bounded_expectation(lattice, couplings, nu, B)
-        if rhs:
+        if rhs and _proven_pass(*lhs, *rhs, tol):
             (q_mu, e_mu), (q_nu, e_nu) = lhs, rhs
-            if (q_nu + tol) - q_mu > e_mu + e_nu + 5 * _U * (abs(q_mu) + abs(q_nu) + tol):
-                return DominationResult(holds=True, lhs=q_mu, rhs=q_nu, bound=max(e_mu, e_nu))
+            return DominationResult(holds=True, lhs=q_mu, rhs=q_nu, bound=max(e_mu, e_nu))
     lhs = gibbs_expectation(lattice, couplings, mu, B)
     rhs = gibbs_expectation(lattice, couplings, nu, B)
     return DominationResult(holds=lhs <= rhs + tol, lhs=lhs, rhs=rhs)
@@ -442,15 +493,127 @@ class ProbeConfig:
         _check_tol(self.tol)
 
 
+_Trial = tuple[int, dict[frozenset[int], float], list[int]]
+
+
+def _draw_trial(rng: random.Random, site_cap: int) -> _Trial:
+    """One random ferromagnetic instance: n sites, 1 to 2n coupling
+    terms on 1-3 sites with strengths in [0, COUPLING_MAX], added up
+    where a subset repeats, and a sorted observable of 1-n sites."""
+    n = rng.randint(1, site_cap)
+    sites = tuple(range(n))
+    terms: dict[frozenset[int], float] = {}
+    for _ in range(rng.randint(1, 2 * n)):
+        size = rng.randint(1, min(MAX_SUBSET_SIZE, n))
+        subset = frozenset(rng.sample(sites, size))
+        terms[subset] = terms.get(subset, 0.0) + rng.uniform(0.0, COUPLING_MAX)
+    return n, terms, sorted(rng.sample(sites, rng.randint(1, n)))
+
+
+def _batch_sums(
+    measure: _PreparedMeasure,
+    n: int,
+    trials: Sequence[_Trial],
+    total: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The partition functions and numerators of trials on sites 0..n-1,
+    one row of k**n cells per trial, each summed by total(rows).
+
+    Row i holds the cells _gibbs_sums builds for trial i over all k**n
+    configurations: its monomials come from the measure's tables, keyed
+    by axes in each subset's iteration order, every cell sees the same
+    subtractions in the same order, and then exp(min - e), * prior and
+    * sigma^B, under the same np.errstate. A trial with fewer terms than
+    the longest one is padded with zero-strength terms on the first
+    site, whose monomial is finite; the Boltzmann factor exp(min - e) is
+    the same whether or not a signed zero was subtracted, since such a
+    subtraction changes at most the sign of a zero energy. Shorter
+    observables are padded with a row of ones, by which multiplication
+    is exact. Nothing is validated and nothing raises: an overflowing
+    row shows inf or NaN in its sums.
+    """
+    axes = [[tuple(subset) for subset in terms] for _, terms, _ in trials]
+    width = max(map(len, axes))
+    depth = max(len(B) for _, _, B in trials)
+    singles = [(site,) for site in range(n)]
+    index, rows = measure.flat_monomials(n, [()] + singles + [key for keys in axes for key in keys])
+    which = np.array([[index[key] for key in keys] + [index[(0,)]] * (width - len(keys)) for keys in axes])
+    strength = np.array([list(terms.values()) + [0.0] * (width - len(terms)) for _, terms, _ in trials])
+    factors = np.array([[index[(site,)] for site in B] + [index[()]] * (depth - len(B))
+                        for _, _, B in trials])
+    shape = (len(trials), rows.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy, term = np.zeros(shape), np.empty(shape)
+        for t in range(width):
+            np.take(rows, which[:, t], axis=0, out=term)
+            term *= strength[:, t, None]
+            energy -= term
+        weighted = np.exp(np.subtract(energy.min(axis=1, keepdims=True), energy, out=energy), out=energy)
+        weighted *= measure.tables(n)[1].reshape(-1)
+        Z = total(weighted)
+        observable = np.take(rows, factors[:, 0], axis=0, out=term)
+        factor = np.empty(shape) if depth > 1 else None
+        for d in range(1, depth):
+            observable *= np.take(rows, factors[:, d], axis=0, out=factor)
+        weighted *= observable
+        return Z, total(weighted)
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """numpy's float64 sum of each row."""
+    return rows.sum(axis=1)
+
+
+def _proven_small_trials(
+    window: Sequence[_Trial], mu: _PreparedMeasure, nu: _PreparedMeasure, tol: float
+) -> set[int]:
+    """The positions in `window` of the trials whose larger enumeration
+    has at most _FSUM_MAX_SIZE cells and whose pass _proven_pass proves
+    from float sums. Such trials are grouped by site count and summed by
+    _batch_sums in arrays of at most _BATCH_CELLS cells (one trial per
+    array where one trial has more). The bound of _bounded_expectation
+    holds for these sums as for any float sums of gibbs_expectation's
+    cells."""
+    k = max(len(mu.atoms), len(nu.atoms))
+    groups: dict[int, list[int]] = {}
+    for position, (n, _, _) in enumerate(window):
+        if k**n <= _FSUM_MAX_SIZE:
+            groups.setdefault(n, []).append(position)
+    proven = set()
+    for n, positions in groups.items():
+        step = max(1, _BATCH_CELLS // k**n)
+        for start in range(0, len(positions), step):
+            chunk = positions[start:start + step]
+            trials = [window[position] for position in chunk]
+            estimates = []
+            # Rows out of the bound's range may divide by zero or give
+            # inf - inf; _proven_pass holds on none of them.
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                for measure in (mu, nu):
+                    Z, N = _batch_sums(measure, n, trials, _row_sums)
+                    P = np.array([measure.observable_bound(len(B)) for _, _, B in trials])
+                    estimates += _estimate(Z, N, P, len(measure.atoms) ** n)
+                holds = _proven_pass(*estimates, tol)
+            proven.update(position for position, ok in zip(chunk, holds.tolist()) if ok)
+    return proven
+
+
 def random_probe(
     config: ProbeConfig, mu: MeasureLike, nu: MeasureLike
 ) -> VerificationReport:
     """Sample random ferromagnetic instances and check domination on each.
 
-    Deterministic for a given seed: trials run sequentially in draw order.
-    Violations are reported with the full serialized instance as witness;
-    with zero violations and zero trials the result is an empty pass.
-    Each measure's enumeration tables are built once and shared by every
+    Deterministic for a given seed: trials are drawn in sequence, _WINDOW
+    at a time, and their verdicts are reported in trial order. In each
+    window the passes of the small trials that _proven_small_trials
+    proves from float sums are settled together; every other trial (a
+    large one, a witness, a near-tie, or one whose sums leave the
+    bound's range) goes through domination_check, one at a time and in
+    trial order, so a witness carries its exact-sum lhs and rhs and an
+    error is raised at the trial that raised it before. Violations are
+    reported with the full serialized instance as witness; with zero
+    violations and zero trials the result is an empty pass. Each
+    measure's enumeration tables are built once and shared by every
     trial, and a site cap whose largest instance would exceed CONFIG_CAP
     for either measure is refused before any trial.
     """
@@ -459,22 +622,20 @@ def random_probe(
     for prepared in (mu, nu):
         _check_cap(len(prepared.atoms), config.site_cap)
     witnesses = []
-    for trial in range(config.trials):
-        n = rng.randint(1, config.site_cap)
-        sites = tuple(range(n))
-        terms: dict[frozenset[int], float] = {}
-        for _ in range(rng.randint(1, 2 * n)):
-            size = rng.randint(1, min(MAX_SUBSET_SIZE, n))
-            subset = frozenset(rng.sample(sites, size))
-            terms[subset] = terms.get(subset, 0.0) + rng.uniform(0.0, COUPLING_MAX)
-        B = sorted(rng.sample(sites, rng.randint(1, n)))
-        couplings = CouplingSet.from_dict(terms)
-        res = domination_check(Lattice(sites), couplings, mu, nu, B, tol=config.tol)
-        if not res.holds:
-            witnesses.append({
-                "trial": trial, "lhs": res.lhs, "rhs": res.rhs, "sites": list(sites),
-                "couplings": [[sorted(s), j] for s, j in couplings.terms], "B": B,
-            })
+    for first in range(0, config.trials, _WINDOW):
+        window = [_draw_trial(rng, config.site_cap) for _ in range(first, min(first + _WINDOW, config.trials))]
+        proven = _proven_small_trials(window, mu, nu, config.tol)
+        for position, (n, terms, B) in enumerate(window):
+            if position in proven:
+                continue
+            sites = tuple(range(n))
+            couplings = CouplingSet.from_dict(terms)
+            res = domination_check(Lattice(sites), couplings, mu, nu, B, tol=config.tol)
+            if not res.holds:
+                witnesses.append({
+                    "trial": first + position, "lhs": res.lhs, "rhs": res.rhs, "sites": list(sites),
+                    "couplings": [[sorted(s), j] for s, j in couplings.terms], "B": B,
+                })
     return VerificationReport(
         command="probe",
         status=PASS if not witnesses else FAIL,

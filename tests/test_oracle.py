@@ -30,7 +30,7 @@ from wells_majorize.oracle import (
     _binned_sum,
     _exact_sum,
 )
-from wells_majorize.report import FAIL, PASS
+from wells_majorize.report import FAIL, PASS, VerificationReport
 from wells_majorize.spin_sums import SpinValue
 from wells_majorize.wells import (
     bernoulli_measure,
@@ -229,19 +229,34 @@ class TestRandomProbe:
         assert report.status == PASS and report.details["passes"] == 0
 
     def test_measures_converted_once(self, monkeypatch):
-        seen = []
+        built, batched, checked = [], [], []
+        prepared, batch_sums, check = oracle._PreparedMeasure, oracle._batch_sums, oracle.domination_check
 
-        def spy(lattice, couplings, measure, B):
-            seen.append(measure)
-            return gibbs_expectation(lattice, couplings, measure, B)
+        class SpyMeasure(prepared):
+            def __init__(self, measure):
+                super().__init__(measure)
+                built.append(self)
 
-        monkeypatch.setattr(oracle, "gibbs_expectation", spy)
+        def spy_batch(measure, *args):
+            batched.append(measure)
+            return batch_sums(measure, *args)
+
+        def spy_check(lattice, couplings, mu, nu, B, tol):
+            checked.extend((mu, nu))
+            return check(lattice, couplings, mu, nu, B, tol=tol)
+
+        monkeypatch.setattr(oracle, "_PreparedMeasure", SpyMeasure)
+        monkeypatch.setattr(oracle, "_batch_sums", spy_batch)
+        monkeypatch.setattr(oracle, "domination_check", spy_check)
         mu, nu = mu_lambda_measure(Fraction(1, 4)), spin_measure(SpinValue.parse(1))
-        random_probe(ProbeConfig(seed=3, trials=5, site_cap=3), mu, nu)
-        # One prepared measure each, shared by every trial.
-        assert len(seen) == 10 and len({id(m) for m in seen}) == 2
-        assert seen[0] is not seen[1]
-        assert [seen[0].atoms, seen[1].atoms] == [float_atoms(mu), float_atoms(nu)]
+        # Seed 3 draws two trials on 7 sites, whose 3**7 cells are past
+        # the batched size, among ten small ones.
+        random_probe(ProbeConfig(seed=3, trials=12, site_cap=7), mu, nu)
+        # One prepared measure each, shared by the batches of small
+        # trials and by the trials checked one at a time.
+        assert len(built) == 2 and batched and len(checked) == 4
+        assert {id(m) for m in batched} == {id(m) for m in checked} == {id(m) for m in built}
+        assert [built[0].atoms, built[1].atoms] == [float_atoms(mu), float_atoms(nu)]
 
     @pytest.mark.parametrize("trials", [0, 3])
     @pytest.mark.parametrize("spin_is_mu", [True, False])
@@ -597,6 +612,164 @@ class TestProvenVerdicts:
             gibbs_expectation(lattice, couplings, huge, B)
         with pytest.raises(NumericError, match=f"^{re.escape(str(exact.value))}$"):
             domination_check(lattice, couplings, huge, PM_ONE, B)
+
+
+@st.composite
+def batch_trials(draw):
+    """A measure and 1-6 trials on the same n sites with at most
+    _FSUM_MAX_SIZE cells, each with 1 to 2n terms whose subsets are
+    inserted in any order and whose strengths may be 0, and a sorted
+    observable: rows with fewer terms are padded, subsets recur across
+    rows and some sites touch no coupling."""
+    measure = draw(measures())
+    k = len(float_atoms(measure))
+    n = draw(st.integers(1, max(n for n in range(1, 12) if k**n <= _FSUM_MAX_SIZE)))
+    subsets = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True).map(frozenset)
+    trials = []
+    for _ in range(draw(st.integers(1, 6))):
+        terms = draw(st.dictionaries(subsets, st.floats(0.0, 2.0), min_size=1, max_size=2 * n))
+        B = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+        trials.append((n, terms, B))
+    return measure, trials
+
+
+def reference_probe(config, mu, nu):
+    """random_probe as it was before small trials were batched: one
+    domination_check per trial, in draw order. The reference for the
+    batched probe's reports."""
+    rng = random.Random(config.seed)
+    mu, nu = oracle._PreparedMeasure(mu), oracle._PreparedMeasure(nu)
+    witnesses = []
+    for trial in range(config.trials):
+        n = rng.randint(1, config.site_cap)
+        sites = tuple(range(n))
+        terms = {}
+        for _ in range(rng.randint(1, 2 * n)):
+            size = rng.randint(1, min(oracle.MAX_SUBSET_SIZE, n))
+            subset = frozenset(rng.sample(sites, size))
+            terms[subset] = terms.get(subset, 0.0) + rng.uniform(0.0, oracle.COUPLING_MAX)
+        B = sorted(rng.sample(sites, rng.randint(1, n)))
+        couplings = CouplingSet.from_dict(terms)
+        res = oracle.domination_check(Lattice(sites), couplings, mu, nu, B, tol=config.tol)
+        if not res.holds:
+            witnesses.append({
+                "trial": trial, "lhs": res.lhs, "rhs": res.rhs, "sites": list(sites),
+                "couplings": [[sorted(s), j] for s, j in couplings.terms], "B": B,
+            })
+    return VerificationReport(
+        command="probe",
+        status=PASS if not witnesses else FAIL,
+        parameters={"seed": config.seed, "trials": config.trials, "site_cap": config.site_cap, "tol": config.tol},
+        details={"passes": config.trials - len(witnesses)},
+        witnesses=witnesses,
+    )
+
+
+def probe_outcome(probe, config, mu, nu):
+    """probe(config, mu, nu) as a dict, or the NumericError it raised
+    with the instance domination_check was given when it did."""
+    check, instances = oracle.domination_check, []
+
+    def spy(lattice, couplings, mu, nu, B, tol):
+        instances.append((lattice.sites, couplings.terms, tuple(B)))
+        return check(lattice, couplings, mu, nu, B, tol=tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "domination_check", spy)
+        try:
+            return probe(config, mu, nu).to_dict()
+        except NumericError as exc:
+            return str(exc), instances[-1]
+
+
+# (mu, nu, largest site cap). The first cap past _FSUM_MAX_SIZE cells is
+# 5 sites for 5 atoms, 7 for 3 and 12 for 2, so every pair mixes small
+# and large trials. Atoms near 1e-200 put P below the bound's range;
+# atoms near 1e200 overflow and raise.
+RMS_VS_SPIN = (bernoulli_float_atoms(math.sqrt(0.5)), spin_measure(SpinValue.parse(2)), 6)
+TIES = (spin_measure(SpinValue.parse(1)), spin_measure(SpinValue.parse(1)), 8)
+FAILING = (bernoulli_measure(1), mu_lambda_measure(Fraction(1, 4)), 7)
+TINY = (bernoulli_float_atoms(1e-200), PM_ONE, 12)
+HUGE = (bernoulli_float_atoms(1e200), PM_ONE, 12)
+PROBE_PAIRS = [RMS_VS_SPIN, TIES, FAILING, (SKEW, spin_measure(SpinValue.parse(1)), 8), TINY, HUGE]
+
+
+@st.composite
+def probe_runs(draw):
+    """A pair of PROBE_PAIRS in either order, a seed, 0-40 trials, a site
+    cap up to the pair's largest, a tolerance, a cell budget per batch
+    and a window."""
+    mu, nu, cap = draw(st.sampled_from(PROBE_PAIRS))
+    if draw(st.booleans()):
+        mu, nu = nu, mu
+    config = ProbeConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        trials=draw(st.integers(0, 40)),
+        site_cap=draw(st.integers(1, cap)),
+        tol=draw(st.sampled_from([0.0, 1e-12, DEFAULT_TOL])),
+    )
+    return config, mu, nu, draw(st.sampled_from([oracle._BATCH_CELLS, 256])), draw(st.sampled_from([oracle._WINDOW, 7]))
+
+
+def probe_run(pair, tol, cells=oracle._BATCH_CELLS, window=oracle._WINDOW, trials=40):
+    mu, nu, cap = pair
+    return ProbeConfig(seed=1, trials=trials, site_cap=cap, tol=tol), mu, nu, cells, window
+
+
+class TestBatchedTrials:
+    """Small trials proven in batches leave every probe report as the
+    per-trial loop gives it."""
+
+    @given(batch_trials())
+    @settings(max_examples=200, deadline=None)
+    @example((SKEW, [
+        # Sites 2 and 3 touch no coupling; {0, 1} recurs in the third
+        # row; rows of 1, 3 and 2 terms, one of strength 0, are padded.
+        (4, {frozenset({0, 1}): 0.9}, [0, 2]),
+        (4, {frozenset({1}): 0.4, frozenset({2, 3, 0}): 1.7, frozenset({3}): 0.0}, [1, 2, 3]),
+        (4, {frozenset({1, 0}): 1.1, frozenset({0}): 2.0}, [3]),
+    ]))
+    # frozenset({0, 2, 8}) iterates 0, 8, 2, and products of these atoms
+    # depend on the order of their factors.
+    @example((SKEW[:2], [(9, {frozenset({0, 2, 8}): 1.3, frozenset({5}): 0.2}, [2, 8])]))
+    def test_rows_match_the_cells_to_the_bit(self, case):
+        measure, trials = case
+        prepared = oracle._PreparedMeasure(measure)
+        batch = []
+
+        def keep_rows(rows):
+            batch.append(rows.copy())
+            return rows.sum(axis=1)
+
+        oracle._batch_sums(prepared, trials[0][0], trials, keep_rows)
+        for row, (n, terms, B) in enumerate(trials):
+            cells = []
+
+            def keep_cells(weighted, what):
+                cells.append(weighted.reshape(-1).copy())
+                return float(weighted.sum())
+
+            oracle._gibbs_sums(Lattice.of_size(n), CouplingSet.from_dict(terms), prepared, tuple(B), keep_cells)
+            assert [sums[row].tobytes() for sums in batch] == [c.tobytes() for c in cells]
+
+    @given(probe_runs())
+    @settings(max_examples=60, deadline=None)
+    # Exact ties at tol 0, which every small trial falls back on.
+    @example(probe_run(TIES, 0.0))
+    # A failing pair: its witnesses come from the fallback.
+    @example(probe_run(FAILING, DEFAULT_TOL, trials=60))
+    # Sums out of the bound's range fall back; overflow raises.
+    @example(probe_run(TINY, DEFAULT_TOL))
+    @example(probe_run(HUGE, DEFAULT_TOL))
+    @example(probe_run((PM_ONE, HUGE[0], 3), 0.0))
+    # Batches of 256 cells split each site count's trials.
+    @example(probe_run(RMS_VS_SPIN, 1e-12, cells=256, window=7))
+    def test_probe_matches_the_per_trial_loop(self, run):
+        config, mu, nu, cells, window = run
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_BATCH_CELLS", cells)
+            patch.setattr(oracle, "_WINDOW", window)
+            assert probe_outcome(random_probe, config, mu, nu) == probe_outcome(reference_probe, config, mu, nu)
 
 
 def fraction_sum(values):
