@@ -184,7 +184,8 @@ def cmd_theorem(args: argparse.Namespace) -> VerificationReport:
     if args.psi not in PSI_POWERS:
         raise VerificationError(f"unknown psi preset {args.psi!r}")
     N, power = args.n, PSI_POWERS[args.psi]
-    grid = PsiGrid.from_function(lambda t: abs(N * t) ** power, N, args.variant)
+    # t = j/N, so t.numerator * N // t.denominator is the integer j.
+    grid = PsiGrid.from_function(lambda t: abs(t.numerator * N // t.denominator) ** power, N, args.variant)
     phi = OddConvexFunction.power(args.phi_power)
     if args.variant == HALF_ODD:
         report = verify_half_odd_theorem(grid, phi)

@@ -4,16 +4,16 @@ domination probe.
 Unlike the exact modules, expectations here use double precision: the
 Boltzmann weight is transcendental, so the exactness lives in the
 complete configuration enumeration, with exact, correctly rounded
-summation and an explicit tolerance on every comparison. A domination
-verdict on a large enumeration is first tried from plain float sums: a
-pass is proven when its margin exceeds a rigorous bound on their
-distance from the exact sums, and witnesses and near-ties are decided
-on the exact sums. The probe proves its small trials the same way in
-batches, one array of trials per site count, with the same cells as
-one expectation builds. The inverse temperature is absorbed into the
-couplings. A probe builds each measure's enumeration tables (spin views,
-prior tensor, coupling monomials) once and shares them across its
-trials; nothing is cached beyond one probe.
+summation and an explicit tolerance on every comparison. domination_check
+decides on those exact sums alone. The probe first tries each trial from
+plain float sums of the same cells, small trials in batches of one site
+count and large ones one at a time: a pass is proven when its margin
+exceeds a rigorous bound on their distance from the exact sums, and only
+the trials it leaves unproven (witnesses, near-ties, sums outside the
+bound's range) reach domination_check. The inverse temperature is
+absorbed into the couplings. A probe builds each measure's enumeration
+tables (spin views, prior tensor, coupling monomials) once and shares
+them across its trials; nothing is cached beyond one probe.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ _CHUNK = 1 << 15
 # frexp exponents of the finite nonzero doubles.
 _MIN_EXPONENT, _MAX_EXPONENT = -1073, 1024
 # Unit roundoff of float64, and the range of float partition functions
-# and observable bounds inside which _bounded_expectation's bound holds.
+# and observable bounds inside which _estimate's bound holds.
 _U = 2.0**-53
 _SAFE_MIN, _SAFE_MAX = 2.0**-500, 2.0**500
 
@@ -197,7 +197,9 @@ def _binned_sum(x: np.ndarray) -> int:
 
 
 def _check_cap(k: int, n: int) -> None:
-    if k**n > CONFIG_CAP:
+    # k**n >= 2**n exceeds CONFIG_CAP for n past its bit length, so a
+    # large n is refused without forming the power.
+    if k > 1 and (n > CONFIG_CAP.bit_length() or k**n > CONFIG_CAP):
         raise ResourceLimitError(f"{k}**{n} configurations exceed cap {CONFIG_CAP}")
 
 
@@ -368,19 +370,15 @@ def _float_sum(cells: np.ndarray, what: str) -> float:
     return float(cells.sum())
 
 
-def _bounded_expectation(
-    lattice: Lattice,
-    couplings: CouplingSet,
-    measure: MeasureLike | _PreparedMeasure,
-    B: tuple[int, ...],
-) -> tuple[float, float] | None:
-    """An estimate q of gibbs_expectation(lattice, couplings, measure, B)
-    from plain float sums and a bound E >= |q - gibbs_expectation(...)|,
-    or None where the sums leave the range the bound covers.
+def _estimate(Z, N, P, cells):
+    """q = N / Z and a bound E >= |q - gibbs_expectation(...)|,
+    elementwise on arrays of trials, where Z and N are a trial's float
+    sums over its `cells` cells and P bounds its observable.
 
-    Both take the same c = k**n cells from _gibbs_sums: weights w_i >= 0
-    and products p_i = fl(w_i * o_i), where o_i is sigma^B in cell i.
-    With Z = sum w_i and N = sum p_i exact, r = N / Z and u = 2**-53,
+    Write Z' and N' for those float sums. Both run over the same c = k**n
+    cells of _gibbs_sums: weights w_i >= 0 and products
+    p_i = fl(w_i * o_i), where o_i is sigma^B in cell i. With
+    Z = sum w_i and N = sum p_i exact, r = N / Z and u = 2**-53,
     gibbs_expectation returns v = fl(fl(N) / fl(Z)) from correctly
     rounded sums; this returns q = fl(N' / Z') from numpy's sums.
     - Summation, in any order of addition (Higham, Accuracy and Stability
@@ -402,22 +400,11 @@ def _bounded_expectation(
     Summed, |q - v| <= (2 * g + 4 * u) * P times 1 + 1e-9 (c <=
     CONFIG_CAP keeps g below 2**-32), plus 2**-1074, which is below
     2.01 * (g + 2u) * P. E = 3 * (g + 2u) * P leaves room for the
-    rounding of E itself and of the verdict in domination_check. In that
+    rounding of E itself and of the verdict in _proven_pass. In that
     range Z > 0 and every sum of gibbs_expectation is finite, so it
-    returns v without raising. A float Z' of 0 means every weight is 0,
-    so the NumericError _gibbs_sums raises for it is gibbs_expectation's.
+    returns v without raising. E is inf where Z' or P leaves
+    [_SAFE_MIN, _SAFE_MAX], so that _proven_pass never holds there.
     """
-    measure, Z, N = _gibbs_sums(lattice, couplings, measure, B, _float_sum)
-    q, E = _estimate(Z, N, measure.observable_bound(len(B)), len(measure.atoms) ** len(lattice.sites))
-    return (q, float(E)) if E < math.inf else None
-
-
-def _estimate(Z, N, P, cells: int):
-    """q = N / Z and the bound E of _bounded_expectation for float sums
-    Z and N over `cells` cells and the observable bound P, on floats or
-    elementwise on arrays of trials. E is inf where Z or P leaves
-    [_SAFE_MIN, _SAFE_MAX], the range in which the bound holds, so that
-    _proven_pass never holds there."""
     gamma = cells * _U / (1 - cells * _U)
     in_range = (_SAFE_MIN <= Z) & (Z <= _SAFE_MAX) & (_SAFE_MIN <= P) & (P <= _SAFE_MAX)
     return N / Z, np.where(in_range, 3 * (gamma + 2 * _U) * P, np.inf)
@@ -425,7 +412,7 @@ def _estimate(Z, N, P, cells: int):
 
 def _proven_pass(q_mu, e_mu, q_nu, e_nu, tol: float):
     """Whether lhs <= rhs + tol is proven from the estimates q_mu +- e_mu
-    and q_nu +- e_nu of _estimate, on floats or elementwise on arrays:
+    and q_nu +- e_nu of _estimate, elementwise on arrays of trials:
         fl(q_nu + tol) - q_mu > E_mu + E_nu + 5u * (|q_mu| + |q_nu| + tol),
     whose last term covers the rounding of this test and of rhs + tol in
     the exact verdict."""
@@ -435,14 +422,11 @@ def _proven_pass(q_mu, e_mu, q_nu, e_nu, tol: float):
 @dataclass(frozen=True)
 class DominationResult:
     """The verdict lhs <= rhs + tol on <sigma^B>_mu (lhs) and
-    <sigma^B>_nu (rhs). Where `bound` is 0.0, lhs and rhs are
-    gibbs_expectation's exact-sum values; on a pass proven from float
-    sums they are estimates, each within `bound` of that value."""
+    <sigma^B>_nu (rhs), gibbs_expectation's exact-sum values."""
 
     holds: bool
     lhs: float
     rhs: float
-    bound: float = 0.0
 
 
 def domination_check(
@@ -454,25 +438,10 @@ def domination_check(
     tol: float = DEFAULT_TOL,
 ) -> DominationResult:
     """Check <sigma^B>_mu <= <sigma^B>_nu up to an absolute tolerance,
-    which must be finite and >= 0.
-
-    Where the larger of the two enumerations has more than _FSUM_MAX_SIZE
-    cells, _bounded_expectation first estimates each side as q +- E, and
-    a pass that _proven_pass proves carries the estimates and the larger
-    E. Every other verdict (undecided, failing, or with sums out of the
-    bound's range) is decided on gibbs_expectation's values, with bound
-    0.0, and raises what gibbs_expectation raises.
-    """
+    which must be finite and >= 0, on gibbs_expectation's values; raises
+    what gibbs_expectation raises."""
     _check_tol(tol)
     B = tuple(B)
-    # The atom counts, read before gibbs_expectation validates the atoms.
-    k = max(len(getattr(measure, "atoms", measure)) for measure in (mu, nu))
-    if B and k ** len(lattice.sites) > _FSUM_MAX_SIZE:
-        lhs = _bounded_expectation(lattice, couplings, mu, B)
-        rhs = lhs and _bounded_expectation(lattice, couplings, nu, B)
-        if rhs and _proven_pass(*lhs, *rhs, tol):
-            (q_mu, e_mu), (q_nu, e_nu) = lhs, rhs
-            return DominationResult(holds=True, lhs=q_mu, rhs=q_nu, bound=max(e_mu, e_nu))
     lhs = gibbs_expectation(lattice, couplings, mu, B)
     rhs = gibbs_expectation(lattice, couplings, nu, B)
     return DominationResult(holds=lhs <= rhs + tol, lhs=lhs, rhs=rhs)
@@ -564,38 +533,49 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     return rows.sum(axis=1)
 
 
-def _proven_small_trials(
+def _proven_trials(
     window: Sequence[_Trial], mu: _PreparedMeasure, nu: _PreparedMeasure, tol: float
 ) -> set[int]:
-    """The positions in `window` of the trials whose larger enumeration
-    has at most _FSUM_MAX_SIZE cells and whose pass _proven_pass proves
-    from float sums. Such trials are grouped by site count and summed by
-    _batch_sums in arrays of at most _BATCH_CELLS cells (one trial per
-    array where one trial has more). The bound of _bounded_expectation
-    holds for these sums as for any float sums of gibbs_expectation's
-    cells."""
+    """The positions in `window` of the trials whose pass _proven_pass
+    proves from float sums of gibbs_expectation's cells, for which the
+    bound of _estimate holds in any order of addition.
+
+    Trials whose larger enumeration has at most _FSUM_MAX_SIZE cells are
+    grouped by site count and summed by _batch_sums in arrays of at most
+    _BATCH_CELLS cells (one trial per array where one trial has more); a
+    larger trial is summed alone by _gibbs_sums. A trial whose float sums
+    raise NumericError keeps NaN sums, which prove nothing, so the exact
+    sums raise at its turn. The window's sums go through one _estimate
+    and one _proven_pass.
+    """
     k = max(len(mu.atoms), len(nu.atoms))
     groups: dict[int, list[int]] = {}
     for position, (n, _, _) in enumerate(window):
-        if k**n <= _FSUM_MAX_SIZE:
-            groups.setdefault(n, []).append(position)
-    proven = set()
-    for n, positions in groups.items():
-        step = max(1, _BATCH_CELLS // k**n)
-        for start in range(0, len(positions), step):
-            chunk = positions[start:start + step]
-            trials = [window[position] for position in chunk]
-            estimates = []
-            # Rows out of the bound's range may divide by zero or give
-            # inf - inf; _proven_pass holds on none of them.
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                for measure in (mu, nu):
-                    Z, N = _batch_sums(measure, n, trials, _row_sums)
-                    P = np.array([measure.observable_bound(len(B)) for _, _, B in trials])
-                    estimates += _estimate(Z, N, P, len(measure.atoms) ** n)
-                holds = _proven_pass(*estimates, tol)
-            proven.update(position for position, ok in zip(chunk, holds.tolist()) if ok)
-    return proven
+        groups.setdefault(n, []).append(position)
+    # Z and N of each trial under mu (rows 0, 1) and nu (rows 2, 3).
+    sums = np.full((4, len(window)), np.nan)
+    P = np.array([[measure.observable_bound(len(B)) for _, _, B in window] for measure in (mu, nu)])
+    cells = np.array([[len(measure.atoms) ** n for n, _, _ in window] for measure in (mu, nu)])
+    # Overflowing monomials and sums out of the bound's range may divide
+    # by zero or give inf - inf; _proven_pass holds on none of them.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for n, positions in groups.items():
+            batched = k**n <= _FSUM_MAX_SIZE
+            step = max(1, _BATCH_CELLS // k**n) if batched else 1
+            for start in range(0, len(positions), step):
+                chunk = positions[start:start + step]
+                trials = [window[position] for position in chunk]
+                with contextlib.suppress(NumericError):
+                    for row, measure in ((0, mu), (2, nu)):
+                        if batched:
+                            sums[row:row + 2, chunk] = _batch_sums(measure, n, trials, _row_sums)
+                        else:
+                            ((_, terms, B),) = trials
+                            lattice, couplings = Lattice.of_size(n), CouplingSet.from_dict(terms)
+                            _, Z, N = _gibbs_sums(lattice, couplings, measure, tuple(B), _float_sum)
+                            sums[row:row + 2, chunk] = [[Z], [N]]
+        (q_mu, q_nu), (e_mu, e_nu) = _estimate(sums[0::2], sums[1::2], P, cells)
+        return set(np.flatnonzero(_proven_pass(q_mu, e_mu, q_nu, e_nu, tol)).tolist())
 
 
 def random_probe(
@@ -605,17 +585,17 @@ def random_probe(
 
     Deterministic for a given seed: trials are drawn in sequence, _WINDOW
     at a time, and their verdicts are reported in trial order. In each
-    window the passes of the small trials that _proven_small_trials
-    proves from float sums are settled together; every other trial (a
-    large one, a witness, a near-tie, or one whose sums leave the
-    bound's range) goes through domination_check, one at a time and in
-    trial order, so a witness carries its exact-sum lhs and rhs and an
-    error is raised at the trial that raised it before. Violations are
-    reported with the full serialized instance as witness; with zero
-    violations and zero trials the result is an empty pass. Each
-    measure's enumeration tables are built once and shared by every
-    trial, and a site cap whose largest instance would exceed CONFIG_CAP
-    for either measure is refused before any trial.
+    window the passes that _proven_trials proves from float sums are
+    settled together; every other trial (a witness, a near-tie, or one
+    whose sums leave the bound's range or raise) goes through
+    domination_check, one at a time and in trial order, so a witness
+    carries its exact-sum lhs and rhs and an error is raised at the
+    trial that raises it. Violations are reported with the full
+    serialized instance as witness; with zero violations and zero trials
+    the result is an empty pass. Each measure's enumeration tables are
+    built once and shared by every trial, and a site cap whose largest
+    instance would exceed CONFIG_CAP for either measure is refused
+    before any trial.
     """
     rng = random.Random(config.seed)
     mu, nu = _PreparedMeasure(mu), _PreparedMeasure(nu)
@@ -624,7 +604,7 @@ def random_probe(
     witnesses = []
     for first in range(0, config.trials, _WINDOW):
         window = [_draw_trial(rng, config.site_cap) for _ in range(first, min(first + _WINDOW, config.trials))]
-        proven = _proven_small_trials(window, mu, nu, config.tol)
+        proven = _proven_trials(window, mu, nu, config.tol)
         for position, (n, terms, B) in enumerate(window):
             if position in proven:
                 continue

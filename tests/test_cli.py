@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
@@ -459,6 +460,15 @@ class TestProbeCommand:
             "--seed", "22", "--format", "json",
         ])
         assert (code, out, err) == (2, "", "error: 3**20 configurations exceed cap 1000000\n")
+
+    def test_huge_site_cap_is_refused_without_forming_the_power(self, capsys):
+        # 2**(10**9) would be a 125 MB integer, seconds in the making.
+        start = time.perf_counter()
+        code, out, err = run(capsys, [
+            "probe", "--pair", "bernoulli:1,spin:1", "--trials", "1", "--site-cap", "1000000000",
+        ])
+        assert (code, out, err) == (2, "", "error: 2**1000000000 configurations exceed cap 1000000\n")
+        assert time.perf_counter() - start < 1.0
 
     def test_rms_spin_under_the_cap_builds_no_atoms(self, capsys, monkeypatch):
         build = wells.spin_measure

@@ -229,8 +229,8 @@ class TestRandomProbe:
         assert report.status == PASS and report.details["passes"] == 0
 
     def test_measures_converted_once(self, monkeypatch):
-        built, batched, checked = [], [], []
-        prepared, batch_sums, check = oracle._PreparedMeasure, oracle._batch_sums, oracle.domination_check
+        built, batched, summed = [], [], []
+        prepared, batch_sums, gibbs_sums = oracle._PreparedMeasure, oracle._batch_sums, oracle._gibbs_sums
 
         class SpyMeasure(prepared):
             def __init__(self, measure):
@@ -241,21 +241,24 @@ class TestRandomProbe:
             batched.append(measure)
             return batch_sums(measure, *args)
 
-        def spy_check(lattice, couplings, mu, nu, B, tol):
-            checked.extend((mu, nu))
-            return check(lattice, couplings, mu, nu, B, tol=tol)
+        def spy_sums(lattice, couplings, measure, *args):
+            summed.append(measure)
+            return gibbs_sums(lattice, couplings, measure, *args)
 
         monkeypatch.setattr(oracle, "_PreparedMeasure", SpyMeasure)
         monkeypatch.setattr(oracle, "_batch_sums", spy_batch)
-        monkeypatch.setattr(oracle, "domination_check", spy_check)
+        monkeypatch.setattr(oracle, "_gibbs_sums", spy_sums)
+        monkeypatch.setattr(oracle, "domination_check", lambda *a, **k: pytest.fail("checked a trial"))
         mu, nu = mu_lambda_measure(Fraction(1, 4)), spin_measure(SpinValue.parse(1))
         # Seed 3 draws two trials on 7 sites, whose 3**7 cells are past
-        # the batched size, among ten small ones.
+        # the batched size, among ten small ones. Every trial passes,
+        # and the large ones are each summed alone and proven, so no
+        # trial reaches domination_check.
         random_probe(ProbeConfig(seed=3, trials=12, site_cap=7), mu, nu)
         # One prepared measure each, shared by the batches of small
-        # trials and by the trials checked one at a time.
-        assert len(built) == 2 and batched and len(checked) == 4
-        assert {id(m) for m in batched} == {id(m) for m in checked} == {id(m) for m in built}
+        # trials and the float sums of the large ones.
+        assert len(built) == 2 and batched and len(summed) == 4
+        assert {id(m) for m in batched} == {id(m) for m in summed} == {id(m) for m in built}
         assert [built[0].atoms, built[1].atoms] == [float_atoms(mu), float_atoms(nu)]
 
     @pytest.mark.parametrize("trials", [0, 3])
@@ -507,11 +510,27 @@ def probe_instances(draw, max_configs=20_000):
     return Lattice(sites), CouplingSet.from_dict(terms), mu, nu, B
 
 
+def float_estimates(trial, measure):
+    """(q, E) from _estimate on both float-sum routes of _proven_trials
+    for one trial: the row sums of _batch_sums and the sums of one
+    _gibbs_sums."""
+    n, terms, B = trial
+    prepared = oracle._PreparedMeasure(measure)
+    _, Z, N = oracle._gibbs_sums(Lattice.of_size(n), CouplingSet.from_dict(terms), prepared, tuple(B), oracle._float_sum)
+    estimates = []
+    for Z, N in [oracle._batch_sums(prepared, n, [trial], oracle._row_sums), ([Z], [N])]:
+        q, E = oracle._estimate(np.array(Z), np.array(N), prepared.observable_bound(len(B)), len(prepared.atoms) ** n)
+        estimates.append((q.item(), E.item()))
+    return estimates
+
+
+def proven(trials, mu, nu, tol):
+    return oracle._proven_trials(trials, oracle._PreparedMeasure(mu), oracle._PreparedMeasure(nu), tol)
+
+
 # Trial 64 of `probe --pair bernoulli:1,mu-lambda:1/4 --trials 200
 # --site-cap 6 --seed 1736812843`: one site in a weak field, whose +-J
-# Boltzmann weights nearly cancel in the numerator. Its few cells keep
-# domination_check on the exact sums, so the property test bounds
-# _bounded_expectation's estimate on it directly.
+# Boltzmann weights nearly cancel in the numerator.
 WEAK_FIELD = (
     Lattice((0,)),
     CouplingSet.from_dict({frozenset({0}): 9.249907995556583e-06}),
@@ -519,30 +538,36 @@ WEAK_FIELD = (
     mu_lambda_measure(Fraction(1, 4)),
     [0],
 )
+# Trial 9 of `probe --pair spin:4,bernoulli:1/2 --trials 12 --site-cap 5
+# --seed 7`: 9**5 cells, so its float sums are taken one trial at a time.
+NINE_FIVE = (
+    {frozenset(s): j for s, j in {
+        (0, 2, 4): 1.3809873142719558, (0, 1, 4): 1.7990660201159043,
+        (1, 3, 4): 0.797957664640546, (3,): 1.593185506915613, (1,): 0.1346952316860497,
+    }.items()},
+    [0, 3, 4],
+)
 
 
 class TestProvenVerdicts:
-    """A pass proven from float sums is the verdict the exact sums give,
-    and every other verdict carries the exact sums' values."""
+    """A pass _proven_trials proves from float sums is the verdict the
+    exact sums give, and domination_check gives the exact sums' values."""
 
     @given(instance=probe_instances(), tol=st.sampled_from([0.0, 1e-12, DEFAULT_TOL]))
     @settings(max_examples=200, deadline=None)
     @example(instance=WEAK_FIELD, tol=DEFAULT_TOL)
     def test_verdict_and_bound_match_the_exact_sums(self, instance, tol):
         lattice, couplings, mu, nu, B = instance
+        trial = (len(lattice.sites), dict(couplings.terms), B)
         exact = [gibbs_expectation(lattice, couplings, m, B) for m in (mu, nu)]
         for measure, value in zip((mu, nu), exact):
-            estimate = oracle._bounded_expectation(lattice, couplings, measure, tuple(B))
-            if estimate is not None:
-                q, bound = estimate
-                assert abs(q - value) <= bound
+            for q, bound in float_estimates(trial, measure):
+                if bound < math.inf:
+                    assert abs(q - value) <= bound
         res = domination_check(lattice, couplings, mu, nu, B, tol=tol)
-        assert res.holds == (exact[0] <= exact[1] + tol)
-        if res.bound == 0.0:
-            assert [repr(res.lhs), repr(res.rhs)] == [repr(value) for value in exact]
-        else:
+        assert [res.holds, repr(res.lhs), repr(res.rhs)] == [exact[0] <= exact[1] + tol, *map(repr, exact)]
+        if proven([trial], mu, nu, tol):
             assert res.holds
-            assert abs(res.lhs - exact[0]) <= res.bound and abs(res.rhs - exact[1]) <= res.bound
 
     @pytest.mark.parametrize(
         "nu, tol, holds",
@@ -553,44 +578,40 @@ class TestProvenVerdicts:
         ],
     )
     def test_failing_and_undecided_verdicts_are_exact(self, nu, tol, holds):
-        # Trial 9 of `probe --pair spin:4,bernoulli:1/2 --trials 12
-        # --site-cap 5 --seed 7`: 9**5 cells, so the float sums are tried
-        # first.
-        lattice = Lattice.of_size(5)
-        couplings = CouplingSet.from_dict({
-            (0, 2, 4): 1.3809873142719558, (0, 1, 4): 1.7990660201159043,
-            (1, 3, 4): 0.797957664640546, (3,): 1.593185506915613, (1,): 0.1346952316860497,
-        })
-        mu, B = spin_measure(SpinValue.parse(4)), (0, 3, 4)
+        (terms, B), mu = NINE_FIVE, spin_measure(SpinValue.parse(4))
+        assert proven([(5, terms, B)], mu, nu, tol) == set()
+        lattice, couplings = Lattice.of_size(5), CouplingSet.from_dict(terms)
         res = domination_check(lattice, couplings, mu, nu, B, tol=tol)
-        assert (res.holds, res.bound) == (holds, 0.0)
+        assert res.holds == holds
         assert repr(res.lhs) == repr(gibbs_expectation(lattice, couplings, mu, B))
         assert repr(res.rhs) == repr(gibbs_expectation(lattice, couplings, nu, B))
 
     def test_clear_pass_is_proven(self):
-        lattice = Lattice.of_size(5)
-        couplings = CouplingSet.from_dict({frozenset({0, 1}): 0.7, frozenset({1, 2, 3}): 1.2})
+        # 9**5 cells, summed alone, and two sites in a window with it,
+        # summed in a batch.
+        terms = {frozenset({0, 1}): 0.7, frozenset({1, 2, 3}): 1.2}
         mu, nu = bernoulli_measure(Fraction(1, 2)), spin_measure(SpinValue.parse(4))
-        res = domination_check(lattice, couplings, mu, nu, (0, 1))
-        assert res.holds and 0.0 < res.bound < 1e-9
-        assert abs(res.rhs - gibbs_expectation(lattice, couplings, nu, (0, 1))) <= res.bound
+        assert proven([(5, terms, [0, 1]), (2, {frozenset({0, 1}): 0.7}, [0, 1])], mu, nu, DEFAULT_TOL) == {0, 1}
+        exact = gibbs_expectation(Lattice.of_size(5), CouplingSet.from_dict(terms), nu, (0, 1))
+        for q, bound in float_estimates((5, terms, [0, 1]), nu):
+            assert 0.0 < bound < 1e-9 and abs(q - exact) <= bound
 
     def test_exact_ties_fall_back_and_pass(self, monkeypatch):
         # spin:2 against itself with tol 0: every trial is an exact tie,
         # which the bound cannot decide, and up to 5**6 cells per side.
         exact_cells, tried = [], []
-        bounded = oracle._bounded_expectation
+        estimate = oracle._estimate
 
         def spy_gibbs(lattice, couplings, measure, B):
             exact_cells.append(len(measure.atoms) ** len(lattice.sites))
             return gibbs_expectation(lattice, couplings, measure, B)
 
-        def spy_bounded(*args):
+        def spy_estimate(*args):
             tried.append(args)
-            return bounded(*args)
+            return estimate(*args)
 
         monkeypatch.setattr(oracle, "gibbs_expectation", spy_gibbs)
-        monkeypatch.setattr(oracle, "_bounded_expectation", spy_bounded)
+        monkeypatch.setattr(oracle, "_estimate", spy_estimate)
         spin = spin_measure(SpinValue.parse(2))
         report = random_probe(ProbeConfig(seed=0, trials=10, site_cap=6, tol=0.0), spin, spin)
         assert report.status == PASS and report.details["passes"] == 10
@@ -605,8 +626,10 @@ class TestProvenVerdicts:
         ],
     )
     def test_non_finite_sums_raise_as_the_exact_path_does(self, terms, B):
-        # 2**12 cells, past the size at which the float sums are tried.
+        # 2**12 cells, summed alone: the float sums prove nothing, and
+        # domination_check raises what gibbs_expectation raises.
         huge = bernoulli_float_atoms(1e200)
+        assert proven([(12, terms, list(B))], huge, PM_ONE, DEFAULT_TOL) == set()
         lattice, couplings = Lattice.of_size(12), CouplingSet.from_dict(terms)
         with pytest.raises(NumericError) as exact:
             gibbs_expectation(lattice, couplings, huge, B)
@@ -634,9 +657,10 @@ def batch_trials(draw):
 
 
 def reference_probe(config, mu, nu):
-    """random_probe as it was before small trials were batched: one
-    domination_check per trial, in draw order. The reference for the
-    batched probe's reports."""
+    """The exact per-trial loop: trials drawn as random_probe draws them,
+    and one domination_check, on exact sums, per trial in draw order.
+    The reference for random_probe's reports, whose proofs from float
+    sums must leave them unchanged."""
     rng = random.Random(config.seed)
     mu, nu = oracle._PreparedMeasure(mu), oracle._PreparedMeasure(nu)
     witnesses = []
@@ -691,7 +715,10 @@ TIES = (spin_measure(SpinValue.parse(1)), spin_measure(SpinValue.parse(1)), 8)
 FAILING = (bernoulli_measure(1), mu_lambda_measure(Fraction(1, 4)), 7)
 TINY = (bernoulli_float_atoms(1e-200), PM_ONE, 12)
 HUGE = (bernoulli_float_atoms(1e200), PM_ONE, 12)
-PROBE_PAIRS = [RMS_VS_SPIN, TIES, FAILING, (SKEW, spin_measure(SpinValue.parse(1)), 8), TINY, HUGE]
+# Weights of 1e-170 give a prior of 0 on two sites or more, so the float
+# sums of a large trial raise, as its exact sums do at its turn.
+UNDERFLOW = ([(1.0, 1e-170), (-1.0, 1e-170)], PM_ONE, 12)
+PROBE_PAIRS = [RMS_VS_SPIN, TIES, FAILING, (SKEW, spin_measure(SpinValue.parse(1)), 8), TINY, HUGE, UNDERFLOW]
 
 
 @st.composite
@@ -717,8 +744,8 @@ def probe_run(pair, tol, cells=oracle._BATCH_CELLS, window=oracle._WINDOW, trial
 
 
 class TestBatchedTrials:
-    """Small trials proven in batches leave every probe report as the
-    per-trial loop gives it."""
+    """Trials proven from float sums, in batches or one at a time, leave
+    every probe report as the exact per-trial loop gives it."""
 
     @given(batch_trials())
     @settings(max_examples=200, deadline=None)
@@ -762,6 +789,7 @@ class TestBatchedTrials:
     @example(probe_run(TINY, DEFAULT_TOL))
     @example(probe_run(HUGE, DEFAULT_TOL))
     @example(probe_run((PM_ONE, HUGE[0], 3), 0.0))
+    @example(probe_run(UNDERFLOW, DEFAULT_TOL))
     # Batches of 256 cells split each site count's trials.
     @example(probe_run(RMS_VS_SPIN, 1e-12, cells=256, window=7))
     def test_probe_matches_the_per_trial_loop(self, run):
