@@ -540,15 +540,15 @@ def _proven_trials(
     proves from float sums of gibbs_expectation's cells, for which the
     bound of _estimate holds in any order of addition.
 
-    Trials whose larger enumeration has at most _FSUM_MAX_SIZE cells are
-    grouped by site count and summed by _batch_sums in arrays of at most
-    _BATCH_CELLS cells (one trial per array where one trial has more); a
-    larger trial is summed alone by _gibbs_sums. A trial whose float sums
-    raise NumericError keeps NaN sums, which prove nothing, so the exact
-    sums raise at its turn. The window's sums go through one _estimate
-    and one _proven_pass.
+    Each measure is summed on its own. Trials whose enumeration under it
+    has at most _FSUM_MAX_SIZE cells are grouped by site count and summed
+    by _batch_sums in arrays of at most _BATCH_CELLS cells (one trial per
+    array where one trial has more); a larger enumeration is summed alone
+    by _gibbs_sums. A trial whose float sums under either measure raise
+    NumericError keeps NaN sums, which prove nothing, so the exact sums
+    raise at its turn. The window's sums go through one _estimate and one
+    _proven_pass.
     """
-    k = max(len(mu.atoms), len(nu.atoms))
     groups: dict[int, list[int]] = {}
     for position, (n, _, _) in enumerate(window):
         groups.setdefault(n, []).append(position)
@@ -559,14 +559,15 @@ def _proven_trials(
     # Overflowing monomials and sums out of the bound's range may divide
     # by zero or give inf - inf; _proven_pass holds on none of them.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for n, positions in groups.items():
-            batched = k**n <= _FSUM_MAX_SIZE
-            step = max(1, _BATCH_CELLS // k**n) if batched else 1
-            for start in range(0, len(positions), step):
-                chunk = positions[start:start + step]
-                trials = [window[position] for position in chunk]
-                with contextlib.suppress(NumericError):
-                    for row, measure in ((0, mu), (2, nu)):
+        for row, measure in ((0, mu), (2, nu)):
+            for n, positions in groups.items():
+                size = len(measure.atoms) ** n
+                batched = size <= _FSUM_MAX_SIZE
+                step = max(1, _BATCH_CELLS // size) if batched else 1
+                for start in range(0, len(positions), step):
+                    chunk = positions[start:start + step]
+                    trials = [window[position] for position in chunk]
+                    with contextlib.suppress(NumericError):
                         if batched:
                             sums[row:row + 2, chunk] = _batch_sums(measure, n, trials, _row_sums)
                         else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import comb
+from math import comb, isqrt
 from typing import Iterable
 
 from .errors import DomainError, InvariantError, PreconditionError, ValidationError
@@ -270,9 +270,21 @@ def t_minus_upper(
 
     The bisection runs on integers: with top = tp/tq, the bracket after j
     steps is [top * a / 2^j, top * (a + 1) / 2^j], kept as (a, j), so its
-    width is top / 2^j, each midpoint's square is one
-    Fraction(tp^2 m^2, tq^2 4^j) with m = 2a + 1, and lo and hi are
-    formed once, at the end.
+    width is top / 2^j. It takes the least j with top / 2^j <= tol, that
+    is the bit length of ceil(top / tol) - 1, and lo and hi are formed
+    once, at the end.
+
+    The predicate is evaluated first at s* = min(second moment,
+    (min v^2 + max v^2)/2) = sp/sq, and when it holds there no step is
+    taken. Below s*, it holds at every s, by the down-set. Above s*, it
+    fails at every s: past the second moment P_1 < 0, and past the
+    midpoint the tail rule fails. So every step's answer is whether its
+    midpoint's square is at most s*, and after j steps a is the largest
+    integer with (tp a)^2 sq <= sp tq^2 4^j, one integer square root;
+    a < 2^j since s* < top^2. When the predicate fails at s*, some
+    intermediate order binds, and the bisection runs step by step, each
+    midpoint's square one Fraction(tp^2 m^2, tq^2 4^j) with m = 2a + 1.
+    With no step to take (tol >= top), nothing is evaluated.
     """
     tol = parse_rational(tol)
     if tol <= 0:
@@ -284,9 +296,15 @@ def t_minus_upper(
         # Two-point measure: the threshold is the atom magnitude itself.
         return TMinusResult(lo=top, hi=top, n_max_checked=n_max, status=CLOSED_FORM)
     tp, tq = top.numerator, top.denominator
-    width, limit = tp * tol.denominator, tol.numerator * tq
+    steps = (-(-tp * tol.denominator // (tol.numerator * tq)) - 1).bit_length()
     a = j = 0
-    while width > limit << j:
+    if steps:
+        D, squares = mu.cleared_squares
+        s_star = min(mu.second_moment(), Fraction(squares[0][0] + squares[-1][0], 2 * D))
+        if tail_sign_ok(mu, s_star) and passes_up_to(mu, s_star, n_max):
+            sp, sq = s_star.numerator, s_star.denominator
+            a, j = isqrt((sp * tq * tq << 2 * steps) // (tp * tp * sq)), steps
+    while j < steps:
         m = 2 * a + 1
         j += 1
         s = Fraction(tp * tp * m * m, tq * tq << 2 * j)

@@ -226,6 +226,18 @@ class TestTMinusCommand:
         assert code == 0
         assert len(calls) == 1
 
+    def test_deep_tolerance_is_decided_in_closed_form(self, capsys):
+        # About 14 300 bisection steps, each a moment check on integers of
+        # thousands of digits, unless the one check at s* = 1/2 decides them.
+        start = time.perf_counter()
+        code, data = run_json(capsys, ["t-minus", "--measure", "preset:spin:2", "--tol", "1e-4299"])
+        assert time.perf_counter() - start < 1.0
+        # Past 4300 digits, str() and int() refuse the integers; Decimal does not.
+        lo, hi = (F(*(int(Decimal(n)) for n in data["details"][key].split("/")))
+                  for key in ("t_minus_lo", "t_minus_hi"))
+        assert code == 0
+        assert lo**2 <= F(1, 2) < hi**2 and hi - lo <= F(1, 10**4299)
+
     def test_json_is_deterministic_modulo_timing(self, capsys):
         argv = ["t-minus", "--measure", "preset:mu-lambda:1/2"]
         _, first = run_json(capsys, argv)

@@ -494,6 +494,23 @@ def fraction_bisection(mu, n_max, tol):
     return lo, hi, steps
 
 
+def predicate_holds_at_s_star(mu, n_max):
+    """Whether the bisection's predicate holds at s* = min(second moment,
+    (min v^2 + max v^2)/2), where t_minus_upper evaluates it first."""
+    squares = sorted(v * v for v, _ in mu.atoms)
+    s_star = min(mu.second_moment(), (squares[0] + squares[-1]) / 2)
+    return tail_sign_ok(mu, s_star) and passes_up_to(mu, s_star, n_max)
+
+
+def evaluations(mu, n_max, steps):
+    """The predicate evaluations t_minus_upper makes for a bracket of
+    `steps` bisection steps: none without a step, one at s* when it holds
+    there, and one more per step when it does not."""
+    if not steps:
+        return 0
+    return 1 if predicate_holds_at_s_star(mu, n_max) else 1 + steps
+
+
 class TestTMinusUpper:
     @given(
         even_measure_and_s(),
@@ -509,7 +526,28 @@ class TestTMinusUpper:
         assume(tol > 0 and len(mu.atoms) > 2)
         with mock.patch.object(wells, "tail_sign_ok", wraps=tail_sign_ok) as spy:
             res = t_minus_upper(mu, n_max=n_max, tol=tol)
-        assert (res.lo, res.hi, spy.call_count) == fraction_bisection(mu, n_max, tol)
+        lo, hi, steps = fraction_bisection(mu, n_max, tol)
+        assert (res.lo, res.hi) == (lo, hi)
+        assert spy.call_count == evaluations(mu, n_max, steps)
+
+    @pytest.mark.parametrize("mu, closed", [
+        # s* = 1/4 = (1/2)^2 is a bracket point at every depth.
+        (mu_lambda_measure(F(1, 4)), True),
+        # s* is the tail midpoint 1/2, where the weight condition holds.
+        (mu_lambda_measure(F(3, 4)), True),
+        # s* is the tail midpoint 1/2, where the weight condition fails.
+        (DiscreteMeasure.from_pairs([(1, "1/10"), (-1, "1/10"), ("9/10", "11/40"),
+                                     ("-9/10", "11/40"), (0, "1/4")]), False),
+        # An intermediate moment order binds below s*.
+        (FALLBACK, False),
+    ])
+    @pytest.mark.parametrize("tol", [F(1, 3), F(1, 10**6), F(1, 2**20), F(1, 10**40)])
+    def test_one_evaluation_at_s_star_decides_the_bracket(self, mu, closed, tol):
+        with mock.patch.object(wells, "tail_sign_ok", wraps=tail_sign_ok) as spy:
+            res = t_minus_upper(mu, tol=tol)
+        lo, hi, steps = fraction_bisection(mu, wells.DEFAULT_N_MAX, tol)
+        assert predicate_holds_at_s_star(mu, wells.DEFAULT_N_MAX) is closed
+        assert (res.lo, res.hi, spy.call_count) == (lo, hi, 1 if closed else 1 + steps)
 
     @pytest.mark.parametrize("scale", [1, F(3, 2)])
     def test_tolerance_at_or_above_top_takes_no_step(self, scale):
