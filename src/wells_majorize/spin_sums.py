@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import mul
 from typing import Callable, Iterator, Optional
 
 from .errors import InvariantError, PreconditionError, ValidationError
@@ -72,16 +73,19 @@ def spin_sum(S: SpinValue, m: int) -> Fraction:
 
     j steps by 1, so for half-odd S every j is a half-odd integer. To keep
     the arithmetic integral we work with k = 2j and pull out 4**(2m+1):
-    3 j^2 - S(S+1) = (3 k^2 - 2S(2S+2)) / 4.
+    3 j^2 - S(S+1) = (3 k^2 - 2S(2S+2)) / 4. That quarter is itself an
+    integer for every k of the sum (see `_spin_sum_row`), so the value
+    always has denominator 1.
 
     With s = 1/3 + 1/(3S), the second moment of the spin-S measure, the sum
     is (2S+1) (3S^2)^(2m+1) times that measure's centered moment of
     (x^2 - s)^(2m+1), `wells_term(spin_measure(S), s, 2m+1)`, and has its
     sign.
 
-    This is the literal definition, one power per term. `verify_conjecture`
-    computes whole rows with `_spin_sum_row` and checks each row's last
-    entry against this function.
+    This is the literal definition, one power per term over 4**(2m+1),
+    and it does not rely on the integrality. `verify_conjecture` computes
+    whole rows with `_spin_sum_row` and checks each row's last entry
+    against this function.
     """
     if m < 0:
         raise ValidationError("m must be >= 0")
@@ -96,26 +100,34 @@ def _odd_power_sums(terms: list[tuple[int, int]], first: int) -> Iterator[int]:
     """Yield sum c * d**n over the integer pairs (d, c) of terms for the
     odd orders n = first, first + 2, ..., each from the running products
     of the one before times d*d, computed only when it is asked for."""
-    squares = [d * d for d, _ in terms]
     powers = [c * d**first for d, c in terms]
+    yield sum(powers)
+    squares = [d * d for d, _ in terms]
     while True:
+        powers = list(map(mul, powers, squares))
         yield sum(powers)
-        powers = list(map(int.__mul__, powers, squares))
 
 
-def _spin_sum_row(S: SpinValue, m_first: int, m_last: int) -> list[Fraction]:
-    """spin_sum(S, m) for each m = m_first..m_last, with m_first <= m_last.
+def _spin_sum_row(S: SpinValue, m_first: int, m_last: int) -> list[int]:
+    """spin_sum(S, m) for each m = m_first..m_last, with m_first <= m_last,
+    as plain integers.
 
-    The summand is even in k, so each |k| is one term t = 3 k^2 - base of
-    weight 2, or 1 for k = 0, and the row is read from `_odd_power_sums`.
-    The last entry is checked against the definition,
-    spin_sum(S, m_last), and a mismatch raises InvariantError.
+    Each summand is t^(2m+1) with the quarter-integer term
+    t = 3 j^2 - S(S+1) = (3 k^2 - base) / 4, k = 2j, base = 2S(2S+2), and
+    t is an integer: for even 2S, k = 2i gives t = 3 i^2 - S(S+1); for odd
+    2S, k is odd, so 3 k^2 = 3 (mod 4), and base = (2S+1)^2 - 1 = 3
+    (mod 4) too. The row is therefore sum c t^(2m+1) on integers, with
+    nothing to normalize.
+
+    The summand is even in k, so each |k| is one term t of weight 2, or 1
+    for k = 0, and the row is read from `_odd_power_sums`. The last entry
+    is checked against the definition, spin_sum(S, m_last), and a mismatch
+    raises InvariantError.
     """
     s2 = S.twice
     base = s2 * (s2 + 2)
-    terms = [(3 * k * k - base, 2 if k else 1) for k in range(s2 % 2, s2 + 1, 2)]
-    sums = _odd_power_sums(terms, 2 * m_first + 1)
-    row = [Fraction(t, 4 ** (2 * m + 1)) for m, t in zip(range(m_first, m_last + 1), sums)]
+    terms = [((3 * k * k - base) // 4, 2 if k else 1) for k in range(s2 % 2, s2 + 1, 2)]
+    row = list(islice(_odd_power_sums(terms, 2 * m_first + 1), m_last - m_first + 1))
     if row[-1] != spin_sum(S, m_last):
         raise InvariantError(
             f"spin-sum row for S = {S.as_fraction} disagrees with spin_sum at m = {m_last}"
@@ -129,9 +141,11 @@ def verify_conjecture(S_max: SpinValue, m_max: int) -> VerificationReport:
     Expected picture: every entry non-negative except the S=1 family,
     which is strictly negative for every m >= 1. m_max = 0 degenerates to
     the all-zero table. Each row (one S, every m) is computed in one pass
-    by `_spin_sum_row`, which uses the k -> -k symmetry of the summand and
-    steps each order to the next by the squared terms; the row's last
-    entry is cross-checked against `spin_sum`.
+    by `_spin_sum_row` on the quarter-integer terms (3 k^2 - 2S(2S+2)) / 4,
+    which are integers, so every entry is an integer and the signs are
+    read from plain ints; the row's last entry is cross-checked against
+    `spin_sum`. Entries become Fractions (denominator 1) only in the
+    report.
     """
     if m_max < 0:
         raise ValidationError("m_max must be >= 0")
@@ -141,13 +155,10 @@ def verify_conjecture(S_max: SpinValue, m_max: int) -> VerificationReport:
     for twice in range(1, S_max.twice + 1):
         S = SpinValue(twice)
         values = _spin_sum_row(S, ms[0], m_max)
-        rows.append({"S": S.as_fraction, "values": values})
+        rows.append({"S": S.as_fraction, "values": list(map(Fraction, values))})
         for m, v in zip(ms, values):
-            if twice == 2 and m >= 1:
-                if v >= 0:
-                    unexpected.append({"S": S.as_fraction, "m": m, "value": v})
-            elif v < 0:
-                unexpected.append({"S": S.as_fraction, "m": m, "value": v})
+            if (v < 0) != (twice == 2 and m >= 1):
+                unexpected.append({"S": S.as_fraction, "m": m, "value": Fraction(v)})
     return VerificationReport(
         command="verify-conjecture",
         status=PASS if not unexpected else FAIL,

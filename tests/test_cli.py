@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -94,6 +95,25 @@ class TestTcBoundsCommand:
         assert code == 0
         assert out.splitlines()[0] == "key,value"
         assert 'details.msw,"1/2"' in out
+
+
+class TestLargeConjectureTables:
+    """The benchmark's two largest `verify-conjecture` tables, 763 KB and
+    162 KB of JSON, too large for the corpus: the sha256 of each output,
+    timing aside, is pinned."""
+
+    @pytest.mark.parametrize(
+        "s_max, m_max, digest",
+        [
+            ("100", "30", "f27d9827962ed43d8303cd4eeff5f945a1691f66df319f6f5c236c92b339e014"),
+            ("50", "20", "58c75a75a141d9ca869fe4c6d56b80706cec8f048dcb2458615e6b12159dd7c5"),
+        ],
+    )
+    def test_output_digest(self, capsys, s_max, m_max, digest):
+        argv = ["verify-conjecture", "--s-max", s_max, "--m-max", m_max, "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(TIMING_LINE.sub("", out).encode()).hexdigest() == digest
 
 
 class TestVerifyConjectureCommand:

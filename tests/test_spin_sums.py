@@ -1,4 +1,6 @@
 from fractions import Fraction as F
+from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from wells_majorize.spin_sums import (
     PsiGrid,
     SpinValue,
     SplitDomination,
+    _odd_power_sums,
     _spin_sum_row,
     build_half_odd_pair,
     build_integer_triple,
@@ -126,6 +129,17 @@ class TestVerifyConjecture:
         with pytest.raises(ValidationError):
             spin_sum(SpinValue(4), -1)
 
+    @pytest.mark.parametrize("m_max", [0, 12])
+    def test_table_entries_are_integers(self, m_max):
+        report = verify_conjecture(SpinValue(40), m_max)
+        values = [v for row in report.details["table"] for v in row["values"]]
+        assert all(type(v) is F and v.denominator == 1 for v in values)
+
+    def test_spin_sum_checks_each_row_once_at_m_max(self):
+        with mock.patch.object(spin_sums, "spin_sum", wraps=spin_sum) as spy:
+            verify_conjecture(SpinValue(40), 12)
+        assert spy.call_args_list == [mock.call(SpinValue(t), 12) for t in range(1, 41)]
+
 
 class TestSpinSumRow:
     @given(twice=st.integers(1, 60), m_first=st.integers(0, 40), length=st.integers(1, 12))
@@ -134,6 +148,26 @@ class TestSpinSumRow:
         S = SpinValue(twice)
         ms = range(m_first, m_first + length)
         assert _spin_sum_row(S, ms[0], ms[-1]) == [spin_sum(S, m) for m in ms]
+
+    def test_row_terms_are_divisible_by_four(self):
+        # 3 k^2 - 2S(2S+2) over the k = 2j of the row's parity, k >= 0.
+        for twice in range(1, 401):
+            base = twice * (twice + 2)
+            ks = range(twice % 2, twice + 1, 2)
+            assert all((3 * k * k - base) % 4 == 0 for k in ks), twice
+
+    @given(
+        terms=st.lists(
+            st.tuples(st.integers(-(10**6), 10**6).filter(bool), st.integers(1, 50)), max_size=10
+        ),
+        first=st.integers(0, 15).map(lambda h: 2 * h + 1),
+        steps=st.integers(1, 8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_odd_power_sums_match_the_definition(self, terms, first, steps):
+        orders = range(first, first + 2 * steps, 2)
+        expected = [sum(c * d**n for d, c in terms) for n in orders]
+        assert list(islice(_odd_power_sums(terms, first), steps)) == expected
 
     def test_sum_is_a_scaled_centered_moment(self):
         # spin_sum(S, m) = (2S+1) (3S^2)^(2m+1) P_(2m+1)(s) at the spin
