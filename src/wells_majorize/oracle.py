@@ -4,16 +4,17 @@ domination probe.
 Unlike the exact modules, expectations here use double precision: the
 Boltzmann weight is transcendental, so the exactness lives in the
 complete configuration enumeration, with exact, correctly rounded
-summation and an explicit tolerance on every comparison. domination_check
-decides on those exact sums alone. The probe first tries each trial from
-plain float sums of the same cells, small trials in batches of one site
-count and large ones one at a time: a pass is proven when its margin
-exceeds a rigorous bound on their distance from the exact sums, and only
-the trials it leaves unproven (witnesses, near-ties, sums outside the
-bound's range) reach domination_check. The inverse temperature is
-absorbed into the couplings. A probe builds each measure's enumeration
-tables (spin views, prior tensor, coupling monomials) once and shares
-them across its trials; nothing is cached beyond one probe.
+summation (math.fsum) and an explicit tolerance on every comparison.
+domination_check decides on those exact sums alone. The probe first
+tries each trial from plain float sums of the same cells, small trials
+in batches of one site count and large ones one at a time: a pass is
+proven when its margin exceeds a rigorous bound on their distance from
+the exact sums, and only the trials it leaves unproven (witnesses,
+near-ties, sums outside the bound's range) reach domination_check. The
+inverse temperature is absorbed into the couplings. A probe builds each
+measure's enumeration tables (spin views, prior tensor, coupling
+monomials) once and shares them across its trials; nothing is cached
+beyond one probe.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import contextlib
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -113,18 +115,13 @@ class CouplingSet:
         return cls(tuple((frozenset(k), float(v)) for k, v in terms.items()))
 
 
-# Up to this many addends math.fsum over a list is cheaper than binning.
-# It is also the largest enumeration random_probe proves in batches.
-_FSUM_MAX_SIZE = 2048
+# The largest enumeration random_probe proves in batches; larger ones
+# are proven one trial at a time.
+_BATCH_MAX_SIZE = 2048
 # Cells per array of a batch of small trials, and trials random_probe
 # draws before it proves the window's small ones together.
 _BATCH_CELLS = 1 << 16
 _WINDOW = 256
-# Addends per chunk of the binned sum, so that its work buffers stay in
-# the L2 cache.
-_CHUNK = 1 << 15
-# frexp exponents of the finite nonzero doubles.
-_MIN_EXPONENT, _MAX_EXPONENT = -1073, 1024
 # Unit roundoff of float64, and the range of float partition functions
 # and observable bounds inside which _estimate's bound holds.
 _U = 2.0**-53
@@ -132,68 +129,27 @@ _SAFE_MIN, _SAFE_MAX = 2.0**-500, 2.0**500
 
 
 def _exact_sum(x: np.ndarray, what: str) -> float:
-    """Correctly rounded sum of a float64 array, equal to math.fsum's.
+    """Correctly rounded sum of a float64 array: math.fsum's, which adds
+    Shewchuk's exact partials and rounds once.
 
-    Large arrays are summed exactly by _binned_sum, which returns the sum
-    as one integer times 2**-1127 without a Python loop over elements.
-    CPython rounds integer true division correctly, as math.fsum rounds
-    its exact sum. A non-finite addend or a sum beyond the float range
-    raises NumericError; a sum that fits is returned even where math.fsum
-    overflows in between.
+    math.fsum raises OverflowError also when only a partial sum leaves
+    the float range. Only when it fails, and every addend is finite, is
+    the sum taken over Fractions and rounded once, by CPython's correctly
+    rounded integer true division, so a sum that fits is returned even
+    where a partial sum overflows. A non-finite addend or a sum beyond
+    the float range raises NumericError.
     """
     x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
     total = math.nan
-    if x.size <= _FSUM_MAX_SIZE:
-        # math.fsum raises OverflowError also when only a partial sum
-        # leaves the float range; the binned sum has no such partials.
-        with contextlib.suppress(OverflowError, ValueError):
-            total = math.fsum(x.tolist())
+    with contextlib.suppress(OverflowError, ValueError):
+        total = math.fsum(x.tolist())
     if not math.isfinite(total):
-        try:
-            total = _binned_sum(x) / (1 << 1127)
-        except (OverflowError, ValueError):
-            raise NumericError(f"{what}: non-finite addend or overflowing sum") from None
+        if np.isfinite(x).all():
+            with contextlib.suppress(OverflowError):
+                total = float(sum(map(Fraction, x.tolist())))
+        if not math.isfinite(total):
+            raise NumericError(f"{what}: non-finite addend or overflowing sum")
     return total
-
-
-def _binned_sum(x: np.ndarray) -> int:
-    """The sum of a one-dimensional float64 array times 2**1127, exactly.
-
-    frexp writes each addend as m * 2**e with 1/2 <= |m| < 1, and
-    m * 2**26 is split into high = trunc(m * 2**26), an integer below
-    2**26 in magnitude, and low = m * 2**26 - high, a multiple of 2**-27
-    in (-1, 1). Both parts keep the addend's sign, so two bincounts per
-    chunk of _CHUNK addends, keyed by e alone, give the sum of every
-    (high + low) * 2**(e - 26). Each addend adds below 2**26 to its bin's
-    high total and below 2**27 units of 2**-27 to its low total, so both
-    float64 totals stay below 2**53 units, and exact, for up to 2**26
-    addends; gibbs_expectation sums at most CONFIG_CAP. Raises ValueError
-    on an infinity or NaN.
-    """
-    bins = _MAX_EXPONENT - _MIN_EXPONENT + 1
-    mantissa, high = np.empty(_CHUNK), np.empty(_CHUNK)
-    exponent, key = np.empty(_CHUNK, dtype=np.intc), np.empty(_CHUNK, dtype=np.intp)
-    high_sums, low_sums = np.zeros(bins), np.zeros(bins)
-    # An infinity or NaN leaves a NaN bin total, which raises below.
-    with np.errstate(invalid="ignore"):
-        for start in range(0, x.size, _CHUNK):
-            chunk = x[start:start + _CHUNK]
-            m, e, h, k = (buf[:chunk.size] for buf in (mantissa, exponent, high, key))
-            np.frexp(chunk, out=(m, e))
-            m *= 2.0**26
-            np.trunc(m, out=h)
-            m -= h
-            np.subtract(e, _MIN_EXPONENT, out=k)
-            high_sums += np.bincount(k, weights=h, minlength=bins)
-            low_sums += np.bincount(k, weights=m, minlength=bins)
-        sums = high_sums + low_sums  # zero exactly where a bin adds nothing
-    if not np.isfinite(sums).all():
-        raise ValueError("non-finite addend")
-    low_sums *= 2.0**27
-    # Bin i holds e = i + _MIN_EXPONENT, and 2**1127 times
-    # (high + low) * 2**(e - 26) is (high + low) * 2**27 << (i + 1).
-    return sum(((int(high_sums[i]) << 27) + int(low_sums[i])) << (i + 1)
-               for i in np.flatnonzero(sums).tolist())
 
 
 def _check_cap(k: int, n: int) -> None:
@@ -287,10 +243,10 @@ def _gibbs_sums(
     measure: MeasureLike | _PreparedMeasure,
     B: tuple[int, ...],
     total: Callable[[np.ndarray, str], float],
-) -> tuple[_PreparedMeasure, float, float]:
-    """Validate and enumerate one instance: its prepared measure, the
-    partition function Z and the numerator N, the sum over cells of
-    sigma^B times the Gibbs weight, each summed by total(cells, what).
+) -> tuple[float, float]:
+    """Validate and enumerate one instance: the partition function Z and
+    the numerator N, the sum over cells of sigma^B times the Gibbs
+    weight, each summed by total(cells, what).
 
     The k**n configurations are the cells of a (k,) * n tensor with one
     axis per site in lattice order. The prior, each coupling term and the
@@ -315,7 +271,7 @@ def _gibbs_sums(
     n = len(lattice.sites)
     _check_cap(len(measure.atoms), n)
     if not B:
-        return measure, 1.0, 1.0
+        return 1.0, 1.0
     spin, prior, _ = measure.tables(n)
 
     # Overflow shows up as inf or NaN in the sums.
@@ -341,7 +297,7 @@ def _gibbs_sums(
         if Z <= 0.0:
             raise NumericError(f"partition function degenerate: {Z}")
         weighted *= math.prod(spin[axis[site]] for site in B)
-        return measure, Z, total(weighted, "expectation not finite")
+        return Z, total(weighted, "expectation not finite")
 
 
 def gibbs_expectation(
@@ -358,7 +314,7 @@ def gibbs_expectation(
     then reused. Raises NumericError when an expectation or the partition
     function is not a finite positive float.
     """
-    _, Z, N = _gibbs_sums(lattice, couplings, measure, tuple(B), _exact_sum)
+    Z, N = _gibbs_sums(lattice, couplings, measure, tuple(B), _exact_sum)
     value = N / Z
     if not math.isfinite(value):
         raise NumericError(f"expectation not finite: {value}")
@@ -541,7 +497,7 @@ def _proven_trials(
     bound of _estimate holds in any order of addition.
 
     Each measure is summed on its own. Trials whose enumeration under it
-    has at most _FSUM_MAX_SIZE cells are grouped by site count and summed
+    has at most _BATCH_MAX_SIZE cells are grouped by site count and summed
     by _batch_sums in arrays of at most _BATCH_CELLS cells (one trial per
     array where one trial has more); a larger enumeration is summed alone
     by _gibbs_sums. A trial whose float sums under either measure raise
@@ -562,7 +518,7 @@ def _proven_trials(
         for row, measure in ((0, mu), (2, nu)):
             for n, positions in groups.items():
                 size = len(measure.atoms) ** n
-                batched = size <= _FSUM_MAX_SIZE
+                batched = size <= _BATCH_MAX_SIZE
                 step = max(1, _BATCH_CELLS // size) if batched else 1
                 for start in range(0, len(positions), step):
                     chunk = positions[start:start + step]
@@ -573,7 +529,7 @@ def _proven_trials(
                         else:
                             ((_, terms, B),) = trials
                             lattice, couplings = Lattice.of_size(n), CouplingSet.from_dict(terms)
-                            _, Z, N = _gibbs_sums(lattice, couplings, measure, tuple(B), _float_sum)
+                            Z, N = _gibbs_sums(lattice, couplings, measure, tuple(B), _float_sum)
                             sums[row:row + 2, chunk] = [[Z], [N]]
         (q_mu, q_nu), (e_mu, e_nu) = _estimate(sums[0::2], sums[1::2], P, cells)
         return set(np.flatnonzero(_proven_pass(q_mu, e_mu, q_nu, e_nu, tol)).tolist())

@@ -284,6 +284,8 @@ def t_minus_upper(
     a < 2^j since s* < top^2. When the predicate fails at s*, some
     intermediate order binds, and the bisection runs step by step, each
     midpoint's square one Fraction(tp^2 m^2, tq^2 4^j) with m = 2a + 1.
+    Each step then asks only the moments: below s* the tail rule holds,
+    and at s* and above the predicate fails, so tail_sign_ok runs once.
     With no step to take (tol >= top), nothing is evaluated.
     """
     tol = parse_rational(tol)
@@ -308,7 +310,7 @@ def t_minus_upper(
         m = 2 * a + 1
         j += 1
         s = Fraction(tp * tp * m * m, tq * tq << 2 * j)
-        a = m if tail_sign_ok(mu, s) and passes_up_to(mu, s, n_max) else m - 1
+        a = m if s < s_star and passes_up_to(mu, s, n_max) else m - 1
     lo, hi = Fraction(tp * a, tq << j), Fraction(tp * (a + 1), tq << j)
     return TMinusResult(lo=lo, hi=hi, n_max_checked=n_max, status=CERTIFIED_UP_TO_N_MAX)
 

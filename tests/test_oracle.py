@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,7 @@ from wells_majorize.errors import (
 )
 from wells_majorize import oracle
 from wells_majorize.oracle import (
-    _CHUNK,
-    _FSUM_MAX_SIZE,
+    _BATCH_MAX_SIZE,
     DEFAULT_TOL,
     CouplingSet,
     Lattice,
@@ -27,7 +27,6 @@ from wells_majorize.oracle import (
     float_atoms,
     gibbs_expectation,
     random_probe,
-    _binned_sum,
     _exact_sum,
 )
 from wells_majorize.report import FAIL, PASS, VerificationReport
@@ -391,7 +390,7 @@ class TestTensorEnumeration:
         "measure, n",
         [
             (spin_measure(SpinValue.parse(4)), 6),  # 9**6, the probe's largest
-            (spin_measure(SpinValue.parse(1)), 7),  # 3**7, just above the fsum size
+            (spin_measure(SpinValue.parse(1)), 7),  # 3**7, just above the batch size
             (bernoulli_float_atoms(math.sqrt(5 / 12)), 7),
         ],
     )
@@ -493,7 +492,7 @@ def probe_instances(draw, max_configs=20_000):
     draws one: 1 to 2n terms on 1-3 sites with strengths in [0, 2], added
     up where a subset repeats, and a sorted observable of 1-n sites. The
     site count, half the time the largest one, reaches both sides of
-    _FSUM_MAX_SIZE cells."""
+    _BATCH_MAX_SIZE cells."""
     wide = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=5, unique=True).map(
         lambda values: [(v, 1 / len(values)) for v in values]
     )
@@ -516,7 +515,7 @@ def float_estimates(trial, measure):
     _gibbs_sums."""
     n, terms, B = trial
     prepared = oracle._PreparedMeasure(measure)
-    _, Z, N = oracle._gibbs_sums(Lattice.of_size(n), CouplingSet.from_dict(terms), prepared, tuple(B), oracle._float_sum)
+    Z, N = oracle._gibbs_sums(Lattice.of_size(n), CouplingSet.from_dict(terms), prepared, tuple(B), oracle._float_sum)
     estimates = []
     for Z, N in [oracle._batch_sums(prepared, n, [trial], oracle._row_sums), ([Z], [N])]:
         q, E = oracle._estimate(np.array(Z), np.array(N), prepared.observable_bound(len(B)), len(prepared.atoms) ** n)
@@ -615,7 +614,7 @@ class TestProvenVerdicts:
         spin = spin_measure(SpinValue.parse(2))
         report = random_probe(ProbeConfig(seed=0, trials=10, site_cap=6, tol=0.0), spin, spin)
         assert report.status == PASS and report.details["passes"] == 10
-        assert len(exact_cells) == 20 and max(exact_cells) > _FSUM_MAX_SIZE
+        assert len(exact_cells) == 20 and max(exact_cells) > _BATCH_MAX_SIZE
         assert tried
 
     @pytest.mark.parametrize(
@@ -640,13 +639,13 @@ class TestProvenVerdicts:
 @st.composite
 def batch_trials(draw):
     """A measure and 1-6 trials on the same n sites with at most
-    _FSUM_MAX_SIZE cells, each with 1 to 2n terms whose subsets are
+    _BATCH_MAX_SIZE cells, each with 1 to 2n terms whose subsets are
     inserted in any order and whose strengths may be 0, and a sorted
     observable: rows with fewer terms are padded, subsets recur across
     rows and some sites touch no coupling."""
     measure = draw(measures())
     k = len(float_atoms(measure))
-    n = draw(st.integers(1, max(n for n in range(1, 12) if k**n <= _FSUM_MAX_SIZE)))
+    n = draw(st.integers(1, max(n for n in range(1, 12) if k**n <= _BATCH_MAX_SIZE)))
     subsets = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True).map(frozenset)
     trials = []
     for _ in range(draw(st.integers(1, 6))):
@@ -706,7 +705,7 @@ def probe_outcome(probe, config, mu, nu):
             return str(exc), instances[-1]
 
 
-# (mu, nu, largest site cap). The first cap past _FSUM_MAX_SIZE cells is
+# (mu, nu, largest site cap). The first cap past _BATCH_MAX_SIZE cells is
 # 5 sites for 5 atoms, 7 for 3 and 12 for 2, so every pair mixes small
 # and large trials. Atoms near 1e-200 put P below the bound's range;
 # atoms near 1e200 overflow and raise.
@@ -814,19 +813,19 @@ SCALES = {
 
 
 class TestExactSum:
-    """_exact_sum equals math.fsum over a list, by repr, on both sides of
-    the size at which it stops calling fsum."""
+    """_exact_sum equals the correctly rounded exact sum, and math.fsum
+    over a list wherever fsum's partial sums stay in range, by repr."""
 
     @given(
-        size=st.sampled_from([1, 2, _FSUM_MAX_SIZE, _FSUM_MAX_SIZE + 1, 6000])
+        size=st.sampled_from([1, 2, 2048, 2049, 6000])
         | st.integers(0, 6000),
         seed=st.integers(0, 2**32 - 1),
         scales=st.lists(st.sampled_from(sorted(SCALES)), min_size=1, unique=True),
         cancel=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    @example(size=_FSUM_MAX_SIZE + 1, seed=1, scales=["huge"], cancel=False)
-    @example(size=_FSUM_MAX_SIZE + 1, seed=2, scales=["subnormal", "zero"], cancel=True)
+    @example(size=2049, seed=1, scales=["huge"], cancel=False)
+    @example(size=2049, seed=2, scales=["subnormal", "zero"], cancel=True)
     def test_matches_fsum(self, size, seed, scales, cancel):
         rng = np.random.default_rng(seed)
         parts = np.concatenate([SCALES[name](rng, size) for name in scales])
@@ -846,29 +845,23 @@ class TestExactSum:
             return
         assert repr(_exact_sum(x, "sum")) == repr(expected)
 
-    @pytest.mark.parametrize("size", [4, _FSUM_MAX_SIZE + 4])
+    @pytest.mark.parametrize("size", [4, 2052, 20004])
     def test_cancellation_to_zero(self, size):
         x = np.tile([1e308, -1e308, 5e-324, -5e-324, -0.0, 1.5, -1.5, 0.0], size // 4)[:size]
         for values in (x, -x, np.full(size, -0.0)):
             assert repr(_exact_sum(values, "sum")) == repr(math.fsum(values.tolist())) == "0.0"
-
-    @pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 4 * _CHUNK + 7])
-    def test_chunk_boundaries_match_fsum(self, size):
-        rng = np.random.default_rng(size)
-        x = SCALES["spread"](rng, size) * rng.choice([-1.0, 1.0], size)
-        x[::3] = SCALES["subnormal"](rng, x[::3].size)
-        assert repr(_exact_sum(x, "sum")) == repr(math.fsum(x.tolist()))
+        # Sorted, every -1e308 comes first, so from 2052 addends on a
+        # partial sum overflows fsum and the sum is taken over Fractions.
+        assert repr(_exact_sum(np.sort(x), "sum")) == "0.0"
 
     def test_sums_at_the_configuration_cap(self):
-        # An expectation sums at most CONFIG_CAP addends, each adding
-        # below 2**27 units to either of its bin's float64 totals.
-        assert oracle.CONFIG_CAP * 2**27 <= 2**53
-        # The largest mantissa, broadcast so that no addend takes memory,
-        # into every addend of one bin, ending inside a chunk.
+        # An expectation sums at most CONFIG_CAP addends: here each the
+        # largest float below 1, broadcast so that no addend takes memory.
         x = np.broadcast_to(np.float64(1.0 - 2.0**-53), (oracle.CONFIG_CAP,))
-        assert _binned_sum(x) == oracle.CONFIG_CAP * (2**53 - 1) << 1074
+        exact = oracle.CONFIG_CAP * Fraction(2**53 - 1, 2**53)
+        assert repr(_exact_sum(x, "sum")) == repr(float(exact))
 
-    @pytest.mark.parametrize("size", [3, _FSUM_MAX_SIZE + 3, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("size", [3, 2051, 65539])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_addend_raises(self, size, bad):
         x = np.ones(size)
@@ -876,7 +869,17 @@ class TestExactSum:
         with pytest.raises(NumericError, match="^total: "):
             _exact_sum(x, "total")
 
-    @pytest.mark.parametrize("size", [2, _FSUM_MAX_SIZE + 2])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_addend_raises_before_any_fraction(self, bad):
+        # Summing 10^6 addends over Fractions would take about 2 s.
+        x = np.ones(10**6)
+        x[-1] = bad
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match="^total: "):
+            _exact_sum(x, "total")
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("size", [2, 2050])
     def test_overflowing_sum_raises(self, size):
         with pytest.raises(NumericError):
             _exact_sum(np.full(size, 1.5e308), "sum")

@@ -502,15 +502,6 @@ def predicate_holds_at_s_star(mu, n_max):
     return tail_sign_ok(mu, s_star) and passes_up_to(mu, s_star, n_max)
 
 
-def evaluations(mu, n_max, steps):
-    """The predicate evaluations t_minus_upper makes for a bracket of
-    `steps` bisection steps: none without a step, one at s* when it holds
-    there, and one more per step when it does not."""
-    if not steps:
-        return 0
-    return 1 if predicate_holds_at_s_star(mu, n_max) else 1 + steps
-
-
 class TestTMinusUpper:
     @given(
         even_measure_and_s(),
@@ -528,7 +519,8 @@ class TestTMinusUpper:
             res = t_minus_upper(mu, n_max=n_max, tol=tol)
         lo, hi, steps = fraction_bisection(mu, n_max, tol)
         assert (res.lo, res.hi) == (lo, hi)
-        assert spy.call_count == evaluations(mu, n_max, steps)
+        # The tail rule is asked once, at s*, and only when a step is due.
+        assert spy.call_count == min(steps, 1)
 
     @pytest.mark.parametrize("mu, closed", [
         # s* = 1/4 = (1/2)^2 is a bracket point at every depth.
@@ -543,11 +535,17 @@ class TestTMinusUpper:
     ])
     @pytest.mark.parametrize("tol", [F(1, 3), F(1, 10**6), F(1, 2**20), F(1, 10**40)])
     def test_one_evaluation_at_s_star_decides_the_bracket(self, mu, closed, tol):
-        with mock.patch.object(wells, "tail_sign_ok", wraps=tail_sign_ok) as spy:
+        # The tail rule is asked once, at s*, even where the bisection
+        # falls back to steps: below s* it holds, and at s* and above it
+        # the predicate fails, so the steps ask only the moments.
+        with (mock.patch.object(wells, "tail_sign_ok", wraps=tail_sign_ok) as tail,
+              mock.patch.object(wells, "passes_up_to", wraps=passes_up_to) as moments):
             res = t_minus_upper(mu, tol=tol)
-        lo, hi, steps = fraction_bisection(mu, wells.DEFAULT_N_MAX, tol)
+        lo, hi, _ = fraction_bisection(mu, wells.DEFAULT_N_MAX, tol)
         assert predicate_holds_at_s_star(mu, wells.DEFAULT_N_MAX) is closed
-        assert (res.lo, res.hi, spy.call_count) == (lo, hi, 1 if closed else 1 + steps)
+        assert (res.lo, res.hi, tail.call_count) == (lo, hi, 1)
+        if closed:
+            moments.assert_called_once()
 
     @pytest.mark.parametrize("scale", [1, F(3, 2)])
     def test_tolerance_at_or_above_top_takes_no_step(self, scale):
