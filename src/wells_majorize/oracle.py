@@ -6,7 +6,11 @@ Boltzmann weight is transcendental, so the exactness lives in the
 complete configuration enumeration, with exact, correctly rounded
 summation (math.fsum) and an explicit tolerance on every comparison.
 domination_check decides on those exact sums alone. The probe first
-tries each trial from plain float sums of the same cells, small trials
+decides, once, whether both measures are even and in a range where no
+exact sum can overflow or vanish; if so, a trial whose observable has a
+site no coupling touches is proven with nothing enumerated, since both
+its exact-sum expectations are zero (the exact zero rule). It tries
+every other trial from plain float sums of the same cells, small trials
 in batches of one site count and large ones one at a time: a pass is
 proven when its margin exceeds a rigorous bound on their distance from
 the exact sums, and only the trials it leaves unproven (witnesses,
@@ -236,6 +240,40 @@ class _PreparedMeasure:
             P *= self._largest
         return P
 
+    def free_sites_vanish(self, site_cap: int) -> bool:
+        """Whether the measure is even as float atoms and in range for
+        every trial random_probe draws on at most site_cap sites, so that
+        gibbs_expectation returns a zero, without raising, on each one
+        whose observable has a site no coupling touches.
+
+        Even: the multiset of (value, weight) pairs equals that of
+        (-value, weight). In range: take V = max(1, largest |atom|) and
+        weights in [w_lo, w_hi]. A trial has at most 2n term draws of at
+        most COUPLING_MAX each, so every energy cell is at most
+        2 * site_cap * COUPLING_MAX * V**MAX_SUBSET_SIZE in magnitude;
+        every prior cell lies in
+        [min(w_lo, 1)**site_cap, max(w_hi, 1)**site_cap]; every |sigma^B|
+        is at most V**site_cap; and a sum has at most CONFIG_CAP cells.
+        The check asks, in log2, that the energy bound and CONFIG_CAP
+        times the largest prior times V**site_cap be at most _SAFE_MAX,
+        and the smallest prior at least _SAFE_MIN. The ground-state shift
+        at most doubles the energies' range, and the float roundings on
+        the way to a cell change a bound by a factor below 1 + 2**-40, so
+        every energy, Boltzmann factor (in [0, 1], and 1 in the
+        ground-state cell), prior and sigma^B cell and every sum stays
+        finite, and Z is at least the prior of the ground-state cell,
+        which is positive. A cap past CONFIG_CAP's bit length, which only
+        a one-atom measure passes _check_cap with, is left to the
+        enumeration.
+        """
+        if site_cap > CONFIG_CAP.bit_length() or sorted(self.atoms) != sorted((-v, w) for v, w in self.atoms):
+            return False
+        largest = math.log2(max(self._largest, 1.0))
+        lightest, heaviest = (math.log2(w) for w in (self._weights.min(), self._weights.max()))
+        energy = math.log2(2 * site_cap * COUPLING_MAX) + MAX_SUBSET_SIZE * largest
+        cells = math.log2(CONFIG_CAP) + site_cap * (max(heaviest, 0.0) + largest)
+        return max(energy, cells, -site_cap * min(lightest, 0.0)) <= math.log2(_SAFE_MAX)
+
 
 def _gibbs_sums(
     lattice: Lattice,
@@ -421,18 +459,49 @@ class ProbeConfig:
 _Trial = tuple[int, dict[frozenset[int], float], list[int]]
 
 
+def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """random.Random._randbelow(n) for n >= 1: a draw from range(n) by
+    the same rejection loop on the same stream."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _sample(rng: random.Random, n: int, size: int) -> list[int]:
+    """rng.sample(range(n), size), drawn from the same stream. Up to 21
+    items random.sample always takes its pool algorithm, written out
+    here; past that it may switch algorithm, so rng.sample is called."""
+    if n > 21:
+        return rng.sample(range(n), size)
+    getrandbits, pool, chosen = rng.getrandbits, list(range(n)), []
+    for i in range(size):
+        j = _randbelow(getrandbits, n - i)
+        chosen.append(pool[j])
+        pool[j] = pool[n - i - 1]
+    return chosen
+
+
 def _draw_trial(rng: random.Random, site_cap: int) -> _Trial:
     """One random ferromagnetic instance: n sites, 1 to 2n coupling
     terms on 1-3 sites with strengths in [0, COUPLING_MAX], added up
-    where a subset repeats, and a sorted observable of 1-n sites."""
-    n = rng.randint(1, site_cap)
-    sites = tuple(range(n))
+    where a subset repeats, and a sorted observable of 1-n sites.
+
+    The draws are rng.randint(1, site_cap), rng.randint(1, 2n), per term
+    rng.randint(1, min(MAX_SUBSET_SIZE, n)), rng.sample(range(n), size)
+    and rng.uniform(0.0, COUPLING_MAX), then the observable's
+    rng.sample(range(n), rng.randint(1, n)), made without those methods'
+    call layers: randint(a, b) is a + _randbelow(b - a + 1), and
+    uniform(0.0, c) is 0.0 + (c - 0.0) * random(), the float
+    c * random()."""
+    getrandbits = rng.getrandbits
+    n = 1 + _randbelow(getrandbits, site_cap)
     terms: dict[frozenset[int], float] = {}
-    for _ in range(rng.randint(1, 2 * n)):
-        size = rng.randint(1, min(MAX_SUBSET_SIZE, n))
-        subset = frozenset(rng.sample(sites, size))
-        terms[subset] = terms.get(subset, 0.0) + rng.uniform(0.0, COUPLING_MAX)
-    return n, terms, sorted(rng.sample(sites, rng.randint(1, n)))
+    for _ in range(1 + _randbelow(getrandbits, 2 * n)):
+        subset = frozenset(_sample(rng, n, 1 + _randbelow(getrandbits, min(MAX_SUBSET_SIZE, n))))
+        terms[subset] = terms.get(subset, 0.0) + COUPLING_MAX * rng.random()
+    return n, terms, sorted(_sample(rng, n, 1 + _randbelow(getrandbits, n)))
 
 
 def _batch_sums(
@@ -490,24 +559,46 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def _proven_trials(
-    window: Sequence[_Trial], mu: _PreparedMeasure, nu: _PreparedMeasure, tol: float
+    window: Sequence[_Trial], mu: _PreparedMeasure, nu: _PreparedMeasure, tol: float, free_sites_vanish: bool
 ) -> set[int]:
-    """The positions in `window` of the trials whose pass _proven_pass
-    proves from float sums of gibbs_expectation's cells, for which the
-    bound of _estimate holds in any order of addition.
+    """The positions in `window` of the trials whose pass is proven
+    without the exact sums: by the exact zero rule, or by _proven_pass
+    from float sums of gibbs_expectation's cells, for which the bound of
+    _estimate holds in any order of addition.
 
-    Each measure is summed on its own. Trials whose enumeration under it
-    has at most _BATCH_MAX_SIZE cells are grouped by site count and summed
-    by _batch_sums in arrays of at most _BATCH_CELLS cells (one trial per
-    array where one trial has more); a larger enumeration is summed alone
-    by _gibbs_sums. A trial whose float sums under either measure raise
-    NumericError keeps NaN sums, which prove nothing, so the exact sums
-    raise at its turn. The window's sums go through one _estimate and one
-    _proven_pass.
+    The exact zero rule, applied only when `free_sites_vanish` holds
+    (both measures pass _PreparedMeasure.free_sites_vanish for the
+    probe's site cap), proves a trial whose observable has a site s that
+    no coupling touches, and enumerates nothing. Why it is exact: an
+    even measure pairs each atom with one of equal weight and negated
+    value (a zero atom may be its own partner). Write c' for cell c with
+    s's atom replaced by its partner; c -> c' is a bijection of the
+    cells. In _gibbs_sums the energy has no axis for s, so c and c' read
+    the same Boltzmann factor; their prior cells multiply equal weights
+    in the same order; and sigma^B at c' has one factor negated. Float
+    rounding is sign-symmetric, so N's cell at c' is exactly the
+    negative of N's cell at c. The cells of N thus cancel in pairs: their
+    exact sum is 0, and math.fsum returns 0.0. In range, Z is finite and
+    positive, so gibbs_expectation returns 0.0 (or -0.0) under each
+    measure without raising, and 0.0 <= 0.0 + tol holds for any
+    tol >= 0.
+
+    Every other trial is summed under each measure on its own. Trials
+    whose enumeration under it has at most _BATCH_MAX_SIZE cells are
+    grouped by site count and summed by _batch_sums in arrays of at most
+    _BATCH_CELLS cells (one trial per array where one trial has more); a
+    larger enumeration is summed alone by _gibbs_sums. A trial whose
+    float sums under either measure raise NumericError keeps NaN sums,
+    which prove nothing, so the exact sums raise at its turn. The
+    window's sums go through one _estimate and one _proven_pass.
     """
+    free = set()
+    if free_sites_vanish:
+        free = {position for position, (_, terms, B) in enumerate(window) if not set(B) <= set().union(*terms)}
     groups: dict[int, list[int]] = {}
     for position, (n, _, _) in enumerate(window):
-        groups.setdefault(n, []).append(position)
+        if position not in free:
+            groups.setdefault(n, []).append(position)
     # Z and N of each trial under mu (rows 0, 1) and nu (rows 2, 3).
     sums = np.full((4, len(window)), np.nan)
     P = np.array([[measure.observable_bound(len(B)) for _, _, B in window] for measure in (mu, nu)])
@@ -532,7 +623,7 @@ def _proven_trials(
                             Z, N = _gibbs_sums(lattice, couplings, measure, tuple(B), _float_sum)
                             sums[row:row + 2, chunk] = [[Z], [N]]
         (q_mu, q_nu), (e_mu, e_nu) = _estimate(sums[0::2], sums[1::2], P, cells)
-        return set(np.flatnonzero(_proven_pass(q_mu, e_mu, q_nu, e_nu, tol)).tolist())
+        return free.union(np.flatnonzero(_proven_pass(q_mu, e_mu, q_nu, e_nu, tol)).tolist())
 
 
 def random_probe(
@@ -542,26 +633,28 @@ def random_probe(
 
     Deterministic for a given seed: trials are drawn in sequence, _WINDOW
     at a time, and their verdicts are reported in trial order. In each
-    window the passes that _proven_trials proves from float sums are
-    settled together; every other trial (a witness, a near-tie, or one
-    whose sums leave the bound's range or raise) goes through
-    domination_check, one at a time and in trial order, so a witness
-    carries its exact-sum lhs and rhs and an error is raised at the
-    trial that raises it. Violations are reported with the full
-    serialized instance as witness; with zero violations and zero trials
-    the result is an empty pass. Each measure's enumeration tables are
-    built once and shared by every trial, and a site cap whose largest
-    instance would exceed CONFIG_CAP for either measure is refused
-    before any trial.
+    window the passes that _proven_trials proves, by the exact zero rule
+    or from float sums, are settled together; every other trial (a
+    witness, a near-tie, or one whose sums leave the bound's range or
+    raise) goes through domination_check, one at a time and in trial
+    order, so a witness carries its exact-sum lhs and rhs and an error
+    is raised at the trial that raises it. Violations are reported with
+    the full serialized instance as witness; with zero violations and
+    zero trials the result is an empty pass. Each measure's enumeration
+    tables are built once and shared by every trial, and a site cap
+    whose largest instance would exceed CONFIG_CAP for either measure is
+    refused before any trial. Whether the exact zero rule applies is
+    decided once, for both measures and the site cap.
     """
     rng = random.Random(config.seed)
     mu, nu = _PreparedMeasure(mu), _PreparedMeasure(nu)
     for prepared in (mu, nu):
         _check_cap(len(prepared.atoms), config.site_cap)
+    free_sites_vanish = mu.free_sites_vanish(config.site_cap) and nu.free_sites_vanish(config.site_cap)
     witnesses = []
     for first in range(0, config.trials, _WINDOW):
         window = [_draw_trial(rng, config.site_cap) for _ in range(first, min(first + _WINDOW, config.trials))]
-        proven = _proven_trials(window, mu, nu, config.tol)
+        proven = _proven_trials(window, mu, nu, config.tol, free_sites_vanish)
         for position, (n, terms, B) in enumerate(window):
             if position in proven:
                 continue

@@ -249,16 +249,23 @@ class TestRandomProbe:
         monkeypatch.setattr(oracle, "_gibbs_sums", spy_sums)
         monkeypatch.setattr(oracle, "domination_check", lambda *a, **k: pytest.fail("checked a trial"))
         mu, nu = mu_lambda_measure(Fraction(1, 4)), spin_measure(SpinValue.parse(1))
-        # Seed 3 draws two trials on 7 sites, whose 3**7 cells are past
-        # the batched size, among ten small ones. Every trial passes,
-        # and the large ones are each summed alone and proven, so no
-        # trial reaches domination_check.
-        random_probe(ProbeConfig(seed=3, trials=12, site_cap=7), mu, nu)
+        # Seed 82 draws two trials on 7 sites, whose 3**7 cells are past
+        # the batched size, among ten small ones, and every trial's
+        # observed sites are coupled. Every trial passes, and the large
+        # ones are each summed alone and proven, so no trial reaches
+        # domination_check.
+        random_probe(ProbeConfig(seed=82, trials=12, site_cap=7), mu, nu)
         # One prepared measure each, shared by the batches of small
         # trials and the float sums of the large ones.
         assert len(built) == 2 and batched and len(summed) == 4
         assert {id(m) for m in batched} == {id(m) for m in summed} == {id(m) for m in built}
         assert [built[0].atoms, built[1].atoms] == [float_atoms(mu), float_atoms(nu)]
+        # Seed 10 draws trials on 5, 3 and 7 sites whose observables each
+        # have a site no coupling touches: the exact zero rule proves
+        # them with no float sum, batched or alone, and no exact sum.
+        del batched[:], summed[:]
+        random_probe(ProbeConfig(seed=10, trials=3, site_cap=7), mu, nu)
+        assert not batched and not summed
 
     @pytest.mark.parametrize("trials", [0, 3])
     @pytest.mark.parametrize("spin_is_mu", [True, False])
@@ -325,11 +332,21 @@ SPINS = ["1/2", "1", "3/2", "2", "5/2", "3", "7/2", "4"]
 
 
 @st.composite
-def measures(draw):
-    """An irrational two-point, a spin (2-9 atoms), a three-point measure
-    with a zero atom or 2-4 arbitrary float atoms, whose products depend
-    on the order of their factors."""
-    family = draw(st.sampled_from(["bernoulli-rms", "spin", "mu-lambda", "float"]))
+def measures(draw, families=("bernoulli-rms", "spin", "mu-lambda", "float")):
+    """A measure of one of `families`: an irrational two-point, a spin
+    (2-9 atoms), a three-point measure with a zero atom, 2-4 arbitrary
+    float atoms, whose products depend on the order of their factors, or
+    1-3 float pairs +-v of equal weight, with or without a zero atom, in
+    any order."""
+    family = draw(st.sampled_from(families))
+    if family == "pairs":
+        atoms = []
+        for v in draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3, unique=True)):
+            w = draw(st.floats(0.01, 1.0))
+            atoms += [(v, w), (-v, w)]
+        if draw(st.booleans()):
+            atoms.append((0.0, draw(st.floats(0.01, 1.0))))
+        return draw(st.permutations(atoms))
     if family == "float":
         values = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4, unique=True))
         return [(v, draw(st.floats(0.01, 1.0))) for v in values]
@@ -524,7 +541,11 @@ def float_estimates(trial, measure):
 
 
 def proven(trials, mu, nu, tol):
-    return oracle._proven_trials(trials, oracle._PreparedMeasure(mu), oracle._PreparedMeasure(nu), tol)
+    """_proven_trials on one window, with the exact zero rule decided as
+    random_probe decides it for a site cap of the window's largest trial."""
+    mu, nu = oracle._PreparedMeasure(mu), oracle._PreparedMeasure(nu)
+    cap = max(n for n, _, _ in trials)
+    return oracle._proven_trials(trials, mu, nu, tol, mu.free_sites_vanish(cap) and nu.free_sites_vanish(cap))
 
 
 # Trial 64 of `probe --pair bernoulli:1,mu-lambda:1/4 --trials 200
@@ -598,6 +619,8 @@ class TestProvenVerdicts:
     def test_exact_ties_fall_back_and_pass(self, monkeypatch):
         # spin:2 against itself with tol 0: every trial is an exact tie,
         # which the bound cannot decide, and up to 5**6 cells per side.
+        # Seed 5 draws no trial with an uncoupled observed site, so the
+        # exact zero rule proves none of them.
         exact_cells, tried = [], []
         estimate = oracle._estimate
 
@@ -612,7 +635,7 @@ class TestProvenVerdicts:
         monkeypatch.setattr(oracle, "gibbs_expectation", spy_gibbs)
         monkeypatch.setattr(oracle, "_estimate", spy_estimate)
         spin = spin_measure(SpinValue.parse(2))
-        report = random_probe(ProbeConfig(seed=0, trials=10, site_cap=6, tol=0.0), spin, spin)
+        report = random_probe(ProbeConfig(seed=5, trials=10, site_cap=6, tol=0.0), spin, spin)
         assert report.status == PASS and report.details["passes"] == 10
         assert len(exact_cells) == 20 and max(exact_cells) > _BATCH_MAX_SIZE
         assert tried
@@ -655,23 +678,31 @@ def batch_trials(draw):
     return measure, trials
 
 
+def reference_draw(rng, site_cap):
+    """One trial drawn with the plain random.Random methods: n sites, 1
+    to 2n terms on 1-3 sites with strengths in [0, COUPLING_MAX], added
+    up where a subset repeats, and a sorted observable of 1-n sites."""
+    n = rng.randint(1, site_cap)
+    sites = tuple(range(n))
+    terms = {}
+    for _ in range(rng.randint(1, 2 * n)):
+        size = rng.randint(1, min(oracle.MAX_SUBSET_SIZE, n))
+        subset = frozenset(rng.sample(sites, size))
+        terms[subset] = terms.get(subset, 0.0) + rng.uniform(0.0, oracle.COUPLING_MAX)
+    return n, terms, sorted(rng.sample(sites, rng.randint(1, n)))
+
+
 def reference_probe(config, mu, nu):
-    """The exact per-trial loop: trials drawn as random_probe draws them,
-    and one domination_check, on exact sums, per trial in draw order.
-    The reference for random_probe's reports, whose proofs from float
+    """The exact per-trial loop: trials drawn by reference_draw, and one
+    domination_check, on exact sums, per trial in draw order. The
+    reference for random_probe's reports, whose proofs without the exact
     sums must leave them unchanged."""
     rng = random.Random(config.seed)
     mu, nu = oracle._PreparedMeasure(mu), oracle._PreparedMeasure(nu)
     witnesses = []
     for trial in range(config.trials):
-        n = rng.randint(1, config.site_cap)
+        n, terms, B = reference_draw(rng, config.site_cap)
         sites = tuple(range(n))
-        terms = {}
-        for _ in range(rng.randint(1, 2 * n)):
-            size = rng.randint(1, min(oracle.MAX_SUBSET_SIZE, n))
-            subset = frozenset(rng.sample(sites, size))
-            terms[subset] = terms.get(subset, 0.0) + rng.uniform(0.0, oracle.COUPLING_MAX)
-        B = sorted(rng.sample(sites, rng.randint(1, n)))
         couplings = CouplingSet.from_dict(terms)
         res = oracle.domination_check(Lattice(sites), couplings, mu, nu, B, tol=config.tol)
         if not res.holds:
@@ -737,9 +768,9 @@ def probe_runs(draw):
     return config, mu, nu, draw(st.sampled_from([oracle._BATCH_CELLS, 256])), draw(st.sampled_from([oracle._WINDOW, 7]))
 
 
-def probe_run(pair, tol, cells=oracle._BATCH_CELLS, window=oracle._WINDOW, trials=40):
+def probe_run(pair, tol, cells=oracle._BATCH_CELLS, window=oracle._WINDOW, trials=40, seed=1):
     mu, nu, cap = pair
-    return ProbeConfig(seed=1, trials=trials, site_cap=cap, tol=tol), mu, nu, cells, window
+    return ProbeConfig(seed=seed, trials=trials, site_cap=cap, tol=tol), mu, nu, cells, window
 
 
 class TestBatchedTrials:
@@ -791,12 +822,108 @@ class TestBatchedTrials:
     @example(probe_run(UNDERFLOW, DEFAULT_TOL))
     # Batches of 256 cells split each site count's trials.
     @example(probe_run(RMS_VS_SPIN, 1e-12, cells=256, window=7))
+    # Trials whose observable has a site no coupling touches. SKEW is not
+    # even: trial 2 of seed 3 is such a trial and a witness. Under TINY,
+    # even and in range, 4 of seed 1's first 10 trials are, and their
+    # float sums leave the bound's range. HUGE overflows and UNDERFLOW's
+    # prior vanishes on 10 sites: both raise at trial 1 of seed 2, such
+    # a trial, so the exact zero rule must not prove it.
+    @example(probe_run((SKEW, spin_measure(SpinValue.parse(1)), 8), 0.0, trials=10, seed=3))
+    @example(probe_run(TINY, 0.0, trials=10))
+    @example(probe_run(HUGE, DEFAULT_TOL, trials=10, seed=2))
+    @example(probe_run(UNDERFLOW, DEFAULT_TOL, trials=10, seed=2))
     def test_probe_matches_the_per_trial_loop(self, run):
         config, mu, nu, cells, window = run
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_BATCH_CELLS", cells)
             patch.setattr(oracle, "_WINDOW", window)
             assert probe_outcome(random_probe, config, mu, nu) == probe_outcome(reference_probe, config, mu, nu)
+
+
+EVEN = ("bernoulli-rms", "spin", "mu-lambda", "pairs")
+
+
+@st.composite
+def free_site_trials(draw):
+    """An even measure and a trial on n sites, with at most
+    _BATCH_MAX_SIZE cells, whose sorted observable has a site no
+    coupling touches: up to 2n terms on the other sites, with strengths
+    in [0, 2], and the free site with any others in the observable."""
+    measure = draw(measures(EVEN))
+    k = len(float_atoms(measure))
+    n = draw(st.integers(1, max(n for n in range(1, 12) if k**n <= _BATCH_MAX_SIZE)))
+    free = draw(st.integers(0, n - 1))
+    others = [site for site in range(n) if site != free]
+    terms = {}
+    if others:
+        subsets = st.lists(st.sampled_from(others), min_size=1, max_size=min(3, len(others)), unique=True)
+        terms = draw(st.dictionaries(subsets.map(frozenset), st.floats(0.0, 2.0), max_size=2 * n))
+    B = sorted({free, *draw(st.lists(st.integers(0, n - 1), max_size=n))})
+    return measure, (n, terms, B)
+
+
+class TestExactZeroRule:
+    """The exact zero rule's premise: under an even measure in range, an
+    observable with a site no coupling touches has exact sums N = 0."""
+
+    @given(free_site_trials())
+    @settings(max_examples=200, deadline=None)
+    # Sites 0 and 2 are free; the zero atom maps to itself.
+    @example((mu_lambda_measure(Fraction(1, 4)), (3, {frozenset({1}): 1.5}, [0, 1, 2])))
+    @example((bernoulli_float_atoms(math.sqrt(5 / 12)), (1, {}, [0])))
+    def test_free_site_sums_vanish(self, case):
+        measure, trial = case
+        n, terms, B = trial
+        prepared = oracle._PreparedMeasure(measure)
+        assert prepared.free_sites_vanish(n)
+        assert gibbs_expectation(Lattice.of_size(n), CouplingSet.from_dict(terms), prepared, B) == 0.0
+        _, N = oracle._batch_sums(prepared, n, [trial], lambda rows: [math.fsum(row) for row in rows.tolist()])
+        assert N == [0.0]
+        assert proven([trial], measure, measure, 0.0) == {0}
+
+    @pytest.mark.parametrize(
+        "measure, site_cap, vanish",
+        [
+            (PM_ONE, 12, True),
+            (TINY[0], 12, True),
+            (mu_lambda_measure(Fraction(1, 4)), 12, True),
+            (spin_measure(SpinValue.parse(4)), 6, True),
+            # CONFIG_CAP * V**12 crosses _SAFE_MAX between V = 2**40 and 2**41.
+            (bernoulli_float_atoms(2.0**40), 12, True),
+            (bernoulli_float_atoms(2.0**41), 12, False),
+            (SKEW, 1, False),  # not even
+            ([(1.0, 0.5), (-1.0, 0.25)], 1, False),  # even values, uneven weights
+            (HUGE[0], 1, False),  # energies out of range
+            (UNDERFLOW[0], 1, False),  # a prior out of range
+            ([(0.0, 1.0)], 20, True),
+            ([(0.0, 1.0)], 21, False),  # past CONFIG_CAP's bit length
+        ],
+    )
+    def test_range_check(self, measure, site_cap, vanish):
+        assert oracle._PreparedMeasure(measure).free_sites_vanish(site_cap) is vanish
+
+
+class TestDrawTrial:
+    """_draw_trial draws what the plain random.Random methods draw, trial
+    for trial, and leaves the stream where they leave it."""
+
+    @pytest.mark.parametrize("site_cap", range(1, 31))
+    def test_matches_the_stdlib_draw(self, site_cap):
+        for seed in range(60):
+            fast, plain = random.Random(seed), random.Random(seed)
+            for _ in range(8):
+                assert repr(oracle._draw_trial(fast, site_cap)) == repr(reference_draw(plain, site_cap))
+            assert fast.getstate() == plain.getstate()
+
+    @pytest.mark.parametrize("site_cap", [21, 22, 30])
+    def test_probe_past_21_sites(self, site_cap):
+        # One atom each keeps k**n = 1 under CONFIG_CAP at any cap. Every
+        # trial is a witness, so the report carries each drawn instance.
+        point, zero = [(1.0, 1.0)], [(0.0, 1.0)]
+        config = ProbeConfig(seed=site_cap, trials=30, site_cap=site_cap)
+        report = probe_outcome(random_probe, config, point, zero)
+        assert report == probe_outcome(reference_probe, config, point, zero)
+        assert report["details"]["passes"] == 0
 
 
 def fraction_sum(values):
