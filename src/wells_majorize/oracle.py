@@ -16,7 +16,7 @@ proven when its margin exceeds a rigorous bound on their distance from
 the exact sums, and only the trials it leaves unproven (witnesses,
 near-ties, sums outside the bound's range) reach domination_check. The
 inverse temperature is absorbed into the couplings. A probe builds each
-measure's enumeration tables (spin views, prior tensor, coupling
+measure's enumeration tables (spin views, prior, coupling
 monomials) once and shares them across its trials; nothing is cached
 beyond one probe.
 """
@@ -55,7 +55,8 @@ MAX_SUBSET_SIZE = 3
 FloatAtoms = Sequence[tuple[float, float]]
 MeasureLike = Union[DiscreteMeasure, FloatAtoms]
 # A measure's tables for n sites: the spin view of each axis of the
-# (k,) * n tensor, the prior tensor, and coupling monomials by axes.
+# (k,) * n tensor, the prior (broadcast from one product when the
+# weights are equal), and coupling monomials by axes.
 _Tables = tuple[list[np.ndarray], np.ndarray, dict[tuple[int, ...], np.ndarray]]
 
 
@@ -177,11 +178,14 @@ class _PreparedMeasure:
     (value, weight) float pairs validated once; a caller holding only
     the object reads k = len(atoms) from it. For each site count n the
     object keeps, from the first expectation over n sites on, the
-    per-axis spin views of the (k,) * n tensor, the prior tensor and the
-    coupling monomials. A monomial is keyed by its subset's axis
-    positions in the subset's own iteration order and formed as
-    math.prod over those views, so it has the same bits as the product
-    gibbs_expectation would otherwise form. The tables live as long as
+    per-axis spin views of the (k,) * n tensor, the prior and the
+    coupling monomials. The prior holds in each cell the product of the
+    cell's weights in lattice order; when all k weights are equal, that
+    is one product with the same bits in every cell, broadcast to the
+    tensor's shape without being stored. A monomial is keyed by its
+    subset's axis positions in the subset's own iteration order and
+    formed as math.prod over those views, so it has the same bits as the
+    product gibbs_expectation would otherwise form. The tables live as long as
     the object and are never written.
     """
 
@@ -199,8 +203,13 @@ class _PreparedMeasure:
         if tables is None:
             k = len(self.atoms)
             shapes = [(1,) * i + (k,) + (1,) * (n - 1 - i) for i in range(n)]
-            prior = math.prod(self._weights.reshape(shape) for shape in shapes)
-            prior.flags.writeable = False
+            weight = self.atoms[0][1]
+            if all(w == weight for _, w in self.atoms):
+                # Every cell is the same product of n equal weights.
+                prior = np.broadcast_to(math.prod([weight] * n), (k,) * n)
+            else:
+                prior = math.prod(self._weights.reshape(shape) for shape in shapes)
+                prior.flags.writeable = False
             tables = self._tables[n] = ([self._values.reshape(shape) for shape in shapes], prior, {})
         return tables
 
@@ -291,7 +300,7 @@ def _gibbs_sums(
     observable are broadcast products of per-site vectors, multiplied in
     a fixed order (lattice order, the coupling subset's iteration order,
     B order). The energy and its Boltzmann factors span only the axes of
-    the sites some coupling touches, and multiply the prior tensor last,
+    the sites some coupling touches, and multiply the prior last,
     so every caller sums the same cells to the bit. Z is summed first,
     and a Z that is not positive raises NumericError before N is formed.
     `measure` may be a _PreparedMeasure, whose tables are then reused; a

@@ -5,6 +5,13 @@ precision, always in lowest terms, positive denominator) and cross the
 CLI boundary as strings "p/q" or "p", never as floats. Inner loops carry
 a sequence of them as integers over one common denominator
 (`clear_denominators`).
+
+`parse_rational` reads the common literal, "[+-]p" or "[+-]p/q" in
+ASCII digits with each part at most MAX_DIGITS long, with int()
+directly. Every other literal (decimals, exponents, underscores, spaces
+around "/", other scripts' digits, longer parts) is checked against
+MAX_DIGITS and then read by Fraction's own grammar. Both paths give the
+same value, and a literal refused on either gets the same message.
 """
 
 from __future__ import annotations
@@ -45,6 +52,12 @@ def _too_long(literal: str) -> bool:
     return max(len(whole + decimals) + max(scale, 0), len(denominator), 1 - scale) > MAX_DIGITS
 
 
+def _plain(digits: str) -> bool:
+    """Whether `digits` is 1 to MAX_DIGITS ASCII digits, which int()
+    reads exactly as Fraction's grammar does."""
+    return len(digits) <= MAX_DIGITS and digits.isascii() and digits.isdigit()
+
+
 def _quoted(text: str) -> str:
     if len(text) <= _QUOTED_MAX:
         return repr(text)
@@ -61,6 +74,16 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     if not isinstance(text, str):
         raise ValidationError(f"not a rational literal: {text!r}")
     literal = text.strip()
+    numerator, slash, denominator = literal.partition("/")
+    if _plain(numerator[1:] if numerator[:1] in ("+", "-") else numerator) and (
+        not slash or _plain(denominator)
+    ):
+        try:
+            return Fraction(int(numerator), int(denominator)) if slash else Fraction(int(numerator))
+        except ZeroDivisionError as exc:
+            raise ValidationError(f"not a rational literal: {_quoted(text)}") from exc
+        except ValueError:
+            pass  # int() refused the digits under a lowered sys.set_int_max_str_digits
     if _too_long(literal):
         raise ValidationError(f"rational literal over {MAX_DIGITS} digits: {_quoted(text)}")
     try:

@@ -1,13 +1,24 @@
-"""Structured verification reports shared by every verifier and the CLI."""
+"""Structured verification reports shared by every verifier and the CLI.
+
+`serialize` turns report contents into JSON-safe data, and `to_dict`,
+the CSV and the text forms read it. `to_json` writes the report in one
+pass straight from its values, with the bytes
+`json.dumps(report.to_dict(), indent=2)` would give: each `Fraction` as
+the string of `format_rational`, strings through json's C
+`encode_basestring_ascii`, floats in json's form (`NaN`, `Infinity` and
+`-Infinity` included), dict keys through `str` as `serialize` takes
+them, and any other value through `serialize` first.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import io
-import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
 
 from .rationals import format_rational
 
@@ -36,6 +47,80 @@ def serialize(obj: Any) -> Any:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return serialize(dataclasses.asdict(obj))
     return str(obj)
+
+
+def _json_float(x: float) -> str:
+    """json's form of a float: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_fraction(q: Fraction) -> str:
+    return f'"{format_rational(q)}"'  # digits, "-" and "/" need no escapes
+
+
+# The JSON text of each leaf type, by exact type. Containers,
+# subclasses and every other value go through _write_json's checks.
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    Fraction: _json_fraction,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    int: int.__repr__,
+    float: _json_float,
+}
+
+
+def _write_json(obj: Any, newline: str, out: list[str]) -> None:
+    """Append the indent-2 JSON text of serialize(obj) to out, written at
+    the depth whose line break and indentation is `newline`. Container
+    loops write exact-type leaves themselves, saving a call each."""
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        # Keys equal under str merge as in serialize: first place, last value.
+        for key, value in {str(k): v for k, v in obj.items()}.items():
+            out.append(separator)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            leaf = _LEAVES.get(type(value))
+            if leaf is None:
+                _write_json(value, inner, out)
+            else:
+                out.append(leaf(value))
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for value in obj:
+            out.append(separator)
+            leaf = _LEAVES.get(type(value))
+            if leaf is None:
+                _write_json(value, inner, out)
+            else:
+                out.append(leaf(value))
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, (str, Fraction, int, float)):
+        # A subclass (np.float64, an IntEnum) is written as its base type.
+        out.append(next(write for kind, write in _LEAVES.items() if isinstance(obj, kind))(obj))
+    else:
+        _write_json(serialize(obj), newline, out)
 
 
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
@@ -86,7 +171,21 @@ class VerificationReport:
         return rows
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """json.dumps(self.to_dict(), indent=2), written in one pass."""
+        out: list[str] = []
+        _write_json(
+            {
+                "command": self.command,
+                "status": self.status,
+                "parameters": self.parameters,
+                "details": self.details,
+                "witnesses": self.witnesses,
+                "timing_ms": self.timing_ms,
+            },
+            "\n",
+            out,
+        )
+        return "".join(out)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
