@@ -70,9 +70,9 @@ def parse_measure(spec: str) -> DiscreteMeasure:
             return bernoulli_measure(parse_rational(param))
         raise VerificationError(f"unknown preset family {family!r}")
     path = Path(spec)
-    if not path.exists():
-        raise VerificationError(f"measure file not found: {spec}")
     try:
+        if not path.exists():
+            raise VerificationError(f"measure file not found: {spec}")
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise VerificationError(f"cannot read measure file {spec}: {exc}") from exc

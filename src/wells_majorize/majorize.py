@@ -6,7 +6,9 @@ denominator D, the lcm of its entries' denominators, and two vectors
 compared with each other over the lcm of theirs. A `Fraction` is built
 only for a value that a public function returns. The only convex test
 functions are the odd powers t**(2m+1), the ones the paper's Karamata
-argument needs. Nothing here ever rounds.
+argument needs; `wells` and `spin_sums` read their integer kernels here:
+`_odd_power_sums` (order by order) and `_stop_loss_dominates` (every odd
+order at once). Nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Union
+from operator import mul
+from typing import Iterable, Iterator, Union
 
 from .errors import LengthMismatchError, PreconditionError, ValidationError
 from .rationals import clear_denominators, parse_rational
@@ -57,20 +60,14 @@ class NonNegVector:
         return clear_denominators(self.entries)
 
     @cached_property
-    def _order(self) -> list[int]:
-        """Indices of the entries in decreasing order. Stable: ties keep
-        their original index order."""
-        scaled = self._scaled[1]
-        return sorted(range(len(scaled)), key=scaled.__getitem__, reverse=True)
-
-    @cached_property
     def decreasing(self) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i] for i in self._order)
+        """The entries in decreasing order. Stable: ties keep their
+        original order, as the same objects."""
+        return tuple(sorted(self.entries, reverse=True))
 
     @cached_property
     def _decreasing_scaled(self) -> tuple[int, ...]:
-        scaled = self._scaled[1]
-        return tuple(scaled[i] for i in self._order)
+        return tuple(sorted(self._scaled[1], reverse=True))
 
     def total(self) -> Fraction:
         D, scaled = self._scaled
@@ -95,6 +92,43 @@ def _over_common_denominator(
 def _power_sum(D: int, scaled: Iterable[int], n: int) -> Fraction:
     """sum (a / D)**n over the integers a of scaled, as one Fraction."""
     return Fraction(sum(a**n for a in scaled), D**n)
+
+
+def _odd_power_sums(terms: list[tuple[int, int]], first: int) -> Iterator[int]:
+    """Yield sum c * d**n over the integer pairs (d, c) of terms for the
+    odd orders n = first, first + 2, ..., each from the running products
+    of the one before times d*d, computed only when it is asked for."""
+    powers = [c * d**first for d, c in terms]
+    yield sum(powers)
+    squares = [d * d for d, _ in terms]
+    while True:
+        powers = list(map(mul, powers, squares))
+        yield sum(powers)
+
+
+def _stop_loss_dominates(terms: list[tuple[int, int]]) -> bool:
+    """True iff sum over d > t of c (d - t) >= sum over d < -t of c (|d| - t)
+    for every t >= 0, for nonzero integers d in increasing order.
+
+    The difference of the two sides is sum c d - t * (sum of c, counted
+    negative for d < 0), over the d with |d| > t. It is piecewise linear
+    in t with kinks only at the |d| and vanishes past the largest, so
+    t = 0 and each |d| suffice. One two-ended merge visits the |d| from
+    the largest down, the two sides' equal |d| together, keeping both
+    sums over the d beyond the current t.
+    """
+    i, j = 0, len(terms) - 1
+    excess = slope = 0
+    while i <= j:
+        (dn, cn), (dp, cp) = terms[i], terms[j]
+        t = max(-dn, dp)
+        if excess < t * slope:
+            return False
+        if dp == t:
+            excess, slope, j = excess + cp * dp, slope + cp, j - 1
+        if dn == -t:
+            excess, slope, i = excess + cn * dn, slope - cn, i + 1
+    return excess >= 0
 
 
 def partial_sums(v: NonNegVector) -> list[Fraction]:

@@ -39,7 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .report import FAIL, PASS, VerificationReport
-from .wells import DiscreteMeasure
 
 DEFAULT_TOL = 1e-9
 # Largest number of configurations one expectation enumerates.
@@ -53,7 +52,7 @@ MAX_SUBSET_SIZE = 3
 # Support given either exactly or as floats (needed when the two-point
 # comparison magnitude is an irrational root).
 FloatAtoms = Sequence[tuple[float, float]]
-MeasureLike = Union[DiscreteMeasure, FloatAtoms]
+MeasureLike = Union["DiscreteMeasure", FloatAtoms]
 # A measure's tables for n sites: the spin view of each axis of the
 # (k,) * n tensor, the prior (broadcast from one product when the
 # weights are equal), and coupling monomials by axes.
@@ -62,7 +61,7 @@ _Tables = tuple[list[np.ndarray], np.ndarray, dict[tuple[int, ...], np.ndarray]]
 
 def float_atoms(measure: MeasureLike) -> list[tuple[float, float]]:
     """Coerce a measure to (value, weight) floats, validating weights."""
-    atoms = measure.atoms if isinstance(measure, DiscreteMeasure) else measure
+    atoms = getattr(measure, "atoms", measure)
     try:
         pairs = [(float(v), float(w)) for v, w in atoms]
     except OverflowError:

@@ -8,16 +8,19 @@ a sequence of them as integers over one common denominator
 
 `parse_rational` reads the common literal, "[+-]p" or "[+-]p/q" in
 ASCII digits with each part at most MAX_DIGITS long, with int()
-directly. Every other literal (decimals, exponents, underscores, spaces
-around "/", other scripts' digits, longer parts) is checked against
-MAX_DIGITS and then read by Fraction's own grammar. Both paths give the
-same value, and a literal refused on either gets the same message.
+directly. Every other literal (decimals, exponents, underscores, other
+scripts' digits, longer parts) is checked against MAX_DIGITS in the
+running Python's `Fraction` grammar, then read by `Fraction`. Both paths
+give the same value, and a literal refused on either gets the same
+message. `SpinValue`, a spin S = twice/2, lives here, below every module
+that reads one.
 """
 
 from __future__ import annotations
 
+import fractions
 import math
-import re
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
@@ -30,22 +33,22 @@ MAX_DIGITS = 4300
 # by its first _QUOTED_PREFIX characters and its length.
 _QUOTED_MAX = 100
 _QUOTED_PREFIX = 40
-# Fraction's string grammar for a stripped literal without underscores: a
-# signed whole part, then a denominator, or decimals and an exponent.
-_LITERAL = re.compile(
-    r"[-+]?(?=\d|\.\d)(\d*)(?:\s*/\s*(\d+)|(?:\.(\d*))?(?:e([-+]?\d+))?)", re.IGNORECASE
-)
 
 
 def _too_long(literal: str) -> bool:
     """Whether the literal's numerator or denominator, written out in
     digits, would exceed MAX_DIGITS, judged before any integer is built.
-    Only a literal in Fraction's grammar can be too long; any other text
-    is left for Fraction to refuse as not a literal."""
-    match = _LITERAL.fullmatch(literal.replace("_", ""))
+    Only a literal in the grammar of the running Python's Fraction can be
+    too long; any other text is left for Fraction to refuse as not a
+    literal."""
+    match = fractions._RATIONAL_FORMAT.match(literal)
     if match is None:
         return False
-    whole, denominator, decimals, exponent = match.groups(default="")
+    whole, denominator, decimals, exponent = (
+        (match[part] or "").replace("_", "") for part in ("num", "denom", "decimal", "exp")
+    )
+    if decimals and not decimals.isdecimal():
+        return False  # Python 3.10 and 3.11 match decimals "d*", which int() refuses
     if len(exponent) > MAX_DIGITS:
         return True  # int() would refuse the exponent itself
     scale = int(exponent or 0) - len(decimals)
@@ -114,3 +117,25 @@ def parse_rational_vector(text: str) -> tuple[Fraction, ...]:
     """Parse a comma-separated list of rational literals; an empty item,
     as in "3,,1" or "3,1,", is not a literal and is refused."""
     return tuple(parse_rational(piece) for piece in text.split(","))
+
+
+@dataclass(frozen=True)
+class SpinValue:
+    """A spin S = twice/2, covering S = 1/2, 1, 3/2, ..."""
+
+    twice: int
+
+    def __post_init__(self) -> None:
+        if self.twice < 1:
+            raise ValidationError("twice must be >= 1")
+
+    @classmethod
+    def parse(cls, text: str | int | Fraction) -> "SpinValue":
+        q = parse_rational(text)
+        if q.denominator not in (1, 2) or q <= 0:
+            raise ValidationError(f"not a valid spin: {text!r}")
+        return cls(int(q * 2))
+
+    @property
+    def as_fraction(self) -> Fraction:
+        return Fraction(self.twice, 2)

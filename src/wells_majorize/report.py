@@ -154,15 +154,19 @@ class VerificationReport:
     def exit_code(self) -> int:
         return _EXIT_CODES[self.status]
 
-    def to_dict(self) -> dict[str, Any]:
+    def _fields(self) -> dict[str, Any]:
+        """The six report fields in output order, as they are held."""
         return {
             "command": self.command,
             "status": self.status,
-            "parameters": serialize(self.parameters),
-            "details": serialize(self.details),
-            "witnesses": serialize(self.witnesses),
+            "parameters": self.parameters,
+            "details": self.details,
+            "witnesses": self.witnesses,
             "timing_ms": self.timing_ms,
         }
+
+    def to_dict(self) -> dict[str, Any]:
+        return serialize(self._fields())
 
     def _rows(self) -> list[tuple[str, str]]:
         """(key, value) per leaf of to_dict, timing_ms last."""
@@ -173,18 +177,7 @@ class VerificationReport:
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=2), written in one pass."""
         out: list[str] = []
-        _write_json(
-            {
-                "command": self.command,
-                "status": self.status,
-                "parameters": self.parameters,
-                "details": self.details,
-                "witnesses": self.witnesses,
-                "timing_ms": self.timing_ms,
-            },
-            "\n",
-            out,
-        )
+        _write_json(self._fields(), "\n", out)
         return "".join(out)
 
     def to_csv(self) -> str:

@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice
-from operator import mul
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import InvariantError, PreconditionError, ValidationError
 from .majorize import (
@@ -33,39 +32,18 @@ from .majorize import (
     OddConvexFunction,
     SingleCrossing,
     _first_shortfall,
+    _odd_power_sums,
     _over_common_denominator,
     _power_sum,
     _single_crossing_index,
     karamata_verify,
     single_crossing_majorizes,
 )
-from .rationals import clear_denominators, parse_rational
+from .rationals import SpinValue, clear_denominators, parse_rational
 from .report import FAIL, HYPOTHESIS_NOT_MET, PASS, VerificationReport
 
 HALF_ODD = "half-odd"
 INTEGER = "integer"
-
-
-@dataclass(frozen=True)
-class SpinValue:
-    """A spin S = twice/2, covering S = 1/2, 1, 3/2, ..."""
-
-    twice: int
-
-    def __post_init__(self) -> None:
-        if self.twice < 1:
-            raise ValidationError("twice must be >= 1")
-
-    @classmethod
-    def parse(cls, text: str | int | Fraction) -> "SpinValue":
-        q = parse_rational(text)
-        if q.denominator not in (1, 2) or q <= 0:
-            raise ValidationError(f"not a valid spin: {text!r}")
-        return cls(int(q * 2))
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
 
 
 def spin_sum(S: SpinValue, m: int) -> Fraction:
@@ -94,18 +72,6 @@ def spin_sum(S: SpinValue, m: int) -> Fraction:
     e = 2 * m + 1
     total = sum((3 * k * k - base) ** e for k in range(-s2, s2 + 1, 2))
     return Fraction(total, 4**e)
-
-
-def _odd_power_sums(terms: list[tuple[int, int]], first: int) -> Iterator[int]:
-    """Yield sum c * d**n over the integer pairs (d, c) of terms for the
-    odd orders n = first, first + 2, ..., each from the running products
-    of the one before times d*d, computed only when it is asked for."""
-    powers = [c * d**first for d, c in terms]
-    yield sum(powers)
-    squares = [d * d for d, _ in terms]
-    while True:
-        powers = list(map(mul, powers, squares))
-        yield sum(powers)
 
 
 def _spin_sum_row(S: SpinValue, m_first: int, m_last: int) -> list[int]:

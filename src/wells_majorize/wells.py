@@ -1,11 +1,12 @@
 """Moment criterion for Ising domination of symmetric two-point measures.
 
 An even, compactly supported, atomic probability measure dominates the
-symmetric two-point measure at +-S exactly when every centered even-power
-moment integral of (x^2 - S^2)**n is non-negative. The threshold value
-T_- is the largest such S; this module computes certified rational
-brackets for it, classifies canonical measures (T_- equal to the RMS
-spin), and evaluates the closed-form transition-temperature bound ratios.
+symmetric two-point measure at +-S when every centered moment integral
+of (x^2 - S^2)**n is non-negative; the converse is not proven. The
+criterion's threshold T_- is the largest such S, a lower bound on the
+domination threshold. This module computes certified rational brackets
+for it, classifies canonical measures (T_- equal to the RMS spin), and
+evaluates the closed-form transition-temperature bound ratios.
 Each measure is cleared once into integers over common denominators;
 validation, the second moment, the moment sums and the tail rule read
 that view, and `wells_term` keeps the `Fraction` definition.
@@ -22,8 +23,8 @@ from math import comb, isqrt
 from typing import Iterable
 
 from .errors import DomainError, InvariantError, PreconditionError, ValidationError
-from .rationals import clear_denominators, format_rational, parse_rational
-from .spin_sums import SpinValue, _odd_power_sums
+from .majorize import _odd_power_sums, _stop_loss_dominates
+from .rationals import SpinValue, clear_denominators, format_rational, parse_rational
 
 CLOSED_FORM = "closed_form"
 CERTIFIED_UP_TO_N_MAX = "certified_up_to_n_max"
@@ -154,31 +155,6 @@ def wells_term(mu: DiscreteMeasure, s_squared: Fraction | int | str, n: int) -> 
         raise PreconditionError("n must be >= 1")
     s = parse_rational(s_squared)
     return sum((w * (v * v - s) ** n for v, w in mu.atoms), Fraction(0))
-
-
-def _stop_loss_dominates(terms: list[tuple[int, int]]) -> bool:
-    """True iff sum over d > t of c (d - t) >= sum over d < -t of c (|d| - t)
-    for every t >= 0, for nonzero integers d in increasing order.
-
-    The difference of the two sides is sum c d - t * (sum of c, counted
-    negative for d < 0), over the d with |d| > t. It is piecewise linear
-    in t with kinks only at the |d| and vanishes past the largest, so
-    t = 0 and each |d| suffice. One two-ended merge visits the |d| from
-    the largest down, the two sides' equal |d| together, keeping both
-    sums over the d beyond the current t.
-    """
-    i, j = 0, len(terms) - 1
-    excess = slope = 0
-    while i <= j:
-        (dn, cn), (dp, cp) = terms[i], terms[j]
-        t = max(-dn, dp)
-        if excess < t * slope:
-            return False
-        if dp == t:
-            excess, slope, j = excess + cp * dp, slope + cp, j - 1
-        if dn == -t:
-            excess, slope, i = excess + cn * dn, slope - cn, i + 1
-    return excess >= 0
 
 
 def passes_up_to(mu: DiscreteMeasure, s_squared: Fraction | int | str, n_max: int) -> bool:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -187,6 +188,18 @@ class TestTMinusCommand:
         code, _, err = run(capsys, ["t-minus", "--measure", "no/such/file.json"])
         assert code == 2
         assert "not found" in err
+
+    def test_unreadable_measure_path_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        # What stat() raises under a directory the user may not search.
+        def refused(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        path = tmp_path / "measure.json"
+        monkeypatch.setattr(pathlib.Path, "stat", refused)
+        code, out, err = run(capsys, ["t-minus", "--measure", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read measure file {path}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "content",

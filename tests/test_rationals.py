@@ -100,6 +100,25 @@ class TestPlainLiterals:
     def test_edge_literals_read_as_fraction_does(self, text):
         assert_reads_as_fraction(text)
 
+    def test_spaces_around_the_slash_follow_fractions_grammar(self):
+        # Fraction reads "p / q" from Python 3.12 on and refuses it before,
+        # so a long denominator is too long exactly where it is a literal.
+        assert_reads_as_fraction("1 / 2")
+        if fraction_reading("1 / 2") is None:
+            message = "not a rational literal"
+        else:
+            message = "rational literal over 4300 digits"
+        with pytest.raises(ValidationError, match=f"^{message}: "):
+            parse_rational("1 / " + "1" * 5000)
+
+    @pytest.mark.parametrize(
+        "text", ["1." + "d" * 5000, "_" + "1" * 5000, "1__" + "1" * 5000],
+        ids=["decimal-letters", "leading-underscore", "double-underscore"],
+    )
+    def test_long_text_outside_fractions_grammar_is_not_a_literal(self, text):
+        with pytest.raises(ValidationError, match="^not a rational literal: "):
+            parse_rational(text)
+
     def test_parts_of_max_digits_are_read(self):
         for text in ["9" * 4300, "-" + "9" * 4300 + "/" + "7" * 4300, "1/" + "3" * 4300]:
             assert parse_rational(text) == F(text)

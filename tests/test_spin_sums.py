@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wells_majorize import cli, spin_sums
 from wells_majorize.errors import InvariantError, PreconditionError, ValidationError
-from wells_majorize.majorize import NonNegVector, OddConvexFunction, majorizes
+from wells_majorize.majorize import NonNegVector, OddConvexFunction, _odd_power_sums, majorizes
 from wells_majorize.report import HYPOTHESIS_NOT_MET, PASS
 from wells_majorize.spin_sums import (
     HALF_ODD,
@@ -16,7 +16,6 @@ from wells_majorize.spin_sums import (
     PsiGrid,
     SpinValue,
     SplitDomination,
-    _odd_power_sums,
     _spin_sum_row,
     build_half_odd_pair,
     build_integer_triple,

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from wells_majorize import wells
 from wells_majorize.errors import DomainError, PreconditionError, ValidationError
-from wells_majorize.spin_sums import SpinValue, _odd_power_sums
+from wells_majorize.majorize import _odd_power_sums, _stop_loss_dominates
+from wells_majorize.spin_sums import SpinValue
 from wells_majorize.wells import (
     CERTIFIED_UP_TO_N_MAX,
     CLOSED_FORM,
@@ -424,7 +425,7 @@ def odd_power_loop(mu, s, n_max):
 
 
 def certificate_holds(mu, s):
-    return wells._stop_loss_dominates([(d, c) for d, c in differences(mu, s) if d])
+    return _stop_loss_dominates([(d, c) for d, c in differences(mu, s) if d])
 
 
 @st.composite
@@ -477,7 +478,7 @@ class TestStopLossCertificate:
         ],
     )
     def test_small_cases(self, terms, holds):
-        assert wells._stop_loss_dominates(terms) == holds
+        assert _stop_loss_dominates(terms) == holds
 
 
 def fraction_bisection(mu, n_max, tol):
