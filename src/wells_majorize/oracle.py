@@ -15,10 +15,12 @@ in batches of one site count and large ones one at a time: a pass is
 proven when its margin exceeds a rigorous bound on their distance from
 the exact sums, and only the trials it leaves unproven (witnesses,
 near-ties, sums outside the bound's range) reach domination_check. The
-inverse temperature is absorbed into the couplings. A probe builds each
-measure's enumeration tables (spin views, prior, coupling
-monomials) once and shares them across its trials; nothing is cached
-beyond one probe.
+small trials of one site count in a window of draws are described once,
+as key ids, strengths and observable factors in one plan, and both
+measures sum the plan's rows. The inverse temperature is absorbed into
+the couplings. A probe builds each measure's enumeration tables (spin
+views, prior, coupling monomials, observable bounds) once and shares
+them across its trials; nothing is cached beyond one probe.
 """
 
 from __future__ import annotations
@@ -195,6 +197,7 @@ class _PreparedMeasure:
         self._largest = max(abs(v) for v, _ in self.atoms)
         self._tables: dict[int, _Tables] = {}
         self._flat: dict[int, tuple[dict[tuple[int, ...], int], np.ndarray]] = {}
+        self._bounds = np.ones(1)
 
     def tables(self, n: int) -> _Tables:
         """The tables for n sites, built on first use."""
@@ -221,13 +224,11 @@ class _PreparedMeasure:
             monomial = monomials[axes] = math.prod(spin[i] for i in axes)
         return monomial
 
-    def flat_monomials(
-        self, n: int, keys: Iterable[tuple[int, ...]]
-    ) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
-        """The monomials over `keys` for n sites, each flattened to one
-        row of k**n cells in C order, and the row of each key. The key ()
-        is a row of ones. Rows are built on first use and kept with the
-        other tables."""
+    def flat_monomials(self, n: int, keys: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+        """The row of each of `keys`, in order, and the monomials for n
+        sites, each flattened to one row of k**n cells in C order. The
+        key () is a row of ones. Rows are built on first use and kept
+        with the other tables."""
         k = len(self.atoms)
         index, rows = self._flat.get(n) or ({}, np.empty((0, k**n)))
         new = [axes for axes in dict.fromkeys(keys) if axes not in index]
@@ -238,15 +239,19 @@ class _PreparedMeasure:
                 added[i].reshape((k,) * n)[...] = self.monomial(n, axes) if axes else 1.0
             rows = np.concatenate([rows, added])
             self._flat[n] = (index, rows)
-        return index, rows
+        return np.array([index[axes] for axes in keys]), rows
 
-    def observable_bound(self, size: int) -> float:
-        """P, the float product of `size` copies of the largest |atom|,
-        which bounds |sigma^B| in every cell for |B| = size."""
-        P = 1.0
-        for _ in range(size):
-            P *= self._largest
-        return P
+    def observable_bounds(self, size: int) -> np.ndarray:
+        """The table of P by |B| for every |B| up to `size` at least:
+        entry s is the float product of s copies of the largest |atom|,
+        which bounds |sigma^B| in every cell for |B| = s. Built on first
+        use and extended where a larger |B| asks for it."""
+        if len(self._bounds) <= size:
+            bounds = self._bounds.tolist()
+            while len(bounds) <= size:
+                bounds.append(bounds[-1] * self._largest)
+            self._bounds = np.array(bounds)
+        return self._bounds
 
     def free_sites_vanish(self, site_cap: int) -> bool:
         """Whether the measure is even as float atoms and in range for
@@ -500,65 +505,123 @@ def _draw_trial(rng: random.Random, site_cap: int) -> _Trial:
     rng.randint(1, min(MAX_SUBSET_SIZE, n)), rng.sample(range(n), size)
     and rng.uniform(0.0, COUPLING_MAX), then the observable's
     rng.sample(range(n), rng.randint(1, n)), made without those methods'
-    call layers: randint(a, b) is a + _randbelow(b - a + 1), and
-    uniform(0.0, c) is 0.0 + (c - 0.0) * random(), the float
-    c * random()."""
+    call layers: randint(a, b) is a + _randbelow(b - a + 1), uniform(0.0,
+    c) is 0.0 + (c - 0.0) * random(), the float c * random(), and a
+    sample of one item is [_randbelow(n)], since random.sample's first
+    pick, from either of its algorithms, is item _randbelow(n) of range(n).
+    """
     getrandbits = rng.getrandbits
     n = 1 + _randbelow(getrandbits, site_cap)
     terms: dict[frozenset[int], float] = {}
     for _ in range(1 + _randbelow(getrandbits, 2 * n)):
-        subset = frozenset(_sample(rng, n, 1 + _randbelow(getrandbits, min(MAX_SUBSET_SIZE, n))))
+        size = 1 + _randbelow(getrandbits, min(MAX_SUBSET_SIZE, n))
+        subset = frozenset([_randbelow(getrandbits, n)] if size == 1 else _sample(rng, n, size))
         terms[subset] = terms.get(subset, 0.0) + COUPLING_MAX * rng.random()
-    return n, terms, sorted(_sample(rng, n, 1 + _randbelow(getrandbits, n)))
+    size = 1 + _randbelow(getrandbits, n)
+    return n, terms, [_randbelow(getrandbits, n)] if size == 1 else sorted(_sample(rng, n, size))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Trials on n sites, described once for every measure that sums
+    them.
+
+    Trials are in descending order of term count, in window order among
+    equal counts, and `positions` holds each one's position in the
+    window. `keys` lists the axes of every monomial the trials read: ()
+    first, then (s,) for each site s, then each coupling key not listed
+    yet, with axes in the subset's iteration order. Row i of `terms`
+    holds the ids in `keys` of trial i's couplings, in insertion order,
+    and row i of `strengths` their strengths; both are 0 past counts[i],
+    trial i's term count. Row i of `factors` holds the id 1 + s of (s,)
+    for each observed site s in B order, then 0, the id of (), whose row
+    of ones multiplies exactly.
+    """
+
+    n: int
+    positions: list[int]
+    keys: list[tuple[int, ...]]
+    counts: np.ndarray
+    terms: np.ndarray
+    strengths: np.ndarray
+    factors: np.ndarray
+
+
+def _padded(lengths: np.ndarray, items: list, dtype) -> np.ndarray:
+    """`items` as rows, row i holding the next lengths[i] of them, padded
+    with zeros to the longest row."""
+    rows = np.zeros((len(lengths), lengths.max(initial=0)), dtype)
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = items
+    return rows
+
+
+def _plan(n: int, window: Sequence[_Trial], positions: Sequence[int]) -> _Plan:
+    """The _Plan of the trials at `positions` in `window`, all on n
+    sites."""
+    positions = sorted(positions, key=lambda position: len(window[position][1]), reverse=True)
+    trials = [window[position] for position in positions]
+    ids = {key: i for i, key in enumerate([()] + [(site,) for site in range(n)])}
+    terms = [ids.setdefault(tuple(subset), len(ids)) for _, couplings, _ in trials for subset in couplings]
+    counts = np.array([len(couplings) for _, couplings, _ in trials])
+    return _Plan(
+        n, positions, list(ids), counts, _padded(counts, terms, np.intp),
+        _padded(counts, [j for _, couplings, _ in trials for j in couplings.values()], np.float64),
+        _padded(np.array([len(B) for _, _, B in trials]), [1 + site for _, _, B in trials for site in B], np.intp),
+    )
 
 
 def _batch_sums(
-    measure: _PreparedMeasure,
-    n: int,
-    trials: Sequence[_Trial],
-    total: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The partition functions and numerators of trials on sites 0..n-1,
-    one row of k**n cells per trial, each summed by total(rows).
+    measure: _PreparedMeasure, plan: _Plan, total: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """The partition functions (row 0) and numerators (row 1) of the
+    plan's trials under `measure`, in plan order: one row of k**n cells
+    per trial, in arrays of at most _BATCH_CELLS cells (one trial per
+    array where one trial has more), each summed by total(rows).
 
-    Row i holds the cells _gibbs_sums builds for trial i over all k**n
-    configurations: its monomials come from the measure's tables, keyed
-    by axes in each subset's iteration order, every cell sees the same
-    subtractions in the same order, and then exp(min - e), * prior and
-    * sigma^B, under the same np.errstate. A trial with fewer terms than
-    the longest one is padded with zero-strength terms on the first
-    site, whose monomial is finite; the Boltzmann factor exp(min - e) is
-    the same whether or not a signed zero was subtracted, since such a
-    subtraction changes at most the sign of a zero energy. Shorter
-    observables are padded with a row of ones, by which multiplication
-    is exact. Nothing is validated and nothing raises: an overflowing
-    row shows inf or NaN in its sums.
+    The plan's key ids are mapped to the measure's flat monomial rows
+    once. Row i holds the cells _gibbs_sums builds for trial i over all
+    k**n configurations, to the bit: its monomials come from the
+    measure's tables, keyed by axes in each subset's iteration order;
+    energy column t subtracts its term only from the rows whose trial
+    has more than t terms (a prefix of the plan, whose term counts
+    descend), so every cell sees the subtractions of _gibbs_sums in the
+    same order and no other; then exp(min - e), * prior and * sigma^B,
+    under the same np.errstate. Shorter observables are padded with a
+    row of ones, by which multiplication is exact. Nothing is validated
+    and nothing raises: an overflowing row shows inf or NaN in its sums.
     """
-    axes = [[tuple(subset) for subset in terms] for _, terms, _ in trials]
-    width = max(map(len, axes))
-    depth = max(len(B) for _, _, B in trials)
-    singles = [(site,) for site in range(n)]
-    index, rows = measure.flat_monomials(n, [()] + singles + [key for keys in axes for key in keys])
-    which = np.array([[index[key] for key in keys] + [index[(0,)]] * (width - len(keys)) for keys in axes])
-    strength = np.array([list(terms.values()) + [0.0] * (width - len(terms)) for _, terms, _ in trials])
-    factors = np.array([[index[(site,)] for site in B] + [index[()]] * (depth - len(B))
-                        for _, _, B in trials])
-    shape = (len(trials), rows.shape[1])
+    row_of, rows = measure.flat_monomials(plan.n, plan.keys)
+    terms, factors = row_of[plan.terms], row_of[plan.factors]
+    prior = measure.tables(plan.n)[1].reshape(-1)
+    # live[t]: the number of trials with more than t terms.
+    live = np.count_nonzero(plan.counts[:, None] > np.arange(terms.shape[1]), axis=0).tolist()
+    size, count = rows.shape[1], len(plan.positions)
+    step = max(1, _BATCH_CELLS // size)
+    sums = np.empty((2, count))
+    # Every id is a row, so mode="clip" changes nothing but lets np.take
+    # write to `out` directly, where the default mode buffers it.
     with np.errstate(over="ignore", invalid="ignore"):
-        energy, term = np.zeros(shape), np.empty(shape)
-        for t in range(width):
-            np.take(rows, which[:, t], axis=0, out=term)
-            term *= strength[:, t, None]
-            energy -= term
-        weighted = np.exp(np.subtract(energy.min(axis=1, keepdims=True), energy, out=energy), out=energy)
-        weighted *= measure.tables(n)[1].reshape(-1)
-        Z = total(weighted)
-        observable = np.take(rows, factors[:, 0], axis=0, out=term)
-        factor = np.empty(shape) if depth > 1 else None
-        for d in range(1, depth):
-            observable *= np.take(rows, factors[:, d], axis=0, out=factor)
-        weighted *= observable
-        return Z, total(weighted)
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            energy, term = np.zeros((stop - start, size)), np.empty((stop - start, size))
+            for t, last in enumerate(live):
+                # The chunk's first m trials have more than t terms.
+                m = min(last, stop) - start
+                if m <= 0:
+                    break
+                np.take(rows, terms[start:start + m, t], axis=0, out=term[:m], mode="clip")
+                term[:m] *= plan.strengths[start:start + m, t, None]
+                energy[:m] -= term[:m]
+            weighted = np.exp(np.subtract(energy.min(axis=1, keepdims=True), energy, out=energy), out=energy)
+            weighted *= prior
+            sums[0, start:stop] = total(weighted)
+            observable = np.take(rows, factors[start:stop, 0], axis=0, out=term, mode="clip")
+            factor = np.empty_like(term) if factors.shape[1] > 1 else None
+            for d in range(1, factors.shape[1]):
+                observable *= np.take(rows, factors[start:stop, d], axis=0, out=factor, mode="clip")
+            weighted *= observable
+            sums[1, start:stop] = total(weighted)
+    return sums
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
@@ -591,14 +654,16 @@ def _proven_trials(
     measure without raising, and 0.0 <= 0.0 + tol holds for any
     tol >= 0.
 
-    Every other trial is summed under each measure on its own. Trials
-    whose enumeration under it has at most _BATCH_MAX_SIZE cells are
-    grouped by site count and summed by _batch_sums in arrays of at most
-    _BATCH_CELLS cells (one trial per array where one trial has more); a
-    larger enumeration is summed alone by _gibbs_sums. A trial whose
-    float sums under either measure raise NumericError keeps NaN sums,
-    which prove nothing, so the exact sums raise at its turn. The
-    window's sums go through one _estimate and one _proven_pass.
+    Every other trial is summed under each measure. The trials of one
+    site count are described once, by one _Plan, when either measure's
+    enumeration on that many sites has at most _BATCH_MAX_SIZE cells;
+    each such measure sums the whole plan by _batch_sums. Under a
+    measure with a larger enumeration each trial is summed alone by
+    _gibbs_sums. A trial whose float sums under either measure raise
+    NumericError keeps NaN sums, which prove nothing, so the exact sums
+    raise at its turn. The window's sums go through one _estimate, with
+    each trial's P read from the measure's table of observable bounds,
+    and one _proven_pass.
     """
     free = set()
     if free_sites_vanish:
@@ -609,27 +674,26 @@ def _proven_trials(
             groups.setdefault(n, []).append(position)
     # Z and N of each trial under mu (rows 0, 1) and nu (rows 2, 3).
     sums = np.full((4, len(window)), np.nan)
-    P = np.array([[measure.observable_bound(len(B)) for _, _, B in window] for measure in (mu, nu)])
-    cells = np.array([[len(measure.atoms) ** n for n, _, _ in window] for measure in (mu, nu)])
+    sites = np.array([n for n, _, _ in window])
+    sizes = np.array([len(B) for _, _, B in window])
+    P = np.stack([measure.observable_bounds(sizes.max())[sizes] for measure in (mu, nu)])
+    cells = np.stack([len(measure.atoms) ** sites for measure in (mu, nu)])
     # Overflowing monomials and sums out of the bound's range may divide
     # by zero or give inf - inf; _proven_pass holds on none of them.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for row, measure in ((0, mu), (2, nu)):
-            for n, positions in groups.items():
-                size = len(measure.atoms) ** n
-                batched = size <= _BATCH_MAX_SIZE
-                step = max(1, _BATCH_CELLS // size) if batched else 1
-                for start in range(0, len(positions), step):
-                    chunk = positions[start:start + step]
-                    trials = [window[position] for position in chunk]
+        for n, positions in groups.items():
+            plan = None
+            for row, measure in ((0, mu), (2, nu)):
+                if len(measure.atoms) ** n <= _BATCH_MAX_SIZE:
+                    if plan is None:
+                        plan = _plan(n, window, positions)
+                    sums[row:row + 2, plan.positions] = _batch_sums(measure, plan, _row_sums)
+                    continue
+                for position in positions:
+                    _, terms, B = window[position]
+                    lattice, couplings = Lattice.of_size(n), CouplingSet.from_dict(terms)
                     with contextlib.suppress(NumericError):
-                        if batched:
-                            sums[row:row + 2, chunk] = _batch_sums(measure, n, trials, _row_sums)
-                        else:
-                            ((_, terms, B),) = trials
-                            lattice, couplings = Lattice.of_size(n), CouplingSet.from_dict(terms)
-                            Z, N = _gibbs_sums(lattice, couplings, measure, tuple(B), _float_sum)
-                            sums[row:row + 2, chunk] = [[Z], [N]]
+                        sums[row:row + 2, position] = _gibbs_sums(lattice, couplings, measure, tuple(B), _float_sum)
         (q_mu, q_nu), (e_mu, e_nu) = _estimate(sums[0::2], sums[1::2], P, cells)
         return free.union(np.flatnonzero(_proven_pass(q_mu, e_mu, q_nu, e_nu, tol)).tolist())
 
@@ -649,10 +713,12 @@ def random_probe(
     is raised at the trial that raises it. Violations are reported with
     the full serialized instance as witness; with zero violations and
     zero trials the result is an empty pass. Each measure's enumeration
-    tables are built once and shared by every trial, and a site cap
-    whose largest instance would exceed CONFIG_CAP for either measure is
-    refused before any trial. Whether the exact zero rule applies is
-    decided once, for both measures and the site cap.
+    tables are built once and shared by every trial, the small trials of
+    one site count in a window are described once, by one _Plan, for
+    both measures, and a site cap whose largest instance would exceed
+    CONFIG_CAP for either measure is refused before any trial. Whether
+    the exact zero rule applies is decided once, for both measures and
+    the site cap.
     """
     rng = random.Random(config.seed)
     mu, nu = _PreparedMeasure(mu), _PreparedMeasure(nu)

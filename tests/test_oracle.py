@@ -228,17 +228,22 @@ class TestRandomProbe:
         assert report.status == PASS and report.details["passes"] == 0
 
     def test_measures_converted_once(self, monkeypatch):
-        built, batched, summed = [], [], []
-        prepared, batch_sums, gibbs_sums = oracle._PreparedMeasure, oracle._batch_sums, oracle._gibbs_sums
+        built, batched, summed, plans = [], [], [], []
+        prepared, batch_sums, gibbs_sums, make_plan = (
+            oracle._PreparedMeasure, oracle._batch_sums, oracle._gibbs_sums, oracle._plan)
 
         class SpyMeasure(prepared):
             def __init__(self, measure):
                 super().__init__(measure)
                 built.append(self)
 
-        def spy_batch(measure, *args):
-            batched.append(measure)
-            return batch_sums(measure, *args)
+        def spy_batch(measure, plan, *args):
+            batched.append((measure, plan))
+            return batch_sums(measure, plan, *args)
+
+        def spy_plan(n, window, positions):
+            plans.append((n, id(window), make_plan(n, window, positions)))
+            return plans[-1][2]
 
         def spy_sums(lattice, couplings, measure, *args):
             summed.append(measure)
@@ -247,6 +252,7 @@ class TestRandomProbe:
         monkeypatch.setattr(oracle, "_PreparedMeasure", SpyMeasure)
         monkeypatch.setattr(oracle, "_batch_sums", spy_batch)
         monkeypatch.setattr(oracle, "_gibbs_sums", spy_sums)
+        monkeypatch.setattr(oracle, "_plan", spy_plan)
         monkeypatch.setattr(oracle, "domination_check", lambda *a, **k: pytest.fail("checked a trial"))
         mu, nu = mu_lambda_measure(Fraction(1, 4)), spin_measure(SpinValue.parse(1))
         # Seed 82 draws two trials on 7 sites, whose 3**7 cells are past
@@ -258,14 +264,20 @@ class TestRandomProbe:
         # One prepared measure each, shared by the batches of small
         # trials and the float sums of the large ones.
         assert len(built) == 2 and batched and len(summed) == 4
-        assert {id(m) for m in batched} == {id(m) for m in summed} == {id(m) for m in built}
+        assert {id(m) for m, _ in batched} == {id(m) for m in summed} == {id(m) for m in built}
         assert [built[0].atoms, built[1].atoms] == [float_atoms(mu), float_atoms(nu)]
+        # The window's small trials are described once per site count,
+        # and both measures' batches read each description.
+        rng = random.Random(82)
+        small = {n for n, _, _ in (reference_draw(rng, 7) for _ in range(12)) if 3**n <= _BATCH_MAX_SIZE}
+        assert sorted(n for n, _, _ in plans) == sorted(small) and len({w for _, w, _ in plans}) == 1
+        assert sorted((id(m), id(p)) for m, p in batched) == sorted((id(m), id(p)) for _, _, p in plans for m in built)
         # Seed 10 draws trials on 5, 3 and 7 sites whose observables each
         # have a site no coupling touches: the exact zero rule proves
         # them with no float sum, batched or alone, and no exact sum.
-        del batched[:], summed[:]
+        del batched[:], summed[:], plans[:]
         random_probe(ProbeConfig(seed=10, trials=3, site_cap=7), mu, nu)
-        assert not batched and not summed
+        assert not batched and not summed and not plans
 
     @pytest.mark.parametrize("trials", [0, 3])
     @pytest.mark.parametrize("spin_is_mu", [True, False])
@@ -552,8 +564,9 @@ def float_estimates(trial, measure):
     prepared = oracle._PreparedMeasure(measure)
     Z, N = oracle._gibbs_sums(Lattice.of_size(n), CouplingSet.from_dict(terms), prepared, tuple(B), oracle._float_sum)
     estimates = []
-    for Z, N in [oracle._batch_sums(prepared, n, [trial], oracle._row_sums), ([Z], [N])]:
-        q, E = oracle._estimate(np.array(Z), np.array(N), prepared.observable_bound(len(B)), len(prepared.atoms) ** n)
+    P = prepared.observable_bounds(len(B))[len(B)]
+    for Z, N in [oracle._batch_sums(prepared, oracle._plan(n, [trial], [0]), oracle._row_sums), ([Z], [N])]:
+        q, E = oracle._estimate(np.array(Z), np.array(N), P, len(prepared.atoms) ** n)
         estimates.append((q.item(), E.item()))
     return estimates
 
@@ -679,13 +692,13 @@ class TestProvenVerdicts:
 
 @st.composite
 def batch_trials(draw):
-    """A measure and 1-6 trials on the same n sites with at most
-    _BATCH_MAX_SIZE cells, each with 1 to 2n terms whose subsets are
-    inserted in any order and whose strengths may be 0, and a sorted
-    observable: rows with fewer terms are padded, subsets recur across
-    rows and some sites touch no coupling."""
-    measure = draw(measures())
-    k = len(float_atoms(measure))
+    """One or two measures and 1-6 trials on the same n sites with at
+    most _BATCH_MAX_SIZE cells under each, each with 1 to 2n terms whose
+    subsets are inserted in any order and whose strengths may be 0, and
+    a sorted observable: term counts differ and come in any order,
+    subsets recur across trials and some sites touch no coupling."""
+    pair = draw(st.lists(measures(), min_size=1, max_size=2))
+    k = max(len(float_atoms(measure)) for measure in pair)
     n = draw(st.integers(1, max(n for n in range(1, 12) if k**n <= _BATCH_MAX_SIZE)))
     subsets = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True).map(frozenset)
     trials = []
@@ -693,7 +706,7 @@ def batch_trials(draw):
         terms = draw(st.dictionaries(subsets, st.floats(0.0, 2.0), min_size=1, max_size=2 * n))
         B = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
         trials.append((n, terms, B))
-    return measure, trials
+    return pair, trials
 
 
 def reference_draw(rng, site_cap):
@@ -797,42 +810,57 @@ class TestBatchedTrials:
 
     @given(batch_trials())
     @settings(max_examples=200, deadline=None)
-    @example((SKEW, [
+    @example(([SKEW], [
         # Sites 2 and 3 touch no coupling; {0, 1} recurs in the third
-        # row; rows of 1, 3 and 2 terms, one of strength 0, are padded.
+        # trial; trials of 1, 3 and 2 terms, one of strength 0.
         (4, {frozenset({0, 1}): 0.9}, [0, 2]),
         (4, {frozenset({1}): 0.4, frozenset({2, 3, 0}): 1.7, frozenset({3}): 0.0}, [1, 2, 3]),
         (4, {frozenset({1, 0}): 1.1, frozenset({0}): 2.0}, [3]),
     ]))
     # frozenset({0, 2, 8}) iterates 0, 8, 2, and products of these atoms
     # depend on the order of their factors.
-    @example((SKEW[:2], [(9, {frozenset({0, 2, 8}): 1.3, frozenset({5}): 0.2}, [2, 8])]))
+    @example(([SKEW[:2]], [(9, {frozenset({0, 2, 8}): 1.3, frozenset({5}): 0.2}, [2, 8])]))
     # Equal sets built in another order iterate (0, 1, 8) and (0, 8, 1),
     # and at this strength their different rounding reaches the
     # Boltzmann cells, so a monomial keyed by set equality fails here.
-    @example((SKEW[:2], [
+    @example(([SKEW[:2]], [
         (9, {frozenset([0, 1, 8]): 0.7}, [1, 8]),
         (9, {frozenset([0, 8, 1]): 0.7}, [1, 8]),
     ]))
+    # One plan summed under 3 and 4 atoms: term counts 2, 4, 1, 3 and 4
+    # out of order, so the plan reorders every trial, strengths of 0
+    # among them, and each trial's last term on a site it shares.
+    @example(([SKEW, spin_measure(SpinValue.parse(Fraction(3, 2)))], [
+        (4, {frozenset({0, 1}): 0.9, frozenset({2}): 0.0}, [0, 2]),
+        (4, {frozenset({1}): 0.4, frozenset({2, 3, 0}): 1.7, frozenset({3}): 0.0, frozenset({0}): 1.2}, [1, 2]),
+        (4, {frozenset({1, 3}): 1.3}, [3]),
+        (4, {frozenset({3}): 0.0, frozenset({0, 2}): 0.6, frozenset({1, 2}): 1.9}, [0, 1, 2, 3]),
+        (4, {frozenset({2, 3}): 0.8, frozenset({0}): 0.0, frozenset({3}): 1.1, frozenset({1}): 0.3}, [1]),
+    ]))
     def test_rows_match_the_cells_to_the_bit(self, case):
-        measure, trials = case
-        prepared = oracle._PreparedMeasure(measure)
-        batch = []
+        measures, trials = case
+        plan = oracle._plan(trials[0][0], trials, range(len(trials)))
+        assert sorted(plan.positions) == list(range(len(trials)))
+        for measure in measures:
+            prepared = oracle._PreparedMeasure(measure)
+            batch = []
 
-        def keep_rows(rows):
-            batch.append(rows.copy())
-            return rows.sum(axis=1)
+            def keep_rows(rows):
+                batch.append(rows.copy())
+                return rows.sum(axis=1)
 
-        oracle._batch_sums(prepared, trials[0][0], trials, keep_rows)
-        for row, (n, terms, B) in enumerate(trials):
-            cells = []
+            oracle._batch_sums(prepared, plan, keep_rows)
+            # Row i of the batch is the trial at plan.positions[i].
+            for row, position in enumerate(plan.positions):
+                n, terms, B = trials[position]
+                cells = []
 
-            def keep_cells(weighted, what):
-                cells.append(weighted.reshape(-1).copy())
-                return float(weighted.sum())
+                def keep_cells(weighted, what):
+                    cells.append(weighted.reshape(-1).copy())
+                    return float(weighted.sum())
 
-            oracle._gibbs_sums(Lattice.of_size(n), CouplingSet.from_dict(terms), prepared, tuple(B), keep_cells)
-            assert [sums[row].tobytes() for sums in batch] == [c.tobytes() for c in cells]
+                oracle._gibbs_sums(Lattice.of_size(n), CouplingSet.from_dict(terms), prepared, tuple(B), keep_cells)
+                assert [sums[row].tobytes() for sums in batch] == [c.tobytes() for c in cells]
 
     @given(probe_runs())
     @settings(max_examples=60, deadline=None)
@@ -902,8 +930,9 @@ class TestExactZeroRule:
         prepared = oracle._PreparedMeasure(measure)
         assert prepared.free_sites_vanish(n)
         assert gibbs_expectation(Lattice.of_size(n), CouplingSet.from_dict(terms), prepared, B) == 0.0
-        _, N = oracle._batch_sums(prepared, n, [trial], lambda rows: [math.fsum(row) for row in rows.tolist()])
-        assert N == [0.0]
+        plan = oracle._plan(n, [trial], [0])
+        _, N = oracle._batch_sums(prepared, plan, lambda rows: [math.fsum(row) for row in rows.tolist()])
+        assert N.tolist() == [0.0]
         assert proven([trial], measure, measure, 0.0) == {0}
 
     @pytest.mark.parametrize(
