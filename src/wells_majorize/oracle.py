@@ -16,11 +16,12 @@ proven when its margin exceeds a rigorous bound on their distance from
 the exact sums, and only the trials it leaves unproven (witnesses,
 near-ties, sums outside the bound's range) reach domination_check. The
 small trials of one site count in a window of draws are described once,
-as key ids, strengths and observable factors in one plan, and both
-measures sum the plan's rows. The inverse temperature is absorbed into
-the couplings. A probe builds each measure's enumeration tables (spin
-views, prior, coupling monomials, observable bounds) once and shares
-them across its trials; nothing is cached beyond one probe.
+as monomial keys, strengths and observable factors in one plan; each
+measure builds the plan's monomial rows from its spin views and sums
+them, and no batch table outlives the window. The inverse temperature
+is absorbed into the couplings. A probe builds each measure's
+enumeration tables (spin views, prior, coupling monomials) once and
+shares them across its trials; nothing is cached beyond one probe.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ _Tables = tuple[list[np.ndarray], np.ndarray, dict[tuple[int, ...], np.ndarray]]
 
 def float_atoms(measure: MeasureLike) -> list[tuple[float, float]]:
     """Coerce a measure to (value, weight) floats, validating weights."""
-    atoms = getattr(measure, "atoms", measure)
+    atoms = list(getattr(measure, "atoms", measure))
     try:
         pairs = [(float(v), float(w)) for v, w in atoms]
     except OverflowError:
@@ -72,8 +73,11 @@ def float_atoms(measure: MeasureLike) -> list[tuple[float, float]]:
         raise ValidationError("empty support")
     if not all(math.isfinite(v) and math.isfinite(w) for v, w in pairs):
         raise ValidationError("atom outside the float range")
-    if any(w <= 0 for _, w in pairs):
+    if any(w <= 0 for _, w in atoms):
         raise ValidationError("weights must be positive")
+    # A positive weight too small for a float rounds to 0.0.
+    if any(w == 0.0 for _, w in pairs):
+        raise ValidationError("atom outside the float range")
     return pairs
 
 
@@ -177,27 +181,26 @@ class _PreparedMeasure:
 
     `atoms` is the measure as float_atoms returns it, a list of
     (value, weight) float pairs validated once; a caller holding only
-    the object reads k = len(atoms) from it. For each site count n the
-    object keeps, from the first expectation over n sites on, the
-    per-axis spin views of the (k,) * n tensor, the prior and the
-    coupling monomials. The prior holds in each cell the product of the
-    cell's weights in lattice order; when all k weights are equal, that
-    is one product with the same bits in every cell, broadcast to the
-    tensor's shape without being stored. A monomial is keyed by its
-    subset's axis positions in the subset's own iteration order and
-    formed as math.prod over those views, so it has the same bits as the
-    product gibbs_expectation would otherwise form. The tables live as long as
-    the object and are never written.
+    the object reads k = len(atoms) from it, and `largest` is the largest
+    |value|. For each site count n the object keeps, from the first
+    expectation over n sites on, the per-axis spin views of the (k,) * n
+    tensor, the prior and the coupling monomials. The prior holds in each
+    cell the product of the cell's weights in lattice order; when all k
+    weights are equal, that is one product with the same bits in every
+    cell, broadcast to the tensor's shape without being stored. A
+    monomial is keyed by its subset's axis positions in the subset's own
+    iteration order and formed as math.prod over those views, so it has
+    the same bits as the product gibbs_expectation would otherwise form.
+    The tables live as long as the object and are never written; batches
+    of trials build their own rows from the spin views (_batch_sums).
     """
 
     def __init__(self, measure: MeasureLike) -> None:
         self.atoms = float_atoms(measure)
         self._values = np.array([v for v, _ in self.atoms])
         self._weights = np.array([w for _, w in self.atoms])
-        self._largest = max(abs(v) for v, _ in self.atoms)
+        self.largest = max(abs(v) for v, _ in self.atoms)
         self._tables: dict[int, _Tables] = {}
-        self._flat: dict[int, tuple[dict[tuple[int, ...], int], np.ndarray]] = {}
-        self._bounds = np.ones(1)
 
     def tables(self, n: int) -> _Tables:
         """The tables for n sites, built on first use."""
@@ -223,35 +226,6 @@ class _PreparedMeasure:
         if monomial is None:
             monomial = monomials[axes] = math.prod(spin[i] for i in axes)
         return monomial
-
-    def flat_monomials(self, n: int, keys: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-        """The row of each of `keys`, in order, and the monomials for n
-        sites, each flattened to one row of k**n cells in C order. The
-        key () is a row of ones. Rows are built on first use and kept
-        with the other tables."""
-        k = len(self.atoms)
-        index, rows = self._flat.get(n) or ({}, np.empty((0, k**n)))
-        new = [axes for axes in dict.fromkeys(keys) if axes not in index]
-        if new:
-            added = np.empty((len(new), k**n))
-            for i, axes in enumerate(new):
-                index[axes] = len(rows) + i
-                added[i].reshape((k,) * n)[...] = self.monomial(n, axes) if axes else 1.0
-            rows = np.concatenate([rows, added])
-            self._flat[n] = (index, rows)
-        return np.array([index[axes] for axes in keys]), rows
-
-    def observable_bounds(self, size: int) -> np.ndarray:
-        """The table of P by |B| for every |B| up to `size` at least:
-        entry s is the float product of s copies of the largest |atom|,
-        which bounds |sigma^B| in every cell for |B| = s. Built on first
-        use and extended where a larger |B| asks for it."""
-        if len(self._bounds) <= size:
-            bounds = self._bounds.tolist()
-            while len(bounds) <= size:
-                bounds.append(bounds[-1] * self._largest)
-            self._bounds = np.array(bounds)
-        return self._bounds
 
     def free_sites_vanish(self, site_cap: int) -> bool:
         """Whether the measure is even as float atoms and in range for
@@ -281,7 +255,7 @@ class _PreparedMeasure:
         """
         if site_cap > CONFIG_CAP.bit_length() or sorted(self.atoms) != sorted((-v, w) for v, w in self.atoms):
             return False
-        largest = math.log2(max(self._largest, 1.0))
+        largest = math.log2(max(self.largest, 1.0))
         lightest, heaviest = (math.log2(w) for w in (self._weights.min(), self._weights.max()))
         energy = math.log2(2 * site_cap * COUPLING_MAX) + MAX_SUBSET_SIZE * largest
         cells = math.log2(CONFIG_CAP) + site_cap * (max(heaviest, 0.0) + largest)
@@ -528,19 +502,19 @@ class _Plan:
 
     Trials are in descending order of term count, in window order among
     equal counts, and `positions` holds each one's position in the
-    window. `keys` lists the axes of every monomial the trials read: ()
-    first, then (s,) for each site s, then each coupling key not listed
-    yet, with axes in the subset's iteration order. Row i of `terms`
-    holds the ids in `keys` of trial i's couplings, in insertion order,
-    and row i of `strengths` their strengths; both are 0 past counts[i],
-    trial i's term count. Row i of `factors` holds the id 1 + s of (s,)
-    for each observed site s in B order, then 0, the id of (), whose row
-    of ones multiplies exactly.
+    window. Row j of `keys` holds the axes of monomial j, padded with n,
+    the axis of no site, to the longest key: () first, then (s,) for each
+    site s, then each coupling key the trials read not listed yet, with
+    axes in the subset's iteration order. Row i of `terms` holds the ids
+    of trial i's couplings, in insertion order, and row i of `strengths`
+    their strengths; both are 0 past counts[i], trial i's term count. Row
+    i of `factors` holds the id 1 + s of (s,) for each observed site s in
+    B order, then 0, the id of (), whose row of ones multiplies exactly.
     """
 
     n: int
     positions: list[int]
-    keys: list[tuple[int, ...]]
+    keys: np.ndarray
     counts: np.ndarray
     terms: np.ndarray
     strengths: np.ndarray
@@ -562,9 +536,11 @@ def _plan(n: int, window: Sequence[_Trial], positions: Sequence[int]) -> _Plan:
     trials = [window[position] for position in positions]
     ids = {key: i for i, key in enumerate([()] + [(site,) for site in range(n)])}
     terms = [ids.setdefault(tuple(subset), len(ids)) for _, couplings, _ in trials for subset in couplings]
+    width = max(map(len, ids))
     counts = np.array([len(couplings) for _, couplings, _ in trials])
     return _Plan(
-        n, positions, list(ids), counts, _padded(counts, terms, np.intp),
+        n, positions, np.array([key + (n,) * (width - len(key)) for key in ids], np.intp),
+        counts, _padded(counts, terms, np.intp),
         _padded(counts, [j for _, couplings, _ in trials for j in couplings.values()], np.float64),
         _padded(np.array([len(B) for _, _, B in trials]), [1 + site for _, _, B in trials for site in B], np.intp),
     )
@@ -578,29 +554,40 @@ def _batch_sums(
     per trial, in arrays of at most _BATCH_CELLS cells (one trial per
     array where one trial has more), each summed by total(rows).
 
-    The plan's key ids are mapped to the measure's flat monomial rows
-    once. Row i holds the cells _gibbs_sums builds for trial i over all
-    k**n configurations, to the bit: its monomials come from the
-    measure's tables, keyed by axes in each subset's iteration order;
-    energy column t subtracts its term only from the rows whose trial
-    has more than t terms (a prefix of the plan, whose term counts
-    descend), so every cell sees the subtractions of _gibbs_sums in the
-    same order and no other; then exp(min - e), * prior and * sigma^B,
-    under the same np.errstate. Shorter observables are padded with a
-    row of ones, by which multiplication is exact. Nothing is validated
-    and nothing raises: an overflowing row shows inf or NaN in its sums.
+    The plan's monomial rows are built here, one row of k**n cells in C
+    order per key, and dropped with the call: from a table whose row i
+    holds axis i's spin view and row n ones, each key's row is the
+    product of its axes' rows in key order, which has the bits of the
+    measure's math.prod monomial, since a factor of one is exact. Row i
+    holds the cells _gibbs_sums builds for trial i over all k**n
+    configurations, to the bit: energy column t subtracts its term only
+    from the rows whose trial has more than t terms (a prefix of the
+    plan, whose term counts descend), so every cell sees the subtractions
+    of _gibbs_sums in the same order and no other; then exp(min - e),
+    * prior and * sigma^B, under the same np.errstate. Shorter
+    observables are padded with a row of ones, by which multiplication is
+    exact. Nothing is validated and nothing raises: an overflowing row
+    shows inf or NaN in its sums.
     """
-    row_of, rows = measure.flat_monomials(plan.n, plan.keys)
-    terms, factors = row_of[plan.terms], row_of[plan.factors]
-    prior = measure.tables(plan.n)[1].reshape(-1)
+    n, terms, factors = plan.n, plan.terms, plan.factors
+    spin, prior, _ = measure.tables(n)
+    shape, prior = prior.shape, prior.reshape(-1)
+    size = prior.size
     # live[t]: the number of trials with more than t terms.
     live = np.count_nonzero(plan.counts[:, None] > np.arange(terms.shape[1]), axis=0).tolist()
-    size, count = rows.shape[1], len(plan.positions)
-    step = max(1, _BATCH_CELLS // size)
+    step, count = max(1, _BATCH_CELLS // size), len(plan.positions)
     sums = np.empty((2, count))
-    # Every id is a row, so mode="clip" changes nothing but lets np.take
-    # write to `out` directly, where the default mode buffers it.
     with np.errstate(over="ignore", invalid="ignore"):
+        # Row i: axis i's spin view over all cells; row n: ones.
+        axes = np.ones((n + 1, size))
+        for i in range(n):
+            axes[i].reshape(shape)[...] = spin[i]
+        rows = axes[plan.keys[:, 0]]
+        for d in range(1, plan.keys.shape[1]):
+            rows *= axes[plan.keys[:, d]]
+        # Every id is a row, so mode="clip" changes nothing but lets
+        # np.take write to `out` directly, where the default mode buffers
+        # it.
         for start in range(0, count, step):
             stop = min(start + step, count)
             energy, term = np.zeros((stop - start, size)), np.empty((stop - start, size))
@@ -657,13 +644,14 @@ def _proven_trials(
     Every other trial is summed under each measure. The trials of one
     site count are described once, by one _Plan, when either measure's
     enumeration on that many sites has at most _BATCH_MAX_SIZE cells;
-    each such measure sums the whole plan by _batch_sums. Under a
+    each such measure sums the whole plan by _batch_sums, which builds
+    the plan's monomial rows and drops them when it returns. Under a
     measure with a larger enumeration each trial is summed alone by
     _gibbs_sums. A trial whose float sums under either measure raise
     NumericError keeps NaN sums, which prove nothing, so the exact sums
     raise at its turn. The window's sums go through one _estimate, with
-    each trial's P read from the measure's table of observable bounds,
-    and one _proven_pass.
+    each trial's P formed for the window from the measure's largest
+    |atom|, and one _proven_pass.
     """
     free = set()
     if free_sites_vanish:
@@ -676,11 +664,13 @@ def _proven_trials(
     sums = np.full((4, len(window)), np.nan)
     sites = np.array([n for n, _, _ in window])
     sizes = np.array([len(B) for _, _, B in window])
-    P = np.stack([measure.observable_bounds(sizes.max())[sizes] for measure in (mu, nu)])
     cells = np.stack([len(measure.atoms) ** sites for measure in (mu, nu)])
     # Overflowing monomials and sums out of the bound's range may divide
     # by zero or give inf - inf; _proven_pass holds on none of them.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Each trial's P under each measure: the float product of |B|
+        # copies of the largest |atom|, multiplied in sequence.
+        P = np.stack([np.cumprod([1.0] + [measure.largest] * sizes.max())[sizes] for measure in (mu, nu)])
         for n, positions in groups.items():
             plan = None
             for row, measure in ((0, mu), (2, nu)):

@@ -117,6 +117,29 @@ class TestLargeConjectureTables:
         assert hashlib.sha256(TIMING_LINE.sub("", out).encode()).hexdigest() == digest
 
 
+class TestLargeProbes:
+    """Probes that span more than one window of draws, too large for the
+    corpus: the sha256 of each output, timing aside, is pinned. The
+    failing pair prints about 124 KB of witnesses from two windows; the
+    passing one sums trials both in batches and alone."""
+
+    @pytest.mark.parametrize(
+        "pair, trials, site_cap, seed, exit_code, digest",
+        [
+            ("bernoulli:1,mu-lambda:1/4", "300", "6", "1", 1,
+             "53b23f200819578060815cfcc046f64f21e894ea8e046218f7e066628c70b3c1"),
+            ("bernoulli-rms:3/2,spin:3/2", "400", "7", "103", 0,
+             "03cafe07850c391a411788eb0311631dbf6951f96f414015aafab1edc22923bc"),
+        ],
+    )
+    def test_output_digest(self, capsys, pair, trials, site_cap, seed, exit_code, digest):
+        argv = ["probe", "--pair", pair, "--trials", trials, "--site-cap", site_cap, "--seed", seed,
+                "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == exit_code
+        assert hashlib.sha256(TIMING_LINE.sub("", out).encode()).hexdigest() == digest
+
+
 class TestVerifyConjectureCommand:
     def test_small_table(self, capsys):
         code, data = run_json(capsys, ["verify-conjecture", "--s-max", "1", "--m-max", "1"])
@@ -475,6 +498,11 @@ class TestProbeCommand:
             "probe", "--pair", f"bernoulli:1{'0' * 400},bernoulli:1", "--trials", "1",
             "--format", "json",
         ])
+        assert (code, out, err) == (2, "", "error: atom outside the float range\n")
+
+    def test_weight_below_float_range_is_usage_error(self, capsys):
+        # Every weight is positive, but lambda / 2 rounds to 0.0.
+        code, out, err = run(capsys, ["probe", "--pair", "mu-lambda:1e-400,spin:1", "--format", "json"])
         assert (code, out, err) == (2, "", "error: atom outside the float range\n")
 
     def test_atom_beyond_float_range_is_refused_without_trials(self, capsys):

@@ -71,6 +71,8 @@ class TestValidation:
             [(math.nan, 0.5), (-1.0, 0.5)],
             [(1.0, math.inf), (-1.0, 0.5)],
             bernoulli_measure(10**400),
+            # Weight 10**-400 / 2 is positive but rounds to 0.0.
+            mu_lambda_measure(Fraction(1, 10**400)),
         ],
     )
     def test_float_atoms_rejects_values_outside_the_float_range(self, measure):
@@ -78,8 +80,10 @@ class TestValidation:
             float_atoms(measure)
 
     def test_float_atoms_rejects_bad_weights(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="weights must be positive"):
             float_atoms([(1.0, 0.0), (-1.0, 1.0)])
+        with pytest.raises(ValidationError, match="weights must be positive"):
+            float_atoms([(1, Fraction(-1, 10**400)), (-1, Fraction(1))])
         with pytest.raises(ValidationError):
             float_atoms([])
 
@@ -564,7 +568,7 @@ def float_estimates(trial, measure):
     prepared = oracle._PreparedMeasure(measure)
     Z, N = oracle._gibbs_sums(Lattice.of_size(n), CouplingSet.from_dict(terms), prepared, tuple(B), oracle._float_sum)
     estimates = []
-    P = prepared.observable_bounds(len(B))[len(B)]
+    P = math.prod([prepared.largest] * len(B))
     for Z, N in [oracle._batch_sums(prepared, oracle._plan(n, [trial], [0]), oracle._row_sums), ([Z], [N])]:
         q, E = oracle._estimate(np.array(Z), np.array(N), P, len(prepared.atoms) ** n)
         estimates.append((q.item(), E.item()))
