@@ -113,8 +113,8 @@ def cmd_t_minus(args: argparse.Namespace) -> VerificationReport:
     status = PASS
     witnesses = []
     if args.measure.startswith("preset:mu-lambda:"):
-        lam = parse_rational(args.measure.split(":")[2])
-        closed_sq = t_minus_squared_mu_lambda(lam)
+        # The preset's lambda, as parsed once: twice its weight at +1.
+        closed_sq = t_minus_squared_mu_lambda(2 * mu.atoms[-1][1])
         details["closed_form_t_minus_sq"] = closed_sq
         # The bracket must straddle the closed-form threshold.
         if not (bracket.lo**2 <= closed_sq <= bracket.hi**2):
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("t-minus", help="bracket the domination threshold of a measure")
     p.add_argument("--measure", required=True, help="JSON file or preset:<family>:<param>")
     p.add_argument("--n-max", type=int, default=wells.DEFAULT_N_MAX)
-    p.add_argument("--tol", default=str(wells.DEFAULT_TOL))
+    p.add_argument("--tol", default=wells.DEFAULT_TOL)
     add_format(p)
     p.set_defaults(fn=cmd_t_minus)
 

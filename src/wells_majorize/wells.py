@@ -18,8 +18,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from math import comb, isqrt
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import DomainError, InvariantError, PreconditionError, ValidationError
@@ -44,7 +44,7 @@ class DiscreteMeasure:
             raise ValidationError("measure needs at least one atom")
         for atom in self.atoms:  # a bool or a float is not an exact rational
             if not (isinstance(atom, (list, tuple)) and len(atom) == 2
-                    and all(type(q) in (Fraction, int) for q in atom)):
+                    and type(atom[0]) in (Fraction, int) and type(atom[1]) in (Fraction, int)):
                 raise ValidationError(f"atom {atom!r} is not a pair of exact rationals")
         _, xs, W, cs = self._cleared
         if len(set(xs)) != len(xs):
@@ -76,7 +76,10 @@ class DiscreteMeasure:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValidationError(f"atom {pair!r} is not a [value, weight] pair")
             atoms.append((parse_rational(pair[0]), parse_rational(pair[1])))
-        return cls(tuple(sorted(atoms)))
+        # Sorted by value, as integers over one common denominator; equal
+        # values, whose order this leaves open, are refused as duplicates.
+        _, keys = clear_denominators([v for v, _ in atoms])
+        return cls(tuple(atom for _, atom in sorted(zip(keys, atoms), key=itemgetter(0))))
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteMeasure":
@@ -91,11 +94,16 @@ class DiscreteMeasure:
         return cls.from_pairs(pairs)
 
     def second_moment(self) -> Fraction:
+        return self._second_moment
+
+    @cached_property
+    def _second_moment(self) -> Fraction:
         V, xs, W, cs = self._cleared
         return Fraction(sum(c * x * x for x, c in zip(xs, cs)), V * V * W)
 
     def max_abs_value(self) -> Fraction:
-        return max(abs(v) for v, _ in self.atoms)
+        V, xs, _, _ = self._cleared
+        return Fraction(max(xs), V)  # the measure is even, so max v = max |v|
 
     @cached_property
     def cleared_squares(self) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -109,21 +117,24 @@ class DiscreteMeasure:
         return V * V, tuple(sorted(weights.items()))
 
 
+# The presets build their atoms in increasing order of value, as
+# `DiscreteMeasure.from_pairs` would sort them, with nothing to parse.
+
+
 def bernoulli_measure(T: Fraction | int | str) -> DiscreteMeasure:
     """Symmetric two-point measure with atoms +-T, weight 1/2 each."""
     T = parse_rational(T)
     if T <= 0:
         raise DomainError("T must be > 0")
-    return DiscreteMeasure.from_pairs([(T, Fraction(1, 2)), (-T, Fraction(1, 2))])
+    half = Fraction(1, 2)
+    return DiscreteMeasure(((-T, half), (T, half)))
 
 
 def spin_measure(S: SpinValue) -> DiscreteMeasure:
     """2S+1 equally weighted atoms equally spaced between -1 and 1."""
     s2 = S.twice
     weight = Fraction(1, s2 + 1)
-    return DiscreteMeasure.from_pairs(
-        (Fraction(2 * k - s2, s2), weight) for k in range(s2 + 1)
-    )
+    return DiscreteMeasure(tuple([(Fraction(2 * k - s2, s2), weight) for k in range(s2 + 1)]))
 
 
 def mu_lambda_measure(lam: Fraction | int | str) -> DiscreteMeasure:
@@ -131,10 +142,9 @@ def mu_lambda_measure(lam: Fraction | int | str) -> DiscreteMeasure:
     lam = parse_rational(lam)
     if not 0 < lam <= 1:
         raise DomainError("lambda must lie in (0, 1]")
-    pairs = [(Fraction(1), lam / 2), (Fraction(-1), lam / 2)]
-    if lam < 1:
-        pairs.append((Fraction(0), 1 - lam))
-    return DiscreteMeasure.from_pairs(pairs)
+    edge = lam / 2
+    zero = ((Fraction(0), 1 - lam),) if lam < 1 else ()
+    return DiscreteMeasure(((Fraction(-1), edge), *zero, (Fraction(1), edge)))
 
 
 def spin_second_moment(S: SpinValue) -> Fraction:
@@ -179,13 +189,22 @@ def passes_up_to(mu: DiscreteMeasure, s_squared: Fraction | int | str, n_max: in
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    s = parse_rational(s_squared)
+    terms = _moment_terms(mu, parse_rational(s_squared))
+    return _stop_loss_dominates(terms) or _first_negative_order(terms, n_max) is None
+
+
+def _moment_terms(mu: DiscreteMeasure, s: Fraction) -> list[tuple[int, int]]:
+    """The nonzero (d, c) of `passes_up_to` at s, in increasing order of d."""
     D, squares = mu.cleared_squares
     pD, q = s.numerator * D, s.denominator
-    terms = [(d, c) for a, c in squares if (d := a * q - pD)]
-    if _stop_loss_dominates(terms):
-        return True
-    return all(t >= 0 for t in islice(_odd_power_sums(terms, 1), (n_max + 1) // 2))
+    return [(d, c) for a, c in squares if (d := a * q - pD)]
+
+
+def _first_negative_order(terms: list[tuple[int, int]], n_max: int) -> int | None:
+    """The least odd n <= n_max whose moment sum over terms is negative,
+    or None when every odd order up to n_max is non-negative."""
+    orders = range(1, n_max + 1, 2)
+    return next((n for n, t in zip(orders, _odd_power_sums(terms, 1)) if t < 0), None)
 
 
 def tail_sign_ok(mu: DiscreteMeasure, s_squared: Fraction | int | str) -> bool:
@@ -208,12 +227,25 @@ def tail_sign_ok(mu: DiscreteMeasure, s_squared: Fraction | int | str) -> bool:
 
 @dataclass(frozen=True)
 class TMinusResult:
-    """Certified rational bracket for the domination threshold."""
+    """Certified rational bracket for the criterion's threshold T-, a
+    lower bound on the domination threshold (the criterion is sufficient;
+    its converse is unproven).
+
+    When the bisection evaluates its predicate at s* (see
+    `t_minus_upper`), `s_star` is s*, `holds_at_s_star` is the verdict
+    there, and `failed_by` names what failed: "tail" for the tail rule,
+    else the least odd order n <= n_max with a negative moment. With no
+    evaluation at s* (the closed form, or no step to take) all three
+    are None.
+    """
 
     lo: Fraction
     hi: Fraction
     n_max_checked: int
     status: str
+    s_star: Fraction | None = None
+    holds_at_s_star: bool | None = None
+    failed_by: str | int | None = None
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
@@ -227,11 +259,13 @@ def t_minus_upper(
     n_max: int = DEFAULT_N_MAX,
     tol: Fraction | int | str = DEFAULT_TOL,
 ) -> TMinusResult:
-    """Bracket the domination threshold by bisection on S in [0, max|atom|].
+    """Bracket the criterion's threshold T- by bisection on S in
+    [0, max|atom|]. T- is a lower bound on the domination threshold: the
+    criterion is sufficient, and its converse is unproven.
 
     The predicate combines the truncated moment checks (n <= n_max) with
     the exact large-n sign condition, so the bracket is tight for the
-    atomic families with known closed forms. The true threshold never
+    atomic families with known closed forms. The all-order T- never
     exceeds hi; equality with the bracketed value holds only in the
     all-n limit.
 
@@ -262,7 +296,10 @@ def t_minus_upper(
     midpoint's square one Fraction(tp^2 m^2, tq^2 4^j) with m = 2a + 1.
     Each step then asks only the moments: below s* the tail rule holds,
     and at s* and above the predicate fails, so tail_sign_ok runs once.
-    With no step to take (tol >= top), nothing is evaluated.
+    The verdict at s* is kept in the result (see `TMinusResult`); when
+    the moments fail there, the failing order is read off their odd
+    sums once more, the certificate skipped. With no step to take
+    (tol >= top), nothing is evaluated.
     """
     tol = parse_rational(tol)
     if tol <= 0:
@@ -276,19 +313,26 @@ def t_minus_upper(
     tp, tq = top.numerator, top.denominator
     steps = (-(-tp * tol.denominator // (tol.numerator * tq)) - 1).bit_length()
     a = j = 0
+    s_star = holds = failed_by = None
     if steps:
         D, squares = mu.cleared_squares
         s_star = min(mu.second_moment(), Fraction(squares[0][0] + squares[-1][0], 2 * D))
-        if tail_sign_ok(mu, s_star) and passes_up_to(mu, s_star, n_max):
+        if not tail_sign_ok(mu, s_star):
+            failed_by = "tail"
+        elif not passes_up_to(mu, s_star, n_max):
+            failed_by = _first_negative_order(_moment_terms(mu, s_star), n_max)
+        else:
             sp, sq = s_star.numerator, s_star.denominator
             a, j = isqrt((sp * tq * tq << 2 * steps) // (tp * tp * sq)), steps
+        holds = failed_by is None
     while j < steps:
         m = 2 * a + 1
         j += 1
         s = Fraction(tp * tp * m * m, tq * tq << 2 * j)
         a = m if s < s_star and passes_up_to(mu, s, n_max) else m - 1
     lo, hi = Fraction(tp * a, tq << j), Fraction(tp * (a + 1), tq << j)
-    return TMinusResult(lo=lo, hi=hi, n_max_checked=n_max, status=CERTIFIED_UP_TO_N_MAX)
+    return TMinusResult(lo=lo, hi=hi, n_max_checked=n_max, status=CERTIFIED_UP_TO_N_MAX,
+                        s_star=s_star, holds_at_s_star=holds, failed_by=failed_by)
 
 
 def t_minus_squared_mu_lambda(lam: Fraction | int | str) -> Fraction:
@@ -315,19 +359,24 @@ def canonical_gap(
     n_max: int = DEFAULT_N_MAX,
     tol: Fraction | int | str = DEFAULT_TOL,
 ) -> CanonicalGap:
-    """Compare the threshold bracket against the RMS spin.
+    """Compare the bracket on the criterion's threshold T- (a lower bound
+    on the domination threshold) against the RMS spin.
 
-    The measure is canonical when the threshold equals the RMS value; the
-    truncated certificate here is the moment check at S^2 = second moment.
-    The threshold bracket itself is returned as `bracket`.
+    The measure is canonical when T- equals the RMS value; the truncated
+    certificate here is the moment check at S^2 = second moment. The
+    bracket itself is returned as `bracket`. When s* is the second
+    moment and the bracket's moment check ran there, its verdict is this
+    check's; otherwise (the tail rule failed first, s* lies below the
+    second moment, where the truncated check can hold where the tail
+    fails, or nothing was evaluated) the check runs here.
     """
     second = mu.second_moment()
     bracket = t_minus_upper(mu, n_max=n_max, tol=tol)
-    return CanonicalGap(
-        second_moment=second,
-        canonical_up_to_n_max=passes_up_to(mu, second, n_max),
-        bracket=bracket,
-    )
+    if bracket.s_star == second and bracket.failed_by != "tail":
+        canonical = bracket.holds_at_s_star
+    else:
+        canonical = passes_up_to(mu, second, n_max)
+    return CanonicalGap(second_moment=second, canonical_up_to_n_max=canonical, bracket=bracket)
 
 
 def sphere_moment(D: int, k: int) -> Fraction:

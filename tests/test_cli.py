@@ -12,6 +12,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -281,6 +282,48 @@ class TestTMinusCommand:
         code, _ = run_json(capsys, ["t-minus", "--measure", "preset:spin:2", "--n-max", "60"])
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("measure, tol, calls", [
+        # s* is the second moment, where the bracket's moment check ran:
+        # the canonical check reads its verdict (two calls before).
+        ("preset:spin:3", None, 1),
+        ("preset:mu-lambda:3/10", None, 1),
+        # The same, where the check fails at order 3 and 18 steps follow
+        # (20 calls before).
+        ("fallback", None, 19),
+        # s* is the tail midpoint, where the tail rule fails first: the
+        # canonical check runs once more, at the second moment.
+        ("tail-fails", None, 18),
+        # No step, so nothing is evaluated before the canonical check.
+        ("preset:spin:2", "1", 1),
+        ("preset:spin:2", "3/2", 1),
+    ])
+    def test_moment_checks_per_call(self, capsys, tmp_path, monkeypatch, measure, tol, calls):
+        files = {
+            "fallback": [(v, w) for v, w in (("2/11", "3/22"), ("3/4", "3/11"), ("1", "1/11"))],
+            "tail-fails": [("1", "1/10"), ("9/10", "11/40")],
+        }
+        if measure in files:
+            atoms = [[sign + v, w] for v, w in files[measure] for sign in ("", "-")]
+            if measure == "tail-fails":
+                atoms.append(["0", "1/4"])
+            path = tmp_path / f"{measure}.json"
+            path.write_text(json.dumps({"atoms": atoms}))
+            measure = str(path)
+        spy = mock.Mock(wraps=wells.passes_up_to)
+        monkeypatch.setattr(wells, "passes_up_to", spy)
+        code, _ = run_json(capsys, ["t-minus", "--measure", measure, *(["--tol", tol] if tol else [])])
+        assert (code, spy.call_count) == (0, calls)
+
+    @pytest.mark.parametrize("measure, message", [
+        ("preset:spin:0", "error: not a valid spin: '0'\n"),
+        ("preset:spin:1/3", "error: not a valid spin: '1/3'\n"),
+        ("preset:mu-lambda:0", "error: lambda must lie in (0, 1]\n"),
+        ("preset:mu-lambda:3/2", "error: lambda must lie in (0, 1]\n"),
+        ("preset:bernoulli:-1", "error: T must be > 0\n"),
+    ])
+    def test_invalid_preset_parameter_is_usage_error(self, capsys, measure, message):
+        assert run(capsys, ["t-minus", "--measure", measure]) == (2, "", message)
 
     def test_deep_tolerance_is_decided_in_closed_form(self, capsys):
         # About 14 300 bisection steps, each a moment check on integers of

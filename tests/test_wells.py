@@ -40,6 +40,11 @@ FALLBACK = DiscreteMeasure.from_pairs(
      for sign in (1, -1)]
 )
 FALLBACK_S = F(4847, 10000)
+# s* = min(second moment, (min v^2 + max v^2)/2) is the tail midpoint 1/2,
+# where the weight condition fails: the tail rule decides s*.
+TAIL_FAILS = DiscreteMeasure.from_pairs(
+    [(1, "1/10"), (-1, "1/10"), ("9/10", "11/40"), ("-9/10", "11/40"), (0, "1/4")]
+)
 
 
 class TestDiscreteMeasure:
@@ -152,6 +157,25 @@ class TestMeasureFamilies:
 
     def test_mu_lambda_omits_zero_atom_at_one(self):
         assert mu_lambda_measure(1) == bernoulli_measure(1)
+
+    def test_presets_equal_their_parsed_atoms(self):
+        # Built in order, with no parsing, the atoms are tuple for tuple
+        # those of from_pairs on the same (value, weight) pairs, unsorted.
+        def same(mu, pairs):
+            reference = DiscreteMeasure.from_pairs(pairs)
+            assert mu.atoms == reference.atoms and type(mu.atoms) is tuple
+            assert all(type(atom) is tuple and type(atom[0]) is F and type(atom[1]) is F
+                       for atom in mu.atoms)
+
+        for s2 in range(1, 101):
+            same(spin_measure(SpinValue(s2)),
+                 [(F(s2 - 2 * k, s2), F(1, s2 + 1)) for k in range(s2 + 1)])
+        for k in range(1, 21):
+            lam = F(k, 20)
+            same(mu_lambda_measure(lam),
+                 [(1, lam / 2), (-1, lam / 2)] + ([(0, 1 - lam)] if lam < 1 else []))
+        for T in (F(5, 7), F(3, 2), F(1), F(10**40 + 1, 3)):
+            same(bernoulli_measure(T), [(T, F(1, 2)), (-T, F(1, 2))])
 
     def test_mu_lambda_domain(self):
         for bad in (0, "-1/2", "3/2"):
@@ -529,8 +553,7 @@ class TestTMinusUpper:
         # s* is the tail midpoint 1/2, where the weight condition holds.
         (mu_lambda_measure(F(3, 4)), True),
         # s* is the tail midpoint 1/2, where the weight condition fails.
-        (DiscreteMeasure.from_pairs([(1, "1/10"), (-1, "1/10"), ("9/10", "11/40"),
-                                     ("-9/10", "11/40"), (0, "1/4")]), False),
+        (TAIL_FAILS, False),
         # An intermediate moment order binds below s*.
         (FALLBACK, False),
     ])
@@ -613,6 +636,71 @@ class TestTMinusUpper:
         # The two-point closed form needs no moment, but n_max is still checked.
         with pytest.raises(PreconditionError, match="n_max"):
             t_minus_upper(mu, n_max=0)
+
+
+def moment_failure_reference(mu, s, n_max):
+    """What fails the bisection's predicate at s, from the `Fraction`
+    definitions: "tail", the least order n <= n_max with a negative
+    moment, or None when nothing does."""
+    if not tail_sign_reference(mu, s):
+        return "tail"
+    return next((n for n in range(1, n_max + 1) if wells_term(mu, s, n) < 0), None)
+
+
+class TestSStarRecord:
+    """The bracket's record of its one predicate evaluation at s*."""
+
+    @pytest.mark.parametrize("mu, tol, s_star, failed_by", [
+        (spin_measure(SpinValue.parse(3)), wells.DEFAULT_TOL, F(4, 9), None),
+        (mu_lambda_measure(F(3, 10)), wells.DEFAULT_TOL, F(3, 10), None),
+        # s* is the second moment, below the tail midpoint 1/2 + 2/121.
+        (FALLBACK, wells.DEFAULT_TOL, F(5299, 10648), 3),
+        (TAIL_FAILS, wells.DEFAULT_TOL, F(1, 2), "tail"),
+        # No step to take, so nothing is evaluated.
+        (spin_measure(SpinValue.parse(2)), 1, None, None),
+        (spin_measure(SpinValue.parse(2)), F(3, 2), None, None),
+    ])
+    def test_record(self, mu, tol, s_star, failed_by):
+        res = t_minus_upper(mu, tol=tol)
+        holds = None if s_star is None else failed_by is None
+        assert (res.s_star, res.holds_at_s_star, res.failed_by) == (s_star, holds, failed_by)
+        if s_star is not None:
+            assert moment_failure_reference(mu, s_star, wells.DEFAULT_N_MAX) == failed_by
+
+    @given(even_measure_and_s(), st.integers(min_value=1, max_value=20),
+           st.sampled_from([F(1, 10**6), F(1, 3), F(50)]))
+    @settings(max_examples=150, deadline=None)
+    def test_record_and_canonical_check_match_the_definitions(self, case, n_max, tol):
+        # The record names what the definitions say fails at s*, and the
+        # canonical check, whether read from it or run again, is the
+        # moment check at the second moment.
+        mu, _ = case
+        assume(len(mu.atoms) > 2)
+        gap = canonical_gap(mu, n_max=n_max, tol=tol)
+        res = gap.bracket
+        if res.s_star is None:
+            assert tol >= mu.max_abs_value()
+            assert (res.holds_at_s_star, res.failed_by) == (None, None)
+        else:
+            squares = sorted(v * v for v, _ in mu.atoms)
+            assert res.s_star == min(mu.second_moment(), (squares[0] + squares[-1]) / 2)
+            failed_by = moment_failure_reference(mu, res.s_star, n_max)
+            assert (res.holds_at_s_star, res.failed_by) == (failed_by is None, failed_by)
+        second = mu.second_moment()
+        expected = all(wells_term(mu, second, n) >= 0 for n in range(1, n_max + 1))
+        assert gap.canonical_up_to_n_max is expected
+
+    def test_tail_failure_at_the_second_moment_is_checked_again(self):
+        # s* = 1/2 is both the second moment and the tail midpoint, where
+        # the weight condition fails (1/4 at v^2 = 1 against 23/64 at 0).
+        # The moments were never asked there, and to order 2 they hold.
+        mu = DiscreteMeasure.from_pairs(
+            [(sign * F(v), w) for v, w in ((1, "1/8"), ("4/5", "25/128")) for sign in (1, -1)]
+            + [(0, "23/64")]
+        )
+        gap = canonical_gap(mu, n_max=2)
+        assert (gap.bracket.s_star, gap.bracket.failed_by) == (gap.second_moment, "tail")
+        assert gap.canonical_up_to_n_max
 
 
 class TestClosedFormThreshold:
