@@ -4,6 +4,11 @@ machine-readable output.
 Exit codes: 0 = pass, 1 = the checked inequality failed, 2 = usage or
 validation error, 3 = inconclusive or hypotheses not met. Exact rationals
 are always serialized as "p/q" strings, never floats.
+
+Arguments are parsed in one argparse pass: when the first argument names
+a subcommand, that subcommand's own parser reads the rest. Only when it
+leaves arguments over, or when no subcommand is named, does the full
+parser run, so every usage error and help text is the one it prints.
 """
 
 from __future__ import annotations
@@ -116,8 +121,11 @@ def cmd_t_minus(args: argparse.Namespace) -> VerificationReport:
         # The preset's lambda, as parsed once: twice its weight at +1.
         closed_sq = t_minus_squared_mu_lambda(2 * mu.atoms[-1][1])
         details["closed_form_t_minus_sq"] = closed_sq
-        # The bracket must straddle the closed-form threshold.
-        if not (bracket.lo**2 <= closed_sq <= bracket.hi**2):
+        # The bracket must straddle the closed-form threshold:
+        # lo^2 <= closed_sq <= hi^2, by cross-multiplied integers.
+        (lp, lq), (hp, hq) = bracket.lo.as_integer_ratio(), bracket.hi.as_integer_ratio()
+        cp, cq = closed_sq.as_integer_ratio()
+        if not (lp * lp * cq <= cp * lq * lq and cp * hq * hq <= hp * hp * cq):
             status = FAIL
             witnesses.append({"reason": "bracket misses closed form", "closed_sq": closed_sq})
     return VerificationReport(
@@ -195,10 +203,16 @@ def cmd_theorem(args: argparse.Namespace) -> VerificationReport:
     return report
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and, by name, each subcommand's own parser, as
+    its add_subparsers() action holds them."""
     parser = argparse.ArgumentParser(
         prog="wells-majorize",
         description="Exact verification of majorization and spin-domination inequalities.",
@@ -214,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(fn=cmd_verify_conjecture)
 
-    p = sub.add_parser("t-minus", help="bracket the domination threshold of a measure")
+    p = sub.add_parser(
+        "t-minus", help="bracket the criterion's threshold T- (a lower bound on the domination threshold)"
+    )
     p.add_argument("--measure", required=True, help="JSON file or preset:<family>:<param>")
     p.add_argument("--n-max", type=int, default=wells.DEFAULT_N_MAX)
     p.add_argument("--tol", default=wells.DEFAULT_TOL)
@@ -249,15 +265,33 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(fn=cmd_theorem)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments, in one argparse pass where argv[0] names a
+    subcommand: its own parser reads argv[1:], as the full parser would
+    hand them to it, and the namespace lacks only `command`, which no
+    subcommand reads. When that leaves arguments over, or no subcommand
+    is named, the full parser parses argv, so its usage errors and help
+    are what print."""
+    parser, subcommands = _parsers()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and print its report in the chosen format.
-    timing_ms is the subcommand's wall time, before rendering. A reader
-    that closes standard output early does not change the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    When argv[0] names a subcommand, that subcommand's own parser reads
+    the rest in one argparse pass; otherwise, or when it leaves arguments
+    over, the full parser reads argv (see `_parse_args`). timing_ms is
+    the subcommand's wall time, before rendering. A reader that closes
+    standard output early does not change the exit code."""
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     start = time.perf_counter()
     try:
         report = args.fn(args)

@@ -185,7 +185,9 @@ def passes_up_to(mu: DiscreteMeasure, s_squared: Fraction | int | str, n_max: in
     the weighted, weak form of majorization (Marshall, Olkin & Arnold,
     *Inequalities*, 2nd ed. 2011, ch. 3 and 5; Shaked & Shanthikumar,
     *Stochastic Orders*, 2007, ch. 4). Only when it fails are the odd
-    moments read from `_odd_power_sums`, up to the first negative one.
+    moments read from `_odd_power_sums`, up to the first negative one,
+    n_max, or the order past which the largest difference dominates
+    (see `_first_negative_order`), whichever comes first.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
@@ -202,9 +204,29 @@ def _moment_terms(mu: DiscreteMeasure, s: Fraction) -> list[tuple[int, int]]:
 
 def _first_negative_order(terms: list[tuple[int, int]], n_max: int) -> int | None:
     """The least odd n <= n_max whose moment sum over terms is negative,
-    or None when every odd order up to n_max is non-negative."""
-    orders = range(1, n_max + 1, 2)
-    return next((n for n, t in zip(orders, _odd_power_sums(terms, 1)) if t < 0), None)
+    or None when every odd order up to n_max is non-negative.
+
+    The scan stops early where the largest difference dominates. With P
+    the largest positive d, c_P its weight, N the largest |d| over the
+    negative d and c_N their total weight, every odd sum is at least
+    c_P P^n - c_N N^n. When P > N, once that is >= 0 at some odd N0 it
+    stays so at every higher order, so no order past N0 can fail. The
+    two sides grow with the scan, one order at a time, so finding N0
+    costs two products per order and never looks past n_max; with
+    P <= N the scan runs to n_max.
+    """
+    (d_lo, _), (P, c_P) = terms[0], terms[-1]
+    N = -d_lo
+    dominates, P2, N2 = P > N, P * P, N * N
+    lead, rest = c_P * P, sum(c for d, c in terms if d < 0) * N
+    for n, t in zip(range(1, n_max + 1, 2), _odd_power_sums(terms, 1)):
+        if t < 0:
+            return n
+        if dominates:
+            if lead >= rest:
+                return None
+            lead, rest = lead * P2, rest * N2
+    return None
 
 
 def tail_sign_ok(mu: DiscreteMeasure, s_squared: Fraction | int | str) -> bool:
@@ -316,7 +338,12 @@ def t_minus_upper(
     s_star = holds = failed_by = None
     if steps:
         D, squares = mu.cleared_squares
-        s_star = min(mu.second_moment(), Fraction(squares[0][0] + squares[-1][0], 2 * D))
+        second, ends = mu.second_moment(), squares[0][0] + squares[-1][0]
+        # min(second moment, ends / 2D), by cross-multiplied integers.
+        if second.numerator * 2 * D <= ends * second.denominator:
+            s_star = second
+        else:
+            s_star = Fraction(ends, 2 * D)
         if not tail_sign_ok(mu, s_star):
             failed_by = "tail"
         elif not passes_up_to(mu, s_star, n_max):
@@ -340,11 +367,12 @@ def t_minus_squared_mu_lambda(lam: Fraction | int | str) -> Fraction:
     lam when lam <= 1/2; 1/2 when 1/2 < lam < 1; 1 at lam = 1, where the
     zero atom vanishes and the family is the two-point measure at +-1."""
     lam = parse_rational(lam)
-    if not 0 < lam <= 1:
+    p, q = lam.numerator, lam.denominator
+    if not 0 < p <= q:
         raise DomainError("lambda must lie in (0, 1]")
-    if lam == 1:
+    if p == q:
         return Fraction(1)
-    return min(lam, Fraction(1, 2))
+    return lam if 2 * p <= q else Fraction(1, 2)
 
 
 @dataclass(frozen=True)

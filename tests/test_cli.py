@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -25,6 +26,9 @@ from wells_majorize.rationals import parse_rational
 
 DATA = Path(__file__).parent / "data"
 CORPUS = DATA / "t_minus_corpus.jsonl"
+# The positive atoms (value, weight) of an even measure whose moment check
+# at s*, its second moment, fails at order 3, so the bisection steps.
+FALLBACK_ATOMS = (("2/11", "3/22"), ("3/4", "3/11"), ("1", "1/11"))
 # The timing entry of any output format: the JSON key, the CSV row or the
 # text line.
 TIMING_LINE = re.compile(r',\n  "timing_ms": [^\n]*|^timing_ms[:,][^\n]*\n?', re.M)
@@ -300,7 +304,7 @@ class TestTMinusCommand:
     ])
     def test_moment_checks_per_call(self, capsys, tmp_path, monkeypatch, measure, tol, calls):
         files = {
-            "fallback": [(v, w) for v, w in (("2/11", "3/22"), ("3/4", "3/11"), ("1", "1/11"))],
+            "fallback": FALLBACK_ATOMS,
             "tail-fails": [("1", "1/10"), ("9/10", "11/40")],
         }
         if measure in files:
@@ -314,6 +318,32 @@ class TestTMinusCommand:
         monkeypatch.setattr(wells, "passes_up_to", spy)
         code, _ = run_json(capsys, ["t-minus", "--measure", measure, *(["--tol", tol] if tol else [])])
         assert (code, spy.call_count) == (0, calls)
+
+    def test_n_max_caps_the_scan_without_forcing_it(self, capsys, monkeypatch, tmp_path):
+        # Every odd order of this measure that the bisection asks about is
+        # settled where the largest positive difference dominates, so a far
+        # larger --n-max gives the same bracket at the same cost. A scan
+        # that ran to n_max would take 50 000 orders per moment check.
+        path = tmp_path / "fallback.json"
+        atoms = [[sign + v, w] for v, w in FALLBACK_ATOMS for sign in ("", "-")]
+        path.write_text(json.dumps({"atoms": atoms}))
+        original = wells._odd_power_sums
+        yielded = []
+
+        def capped(terms, first):
+            for total in original(terms, first):
+                yielded.append(total)
+                assert len(yielded) <= 1000, "the moment scan ran past 1000 orders"
+                yield total
+
+        monkeypatch.setattr(wells, "_odd_power_sums", capped)
+        keys = ("t_minus_lo", "t_minus_hi", "canonical_up_to_n_max")
+        brackets = []
+        for n_max in ("50", "100000"):
+            code, data = run_json(capsys, ["t-minus", "--measure", str(path), "--n-max", n_max])
+            assert code == 0
+            brackets.append([data["details"][key] for key in keys])
+        assert brackets[0] == brackets[1]
 
     @pytest.mark.parametrize("measure, message", [
         ("preset:spin:0", "error: not a valid spin: '0'\n"),
@@ -687,6 +717,54 @@ class TestArgumentErrors:
         assert code == 0
         assert "status: pass" in out
         assert "details.msw: 1/2" in out
+
+
+class TestArgumentDispatch:
+    """`main` hands a named subcommand's arguments to that subcommand's own
+    parser, in one argparse pass, and runs the full parser only on what
+    that parser leaves over or when no subcommand is named."""
+
+    def test_namespace_matches_the_full_parser(self):
+        records = corpus_records() + corpus_records(DATA / "cli_corpus.jsonl")
+        for argv in [record["argv"] for record in records]:
+            full = vars(cli.build_parser().parse_args(argv))
+            assert full.pop("command") == argv[0]
+            assert vars(cli._parse_args(argv)) == full, argv
+
+    def test_one_parse_per_t_minus_call(self, capsys, monkeypatch):
+        original = argparse.ArgumentParser.parse_known_args
+        calls = []
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.prog)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        for measure in ("preset:mu-lambda:3/10", "preset:spin:2"):
+            code, _ = run_json(capsys, ["t-minus", "--measure", measure, "--n-max", "50"])
+            assert code == 0
+        assert calls == ["wells-majorize t-minus"] * 2
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["-h"],
+        ["bogus"],
+        ["t-minus", "-h"],
+        ["t-minus"],
+        ["t-minus", "--measure", "preset:spin:1", "--format", "xml"],
+        ["t-minus", "--measure", "preset:spin:1", "--bogus"],
+        ["tc-bounds", "--s", "1", "extra"],
+        ["theorem", "half-odd", "--n", "3", "--n-max", "5"],
+    ], ids=" ".join)
+    def test_usage_and_help_are_the_full_parsers(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        outcomes = []
+        for parse in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (0 if "-h" in argv else 2)
 
 
 class TestClosedStdout:

@@ -505,6 +505,57 @@ class TestStopLossCertificate:
         assert _stop_loss_dominates(terms) == holds
 
 
+def first_negative_reference(terms, n_max):
+    """The least odd n <= n_max with sum c d^n < 0, every order summed."""
+    return next((n for n in range(1, n_max + 1, 2) if sum(c * d**n for d, c in terms) < 0), None)
+
+
+@st.composite
+def moment_terms(draw):
+    """Distinct nonzero integer d in increasing order with positive weights,
+    as `passes_up_to` builds them. Small magnitudes make the largest
+    positive and negative |d| tie often, or the negative one win."""
+    bound = draw(st.sampled_from([3, 12, 1000]))
+    d = st.integers(-bound, bound).filter(bool)
+    terms = draw(st.lists(st.tuples(d, st.integers(1, 50)), min_size=1, max_size=6,
+                          unique_by=lambda term: term[0]))
+    return sorted(terms)
+
+
+class TestFirstNegativeOrder:
+    """The odd-order scan stops where the largest positive difference
+    outweighs every negative one, and answers as the full scan does."""
+
+    @given(moment_terms(), st.integers(1, 150))
+    @example([(-2, 1), (2, 1)], 150)  # tied extremes
+    @example([(-3, 1), (1, 5), (2, 1)], 150)  # the negative side is the larger
+    @example([(-100, 50), (101, 1)], 150)  # P > N, but N0 lies past n_max
+    @example([(-100, 50), (101, 1)], 1)
+    @example([(-5, 2), (1, 20), (6, 1)], 99)  # fails at order 3, below N0 = 5
+    @example([(1, 3), (4, 1)], 5)  # no negative side
+    @example([(-4, 1), (-1, 3)], 5)  # no positive side
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_full_scan(self, terms, n_max):
+        assert wells._first_negative_order(terms, n_max) == first_negative_reference(terms, n_max)
+
+    def test_stops_at_the_dominating_order(self, monkeypatch):
+        # c_P P^n >= c_N N^n first holds at n = 5 for 3^n >= 4 * 2^n, so
+        # the scan takes the sums of orders 1, 3 and 5 and no more.
+        terms = [(-2, 4), (1, 8), (3, 1)]
+        taken = []
+
+        def counted(terms, first):
+            for total in _odd_power_sums(terms, first):
+                taken.append(total)
+                assert len(taken) <= 3, "the scan went past the dominating order"
+                yield total
+
+        monkeypatch.setattr(wells, "_odd_power_sums", counted)
+        assert wells._first_negative_order(terms, 10**6) is None
+        assert len(taken) == 3
+        assert first_negative_reference(terms, 201) is None
+
+
 def fraction_bisection(mu, n_max, tol):
     """The bisection on `Fraction` endpoints, with its step count."""
     lo, hi, steps = F(0), mu.max_abs_value(), 0
