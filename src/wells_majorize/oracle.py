@@ -75,8 +75,8 @@ def float_atoms(measure: MeasureLike) -> list[tuple[float, float]]:
         raise ValidationError("atom outside the float range")
     if any(w <= 0 for _, w in atoms):
         raise ValidationError("weights must be positive")
-    # A positive weight too small for a float rounds to 0.0.
-    if any(w == 0.0 for _, w in pairs):
+    # A positive weight or a nonzero value too small for a float rounds to 0.0.
+    if any(fw == 0.0 or (fv == 0.0 and v != 0) for (v, _), (fv, fw) in zip(atoms, pairs)):
         raise ValidationError("atom outside the float range")
     return pairs
 

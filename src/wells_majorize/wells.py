@@ -7,7 +7,8 @@ criterion's threshold T_- is the largest such S, a lower bound on the
 domination threshold. This module computes certified rational brackets
 for it, classifies canonical measures (T_- equal to the RMS spin), and
 evaluates the closed-form transition-temperature bound ratios.
-Each measure is cleared once into integers over common denominators;
+Each measure is cleared once into integers over common denominators,
+the one place its atoms are put in increasing order of value;
 validation, the second moment, the moment sums and the tail rule read
 that view, and `wells_term` keeps the `Fraction` definition.
 """
@@ -46,9 +47,13 @@ class DiscreteMeasure:
             if not (isinstance(atom, (list, tuple)) and len(atom) == 2
                     and type(atom[0]) in (Fraction, int) and type(atom[1]) in (Fraction, int)):
                 raise ValidationError(f"atom {atom!r} is not a pair of exact rationals")
-        _, xs, W, cs = self._cleared
+        V, xs, W, cs = self._cleared
         if len(set(xs)) != len(xs):
             raise ValidationError("duplicate atom values")
+        # Order the field and the view together, by the exact integers.
+        xs, cs, atoms = zip(*sorted(zip(xs, cs, self.atoms), key=itemgetter(0)))
+        object.__setattr__(self, "atoms", atoms)
+        self.__dict__["_cleared"] = V, xs, W, cs
         table = dict(zip(xs, cs))
         for (v, _), x, c in zip(self.atoms, xs, cs):
             if c <= 0:
@@ -63,23 +68,21 @@ class DiscreteMeasure:
     @cached_property
     def _cleared(self) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
         """(V, the values times V, W, the weights times W): the atoms as
-        integers over common denominators, for validation and the moments."""
+        integers over common denominators, in increasing order of value."""
         values, weights = zip(*self.atoms)
         return (*clear_denominators(values), *clear_denominators(weights))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, object]]) -> "DiscreteMeasure":
         """Atoms from (value, weight) pairs of Fractions, integers or
-        rational strings; a float is refused, since it is not exact."""
+        rational strings, only parsed: the measure orders them. A float
+        is refused, since it is not exact."""
         atoms = []
         for pair in pairs:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValidationError(f"atom {pair!r} is not a [value, weight] pair")
             atoms.append((parse_rational(pair[0]), parse_rational(pair[1])))
-        # Sorted by value, as integers over one common denominator; equal
-        # values, whose order this leaves open, are refused as duplicates.
-        _, keys = clear_denominators([v for v, _ in atoms])
-        return cls(tuple(atom for _, atom in sorted(zip(keys, atoms), key=itemgetter(0))))
+        return cls(tuple(atoms))
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteMeasure":
@@ -103,22 +106,17 @@ class DiscreteMeasure:
 
     def max_abs_value(self) -> Fraction:
         V, xs, _, _ = self._cleared
-        return Fraction(max(xs), V)  # the measure is even, so max v = max |v|
+        return Fraction(xs[-1], V)  # the measure is even, so max v = max |v|
 
     @cached_property
     def cleared_squares(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """(D, ((a, c), ...)), one entry per distinct v^2 in increasing
         order, with v^2 = a/D for D = V^2 and c/W the total weight at v^2
-        (see `_cleared`); only the signs and ratios of the c matter."""
+        (see `_cleared`); only the signs and ratios of the c matter. The
+        view's non-negative half, a v > 0 standing for +-v, holds them."""
         V, xs, _, cs = self._cleared
-        weights: dict[int, int] = {}
-        for x, c in zip(xs, cs):
-            weights[x * x] = weights.get(x * x, 0) + c
-        return V * V, tuple(sorted(weights.items()))
-
-
-# The presets build their atoms in increasing order of value, as
-# `DiscreteMeasure.from_pairs` would sort them, with nothing to parse.
+        half = len(xs) // 2
+        return V * V, tuple((x * x, 2 * c if x else c) for x, c in zip(xs[half:], cs[half:]))
 
 
 def bernoulli_measure(T: Fraction | int | str) -> DiscreteMeasure:
@@ -187,19 +185,22 @@ def passes_up_to(mu: DiscreteMeasure, s_squared: Fraction | int | str, n_max: in
     *Stochastic Orders*, 2007, ch. 4). Only when it fails are the odd
     moments read from `_odd_power_sums`, up to the first negative one,
     n_max, or the order past which the largest difference dominates
-    (see `_first_negative_order`), whichever comes first.
+    (see `_first_negative_order`), whichever comes first. `_failing_order`
+    does this, and `t_minus_upper` calls it once at s*.
     """
     if n_max < 1:
         raise PreconditionError("n_max must be >= 1")
-    terms = _moment_terms(mu, parse_rational(s_squared))
-    return _stop_loss_dominates(terms) or _first_negative_order(terms, n_max) is None
+    return _failing_order(mu, parse_rational(s_squared), n_max) is None
 
 
-def _moment_terms(mu: DiscreteMeasure, s: Fraction) -> list[tuple[int, int]]:
-    """The nonzero (d, c) of `passes_up_to` at s, in increasing order of d."""
+def _failing_order(mu: DiscreteMeasure, s: Fraction, n_max: int) -> int | None:
+    """The least odd n <= n_max with a negative moment at s over the
+    nonzero (d, c) of `passes_up_to`, or None when the stop-loss
+    certificate or the odd-order scan holds."""
     D, squares = mu.cleared_squares
     pD, q = s.numerator * D, s.denominator
-    return [(d, c) for a, c in squares if (d := a * q - pD)]
+    terms = [(d, c) for a, c in squares if (d := a * q - pD)]
+    return None if _stop_loss_dominates(terms) else _first_negative_order(terms, n_max)
 
 
 def _first_negative_order(terms: list[tuple[int, int]], n_max: int) -> int | None:
@@ -318,9 +319,9 @@ def t_minus_upper(
     midpoint's square one Fraction(tp^2 m^2, tq^2 4^j) with m = 2a + 1.
     Each step then asks only the moments: below s* the tail rule holds,
     and at s* and above the predicate fails, so tail_sign_ok runs once.
-    The verdict at s* is kept in the result (see `TMinusResult`); when
-    the moments fail there, the failing order is read off their odd
-    sums once more, the certificate skipped. With no step to take
+    The moments at s* are evaluated once, by `_failing_order`, whose
+    answer is both the verdict kept in the result (see `TMinusResult`)
+    and, when they fail, the failing order. With no step to take
     (tol >= top), nothing is evaluated.
     """
     tol = parse_rational(tol)
@@ -344,14 +345,11 @@ def t_minus_upper(
             s_star = second
         else:
             s_star = Fraction(ends, 2 * D)
-        if not tail_sign_ok(mu, s_star):
-            failed_by = "tail"
-        elif not passes_up_to(mu, s_star, n_max):
-            failed_by = _first_negative_order(_moment_terms(mu, s_star), n_max)
-        else:
+        failed_by = _failing_order(mu, s_star, n_max) if tail_sign_ok(mu, s_star) else "tail"
+        holds = failed_by is None
+        if holds:
             sp, sq = s_star.numerator, s_star.denominator
             a, j = isqrt((sp * tq * tq << 2 * steps) // (tp * tp * sq)), steps
-        holds = failed_by is None
     while j < steps:
         m = 2 * a + 1
         j += 1

@@ -314,8 +314,9 @@ class TestTMinusCommand:
             path = tmp_path / f"{measure}.json"
             path.write_text(json.dumps({"atoms": atoms}))
             measure = str(path)
-        spy = mock.Mock(wraps=wells.passes_up_to)
-        monkeypatch.setattr(wells, "passes_up_to", spy)
+        # `_failing_order` sees every moment evaluation, at s* and per step.
+        spy = mock.Mock(wraps=wells._failing_order)
+        monkeypatch.setattr(wells, "_failing_order", spy)
         code, _ = run_json(capsys, ["t-minus", "--measure", measure, *(["--tol", tol] if tol else [])])
         assert (code, spy.call_count) == (0, calls)
 
@@ -576,6 +577,15 @@ class TestProbeCommand:
     def test_weight_below_float_range_is_usage_error(self, capsys):
         # Every weight is positive, but lambda / 2 rounds to 0.0.
         code, out, err = run(capsys, ["probe", "--pair", "mu-lambda:1e-400,spin:1", "--format", "json"])
+        assert (code, out, err) == (2, "", "error: atom outside the float range\n")
+
+    def test_value_below_float_range_is_usage_error(self, capsys):
+        # Every value is nonzero but rounds to 0.0: as floats both measures
+        # would be the point mass at 0, and every trial a tie.
+        code, out, err = run(capsys, [
+            "probe", "--pair", "bernoulli:1e-400,bernoulli:1e-401", "--trials", "5", "--tol", "0",
+            "--format", "json",
+        ])
         assert (code, out, err) == (2, "", "error: atom outside the float range\n")
 
     def test_atom_beyond_float_range_is_refused_without_trials(self, capsys):

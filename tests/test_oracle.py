@@ -73,6 +73,8 @@ class TestValidation:
             bernoulli_measure(10**400),
             # Weight 10**-400 / 2 is positive but rounds to 0.0.
             mu_lambda_measure(Fraction(1, 10**400)),
+            # Values +-10**-400 are nonzero but round to 0.0.
+            bernoulli_measure(Fraction(1, 10**400)),
         ],
     )
     def test_float_atoms_rejects_values_outside_the_float_range(self, measure):
@@ -898,6 +900,51 @@ class TestBatchedTrials:
 
 
 EVEN = ("bernoulli-rms", "spin", "mu-lambda", "pairs")
+
+
+# (mu, nu, site cap, tol): a pair whose small trials are proven in
+# batches; a 9-atom measure whose trials past _BATCH_MAX_SIZE cells are
+# summed one at a time; the failing pair, whose witnesses carry exact
+# sums; and exact ties at tol 0, which every trial falls back on.
+ORDER_CASES = [
+    (*RMS_VS_SPIN, DEFAULT_TOL),
+    (spin_measure(SpinValue.parse(4)), bernoulli_measure(Fraction(1, 2)), 6, DEFAULT_TOL),
+    (*FAILING, DEFAULT_TOL),
+    (*TIES, 0.0),
+]
+
+
+@st.composite
+def shuffled_runs(draw):
+    """A case of ORDER_CASES with a seed and 1-8 trials, and each
+    measure's float atoms in a drawn order."""
+    mu, nu, cap, tol = draw(st.sampled_from(ORDER_CASES))
+    config = ProbeConfig(seed=draw(st.integers(0, 2**32 - 1)), trials=draw(st.integers(1, 8)),
+                         site_cap=cap, tol=tol)
+    return config, mu, nu, *(draw(st.permutations(float_atoms(m))) for m in (mu, nu))
+
+
+def reversed_run(case, seed, trials):
+    mu, nu, cap, tol = case
+    config = ProbeConfig(seed=seed, trials=trials, site_cap=cap, tol=tol)
+    return config, mu, nu, float_atoms(mu)[::-1], float_atoms(nu)[::-1]
+
+
+class TestAtomOrder:
+    """A probe's report does not depend on the order of either measure's
+    float atoms: every verdict and every exact sum is the same. So a
+    measure may order its atoms without changing a probe."""
+
+    @given(shuffled_runs())
+    @settings(max_examples=50, deadline=None)
+    @example(reversed_run(ORDER_CASES[0], 1, 8))
+    @example(reversed_run(ORDER_CASES[1], 7, 4))
+    @example(reversed_run(ORDER_CASES[2], 1, 8))
+    @example(reversed_run(ORDER_CASES[3], 5, 8))
+    def test_report_ignores_atom_order(self, run):
+        config, mu, nu, shuffled_mu, shuffled_nu = run
+        report = random_probe(config, mu, nu).to_dict()
+        assert random_probe(config, shuffled_mu, shuffled_nu).to_dict() == report
 
 
 @st.composite

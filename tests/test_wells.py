@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 from itertools import combinations, islice
 from unittest import mock
@@ -82,6 +83,19 @@ class TestDiscreteMeasure:
         assert mu.max_abs_value() == F(3, 2)
 
 
+def cleared_squares_reference(pairs):
+    """`DiscreteMeasure.cleared_squares` by its definition, from
+    (value, weight) pairs in any order: v^2 = a/D with D = V^2 and the
+    weights c/W at each v^2 merged in a dict, then sorted by a."""
+    V = math.lcm(*(v.denominator for v, _ in pairs))
+    W = math.lcm(*(w.denominator for _, w in pairs))
+    weights = {}
+    for v, w in pairs:
+        a = v * v * V * V
+        weights[a] = weights.get(a, 0) + w * W
+    return V * V, tuple(sorted(weights.items()))
+
+
 def atoms(*pairs):
     """Atoms as given, unsorted, from (value, weight) literals."""
     return tuple((F(v), F(w)) for v, w in pairs)
@@ -159,11 +173,20 @@ class TestMeasureFamilies:
         assert mu_lambda_measure(1) == bernoulli_measure(1)
 
     def test_presets_equal_their_parsed_atoms(self):
-        # Built in order, with no parsing, the atoms are tuple for tuple
-        # those of from_pairs on the same (value, weight) pairs, unsorted.
+        # Built with no parsing, the atoms are tuple for tuple those of
+        # from_pairs on the same (value, weight) pairs, and those of a
+        # measure built from the pairs in any order: the measure puts its
+        # atoms in increasing order of value, whatever order they come in.
+        rng = random.Random(0)
+
         def same(mu, pairs):
-            reference = DiscreteMeasure.from_pairs(pairs)
-            assert mu.atoms == reference.atoms and type(mu.atoms) is tuple
+            shuffled = tuple((F(v), F(w)) for v, w in rng.sample(pairs, len(pairs)))
+            for other in (DiscreteMeasure.from_pairs(pairs), DiscreteMeasure.from_pairs(shuffled),
+                          DiscreteMeasure(shuffled), DiscreteMeasure(shuffled[::-1])):
+                assert other == mu and other.atoms == mu.atoms
+                assert other.cleared_squares == cleared_squares_reference(shuffled)
+            values = [v for v, _ in mu.atoms]
+            assert values == sorted(values) and type(mu.atoms) is tuple
             assert all(type(atom) is tuple and type(atom[0]) is F and type(atom[1]) is F
                        for atom in mu.atoms)
 
@@ -613,8 +636,9 @@ class TestTMinusUpper:
         # The tail rule is asked once, at s*, even where the bisection
         # falls back to steps: below s* it holds, and at s* and above it
         # the predicate fails, so the steps ask only the moments.
+        # `_failing_order` sees every moment evaluation, at s* and per step.
         with (mock.patch.object(wells, "tail_sign_ok", wraps=tail_sign_ok) as tail,
-              mock.patch.object(wells, "passes_up_to", wraps=passes_up_to) as moments):
+              mock.patch.object(wells, "_failing_order", wraps=wells._failing_order) as moments):
             res = t_minus_upper(mu, tol=tol)
         lo, hi, _ = fraction_bisection(mu, wells.DEFAULT_N_MAX, tol)
         assert predicate_holds_at_s_star(mu, wells.DEFAULT_N_MAX) is closed
