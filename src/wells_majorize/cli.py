@@ -5,22 +5,29 @@ Exit codes: 0 = pass, 1 = the checked inequality failed, 2 = usage or
 validation error, 3 = inconclusive or hypotheses not met. Exact rationals
 are always serialized as "p/q" strings, never floats.
 
-Arguments are parsed in one argparse pass: when the first argument names
-a subcommand, that subcommand's own parser reads the rest. Only when it
-leaves arguments over, or when no subcommand is named, does the full
-parser run, so every usage error and help text is the one it prints.
+A well-formed command line is read with no argparse pass: when the first
+argument names a subcommand and the rest is a plain list of that
+subcommand's exact option strings, each with one value, and its
+positionals, `_read_args` converts and checks each value with the
+subcommand's own argparse actions. Anything else (help, an abbreviation,
+`--opt=value`, a repeated option, `--`, a value starting with "-", any
+usage error) goes to the full parser, so every usage error and help text
+is the one it prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import oracle, wells
 from .errors import ResourceLimitError, VerificationError
@@ -60,6 +67,11 @@ def _capped_spin(param: str) -> SpinValue:
     return S
 
 
+# The errors that Path.exists reads as "no such file"; reading the file
+# once reports them as it would have.
+_ABSENT_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+
+
 def parse_measure(spec: str) -> DiscreteMeasure:
     """A measure literal: preset:<family>:<param> or a JSON file path."""
     if spec.startswith("preset:"):
@@ -74,12 +86,15 @@ def parse_measure(spec: str) -> DiscreteMeasure:
         if family == "bernoulli":
             return bernoulli_measure(parse_rational(param))
         raise VerificationError(f"unknown preset family {family!r}")
-    path = Path(spec)
     try:
-        if not path.exists():
-            raise VerificationError(f"measure file not found: {spec}")
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        text = Path(spec).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise VerificationError(f"cannot read measure file {spec}: {exc}") from exc
+    except ValueError:  # a path the OS cannot name, such as one with a NUL
+        raise VerificationError(f"measure file not found: {spec}") from None
+    except OSError as exc:
+        if exc.errno in _ABSENT_ERRNOS:
+            raise VerificationError(f"measure file not found: {spec}") from None
         raise VerificationError(f"cannot read measure file {spec}: {exc}") from exc
     return DiscreteMeasure.from_json(text)
 
@@ -209,86 +224,137 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+class _Subcommand(NamedTuple):
+    """A subcommand's function and the actions its add_argument calls
+    returned, in order; `options` maps each option string to its action."""
+
+    fn: Callable[[argparse.Namespace], VerificationReport]
+    actions: list[argparse.Action]
+    options: dict[str, argparse.Action]
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and, by name, each subcommand's own parser, as
-    its add_subparsers() action holds them."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, _Subcommand]]:
+    """The argument parser and, by name, each subcommand's option table."""
     parser = argparse.ArgumentParser(
         prog="wells-majorize",
         description="Exact verification of majorization and spin-domination inequalities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subcommands: dict[str, _Subcommand] = {}
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    def subcommand(name: str, fn: Callable, help: str) -> Callable[..., None]:
+        """Add a subcommand; the function returned adds one of its
+        arguments to its parser and its option table."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        command = subcommands[name] = _Subcommand(fn, [], {})
 
-    p = sub.add_parser("verify-conjecture", help="tabulate centered spin-sum signs")
-    p.add_argument("--s-max", required=True, help="largest spin, e.g. 20 or 41/2")
-    p.add_argument("--m-max", type=int, required=True)
-    add_format(p)
-    p.set_defaults(fn=cmd_verify_conjecture)
+        def add(*flags: str, **kwargs) -> None:
+            action = p.add_argument(*flags, **kwargs)
+            command.actions.append(action)
+            command.options.update(dict.fromkeys(action.option_strings, action))
 
-    p = sub.add_parser(
-        "t-minus", help="bracket the criterion's threshold T- (a lower bound on the domination threshold)"
+        return add
+
+    def add_format(add: Callable[..., None]) -> None:
+        add("--format", choices=["text", "json", "csv"], default="text")
+
+    add = subcommand("verify-conjecture", cmd_verify_conjecture, "tabulate centered spin-sum signs")
+    add("--s-max", required=True, help="largest spin, e.g. 20 or 41/2")
+    add("--m-max", type=int, required=True)
+    add_format(add)
+
+    add = subcommand(
+        "t-minus", cmd_t_minus, "bracket the criterion's threshold T- (a lower bound on the domination threshold)"
     )
-    p.add_argument("--measure", required=True, help="JSON file or preset:<family>:<param>")
-    p.add_argument("--n-max", type=int, default=wells.DEFAULT_N_MAX)
-    p.add_argument("--tol", default=wells.DEFAULT_TOL)
-    add_format(p)
-    p.set_defaults(fn=cmd_t_minus)
+    add("--measure", required=True, help="JSON file or preset:<family>:<param>")
+    add("--n-max", type=int, default=wells.DEFAULT_N_MAX)
+    add("--tol", default=wells.DEFAULT_TOL)
+    add_format(add)
 
-    p = sub.add_parser("majorize", help="test the majorization order on two vectors")
-    p.add_argument("--x", required=True, help="comma-separated rationals")
-    p.add_argument("--y", required=True)
-    add_format(p)
-    p.set_defaults(fn=cmd_majorize)
+    add = subcommand("majorize", cmd_majorize, "test the majorization order on two vectors")
+    add("--x", required=True, help="comma-separated rationals")
+    add("--y", required=True)
+    add_format(add)
 
-    p = sub.add_parser("probe", help="randomized finite-volume domination probe")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--site-cap", type=int, default=4)
-    p.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL)
-    p.add_argument("--pair", required=True, help="e.g. bernoulli-rms:2,spin:2")
-    add_format(p)
-    p.set_defaults(fn=cmd_probe)
+    add = subcommand("probe", cmd_probe, "randomized finite-volume domination probe")
+    add("--seed", type=int, default=42)
+    add("--trials", type=int, default=100)
+    add("--site-cap", type=int, default=4)
+    add("--tol", type=float, default=oracle.DEFAULT_TOL)
+    add("--pair", required=True, help="e.g. bernoulli-rms:2,spin:2")
+    add_format(add)
 
-    p = sub.add_parser("tc-bounds", help="transition-temperature bound ratios")
-    p.add_argument("--s", required=True, help="spin, e.g. 1 or 3/2")
-    add_format(p)
-    p.set_defaults(fn=cmd_tc_bounds)
+    add = subcommand("tc-bounds", cmd_tc_bounds, "transition-temperature bound ratios")
+    add("--s", required=True, help="spin, e.g. 1 or 3/2")
+    add_format(add)
 
-    p = sub.add_parser("theorem", help="run a grid-theorem verification pipeline")
-    p.add_argument("variant", choices=[HALF_ODD, INTEGER])
-    p.add_argument("--psi", default="square", help="grid preset: square, abs, quartic")
-    p.add_argument("--n", type=int, required=True, help="number of subdivisions")
-    p.add_argument("--phi-power", type=int, default=1, help="m in the odd power 2m+1")
-    add_format(p)
-    p.set_defaults(fn=cmd_theorem)
+    add = subcommand("theorem", cmd_theorem, "run a grid-theorem verification pipeline")
+    add("variant", choices=[HALF_ODD, INTEGER])
+    add("--psi", default="square", help="grid preset: square, abs, quartic")
+    add("--n", type=int, required=True, help="number of subdivisions")
+    add("--phi-power", type=int, default=1, help="m in the odd power 2m+1")
+    add_format(add)
 
-    return parser, sub.choices
+    return parser, subcommands
+
+
+def _read_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser would give argv, less `command`,
+    which no subcommand reads; or None, declining, unless argv is a
+    subcommand name and then only its exact option strings, each at most
+    once and followed by one value not starting with "-", and exactly its
+    positionals. Each value goes through its action's type, then its
+    choices; every required action must be seen, and an unseen one takes
+    its default, a str default through the type, as argparse does."""
+    command = _parsers()[1].get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {}
+    positionals = (action for action in command.actions if not action.option_strings)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            action = command.options.get(token)
+            token = next(tokens, "-")
+            if action is None or action.dest in values or token.startswith("-"):
+                return None
+        else:
+            action = next(positionals, None)
+            if action is None:
+                return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in command.actions:
+        if action.dest not in values:
+            if action.required:
+                return None
+            default = action.default
+            if isinstance(default, str) and action.type is not None:
+                default = action.type(default)
+            values[action.dest] = default
+    return argparse.Namespace(**values, fn=command.fn)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The parsed arguments, in one argparse pass where argv[0] names a
-    subcommand: its own parser reads argv[1:], as the full parser would
-    hand them to it, and the namespace lacks only `command`, which no
-    subcommand reads. When that leaves arguments over, or no subcommand
-    is named, the full parser parses argv, so its usage errors and help
-    are what print."""
-    parser, subcommands = _parsers()
-    sub = subcommands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    """The parsed arguments: `_read_args`'s namespace when it reads argv,
+    else the full parser's, which prints every help text and usage
+    error."""
+    args = _read_args(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and print its report in the chosen format.
-    When argv[0] names a subcommand, that subcommand's own parser reads
-    the rest in one argparse pass; otherwise, or when it leaves arguments
-    over, the full parser reads argv (see `_parse_args`). timing_ms is
+    A well-formed command line is read from the subcommand's own option
+    table with no argparse pass; anything else, help and usage errors
+    included, goes to the full parser (see `_parse_args`). timing_ms is
     the subcommand's wall time, before rendering. A reader that closes
     standard output early does not change the exit code."""
     args = _parse_args(sys.argv[1:] if argv is None else argv)

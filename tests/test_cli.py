@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wells_majorize import cli, spin_sums, wells
@@ -217,13 +217,41 @@ class TestTMinusCommand:
         assert code == 2
         assert "not found" in err
 
+    @pytest.mark.parametrize("case, found", [
+        ("missing", False), ("under-a-regular-file", False), ("dangling-symlink", False),
+        ("symlink-loop", False), ("null-byte", False), ("directory", True), ("empty", True),
+    ])
+    def test_measure_path_messages(self, capsys, tmp_path, case, found):
+        # What Path.exists calls absent (errno ENOENT, ENOTDIR, EBADF or
+        # ELOOP, or a ValueError) is "not found"; any other failure to
+        # read names its error. '' is the current directory.
+        (tmp_path / "regular").write_text("{}")
+        (tmp_path / "dangling").symlink_to(tmp_path / "missing")
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        spec = str({
+            "missing": tmp_path / "missing",
+            "under-a-regular-file": tmp_path / "regular" / "measure.json",
+            "dangling-symlink": tmp_path / "dangling",
+            "symlink-loop": tmp_path / "loop",
+            "null-byte": f"{tmp_path}/a\0b",
+            "directory": tmp_path,
+            "empty": "",
+        }[case])
+        code, out, err = run(capsys, ["t-minus", "--measure", spec])
+        if found:
+            message = f"cannot read measure file {spec}: [Errno 21] Is a directory: {spec or '.'!r}"
+        else:
+            message = f"measure file not found: {spec}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_unreadable_measure_path_is_usage_error(self, capsys, monkeypatch, tmp_path):
-        # What stat() raises under a directory the user may not search.
+        # What open() raises under a directory the user may not search.
         def refused(self, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(self))
 
         path = tmp_path / "measure.json"
-        monkeypatch.setattr(pathlib.Path, "stat", refused)
+        path.write_text('{"atoms": [["1", "1/2"], ["-1", "1/2"]]}')
+        monkeypatch.setattr(pathlib.Path, "open", refused)
         code, out, err = run(capsys, ["t-minus", "--measure", str(path)])
         assert code == 2
         assert out == ""
@@ -730,18 +758,20 @@ class TestArgumentErrors:
 
 
 class TestArgumentDispatch:
-    """`main` hands a named subcommand's arguments to that subcommand's own
-    parser, in one argparse pass, and runs the full parser only on what
-    that parser leaves over or when no subcommand is named."""
+    """`main` reads a well-formed command line from the named subcommand's
+    own option table, with no argparse pass, and hands anything else
+    (help, usage errors, abbreviations, `--opt=value`) to the full
+    parser."""
 
     def test_namespace_matches_the_full_parser(self):
         records = corpus_records() + corpus_records(DATA / "cli_corpus.jsonl")
         for argv in [record["argv"] for record in records]:
             full = vars(cli.build_parser().parse_args(argv))
             assert full.pop("command") == argv[0]
+            assert vars(cli._read_args(argv)) == full, argv
             assert vars(cli._parse_args(argv)) == full, argv
 
-    def test_one_parse_per_t_minus_call(self, capsys, monkeypatch):
+    def test_argparse_runs_only_for_a_declined_call(self, capsys, monkeypatch):
         original = argparse.ArgumentParser.parse_known_args
         calls = []
 
@@ -753,7 +783,11 @@ class TestArgumentDispatch:
         for measure in ("preset:mu-lambda:3/10", "preset:spin:2"):
             code, _ = run_json(capsys, ["t-minus", "--measure", measure, "--n-max", "50"])
             assert code == 0
-        assert calls == ["wells-majorize t-minus"] * 2
+        assert calls == []
+        # An abbreviation is declined, and the full parser reads it.
+        code, _ = run_json(capsys, ["t-minus", "--measure", "preset:spin:2", "--n-m", "50"])
+        assert code == 0
+        assert calls[0] == "wells-majorize"
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -866,3 +900,92 @@ class TestCliFuzz:
             assert out.getvalue() == "" and "error:" in err.getvalue()
         elif fmt == "json":
             json.loads(out.getvalue(), parse_constant=reject_constant)
+
+
+# Values for the reader's property: well-formed ones, and ones argparse
+# reads in ways easy to get wrong (a negative number, an empty string, a
+# leading space, a non-ASCII digit that int() accepts).
+READER_VALUES = ["50", "3", "-5", "0.5", "json", "text", "xml", "", " 7", "\u0665", "1/2",
+                 "integer", "half-odd", "square", "preset:spin:1", "spin:1,spin:1"]
+READER_FLAGS = {command: [*pool, "--format"] for command, pool in SUBCOMMANDS.items()}
+READER_FLAGS["probe"] += ["--trials", "--site-cap"]
+# Values each flag's type and choices accept, drawn three times in four,
+# so that many drawn command lines are well-formed.
+READER_INTS = ["50", "3", " 7", "\u0665"]
+READER_TYPED = {"--format": ["json", "csv", "text"], "--psi": ["square", "abs"]}
+
+
+@st.composite
+def reader_argv(draw):
+    """A subcommand with most of its options, each with a drawn value, in
+    any order, and often up to two odd tokens: help, `--`, an unknown flag, an
+    extra positional, an abbreviation, an `--opt=value` token, or an
+    option repeated or left without its value."""
+    command = draw(st.sampled_from(sorted(READER_FLAGS)))
+    flags = READER_FLAGS[command]
+    values = st.sampled_from(READER_VALUES)
+    pieces = [[flag, draw(st.sampled_from(READER_TYPED.get(flag, READER_INTS)) if draw(st.integers(0, 3))
+                          else values)]
+              for flag in flags if draw(st.integers(0, 7))]
+    if command == "theorem" and draw(st.integers(0, 7)):
+        pieces.append([draw(st.sampled_from(["integer", "half-odd", "other", ""]))])
+    odd = st.one_of(
+        st.sampled_from(["-h", "--help", "--", "--bogus", "extra"]),
+        st.sampled_from(flags).map(lambda flag: flag[:-1]),
+        st.tuples(st.sampled_from(flags), values).map("=".join),
+        st.sampled_from(flags),
+    )
+    pieces += [[draw(odd)] for _ in range(draw(st.sampled_from([0, 0, 1, 2])))]
+    return [command] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+def full_parse(argv):
+    """The full parser's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+class TestArgumentReader:
+    """The reader gives the full parser's namespace, less `command`, or
+    declines; it never reads what the full parser refuses."""
+
+    @given(reader_argv())
+    @example(["t-minus", "--measure=preset:spin:1", "--n-m", "5"])
+    @example(["probe", "--pair", "spin:1,spin:1", "--trials", "3", "--seed", "-5"])
+    @example(["t-minus", "--measure", "preset:spin:1", "--measure", "preset:spin:2"])
+    @example(["theorem", "--n", "3", "integer"])
+    @example(["tc-bounds", "--format", "json", "--s"])
+    @example(["tc-bounds", "--s", "1", "json"])
+    @settings(max_examples=300, deadline=None)
+    def test_reader_agrees_with_the_full_parser(self, argv):
+        read, full = cli._read_args(argv), full_parse(argv)
+        if full is None:
+            assert read is None, argv
+        elif read is not None:
+            full = vars(full)
+            assert full.pop("command") == argv[0]
+            assert vars(read) == full, argv
+
+    @pytest.mark.parametrize("argv, read", [
+        (["t-minus", "--measure=preset:spin:1", "--n-m", "5"], False),
+        (["probe", "--pair", "spin:1,spin:1", "--trials", "3", "--seed", "-5"], False),
+        (["t-minus", "--measure", "preset:spin:1", "--measure", "preset:spin:2"], False),
+        (["theorem", "--n", "3", "--", "integer"], False),
+        (["theorem", "--n", "3", "integer"], True),
+        (["theorem", "integer", "--n", "\u0665"], True),
+        (["t-minus", "--measure", "", "--tol", " 7"], True),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else f"read={value}")
+    def test_which_command_lines_are_read(self, argv, read):
+        assert (cli._read_args(argv) is not None) == read
+        assert full_parse(argv) is not None
+
+    def test_every_option_is_a_single_value_store(self):
+        # A flag such as store_true takes no value: the reader would
+        # misread it, so adding one must fail here first.
+        for name, command in cli._parsers()[1].items():
+            for action in command.actions:
+                assert action.nargs is None, (name, action.dest)
+                assert action.type in (None, int, float), (name, action.dest)
