@@ -307,7 +307,8 @@ def _read_args(argv: list[str]) -> argparse.Namespace | None:
     once and followed by one value not starting with "-", and exactly its
     positionals. Each value goes through its action's type, then its
     choices; every required action must be seen, and an unseen one takes
-    its default, a str default through the type, as argparse does."""
+    its default as it stands, since no option pairs a str default with a
+    type (argparse would convert it)."""
     command = _parsers()[1].get(argv[0]) if argv else None
     if command is None:
         return None
@@ -335,10 +336,7 @@ def _read_args(argv: list[str]) -> argparse.Namespace | None:
         if action.dest not in values:
             if action.required:
                 return None
-            default = action.default
-            if isinstance(default, str) and action.type is not None:
-                default = action.type(default)
-            values[action.dest] = default
+            values[action.dest] = action.default
     return argparse.Namespace(**values, fn=command.fn)
 
 

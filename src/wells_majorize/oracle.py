@@ -18,10 +18,11 @@ near-ties, sums outside the bound's range) reach domination_check. The
 small trials of one site count in a window of draws are described once,
 as monomial keys, strengths and observable factors in one plan; each
 measure builds the plan's monomial rows from its spin views and sums
-them, and no batch table outlives the window. The inverse temperature
-is absorbed into the couplings. A probe builds each measure's
-enumeration tables (spin views, prior, coupling monomials) once and
-shares them across its trials; nothing is cached beyond one probe.
+all its trials as one array, and no batch table outlives the window.
+The inverse temperature is absorbed into the couplings. A probe builds
+each measure's enumeration tables (spin views, prior) once per site
+count and shares them across its trials; nothing is cached beyond one
+probe.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ MAX_SUBSET_SIZE = 3
 FloatAtoms = Sequence[tuple[float, float]]
 MeasureLike = Union["DiscreteMeasure", FloatAtoms]
 # A measure's tables for n sites: the spin view of each axis of the
-# (k,) * n tensor, the prior (broadcast from one product when the
-# weights are equal), and coupling monomials by axes.
-_Tables = tuple[list[np.ndarray], np.ndarray, dict[tuple[int, ...], np.ndarray]]
+# (k,) * n tensor, and the prior (broadcast from one product when the
+# weights are equal).
+_Tables = tuple[list[np.ndarray], np.ndarray]
 
 
 def float_atoms(measure: MeasureLike) -> list[tuple[float, float]]:
@@ -128,9 +129,8 @@ class CouplingSet:
 # The largest enumeration random_probe proves in batches; larger ones
 # are proven one trial at a time.
 _BATCH_MAX_SIZE = 2048
-# Cells per array of a batch of small trials, and trials random_probe
-# draws before it proves the window's small ones together.
-_BATCH_CELLS = 1 << 16
+# Trials random_probe draws before it proves the window's small ones
+# together.
 _WINDOW = 256
 # Unit roundoff of float64, and the range of float partition functions
 # and observable bounds inside which _estimate's bound holds.
@@ -184,15 +184,13 @@ class _PreparedMeasure:
     the object reads k = len(atoms) from it, and `largest` is the largest
     |value|. For each site count n the object keeps, from the first
     expectation over n sites on, the per-axis spin views of the (k,) * n
-    tensor, the prior and the coupling monomials. The prior holds in each
-    cell the product of the cell's weights in lattice order; when all k
-    weights are equal, that is one product with the same bits in every
-    cell, broadcast to the tensor's shape without being stored. A
-    monomial is keyed by its subset's axis positions in the subset's own
-    iteration order and formed as math.prod over those views, so it has
-    the same bits as the product gibbs_expectation would otherwise form.
-    The tables live as long as the object and are never written; batches
-    of trials build their own rows from the spin views (_batch_sums).
+    tensor and the prior. The prior holds in each cell the product of the
+    cell's weights in lattice order; when all k weights are equal, that
+    is one product with the same bits in every cell, broadcast to the
+    tensor's shape without being stored. The tables live as long as the
+    object and are never written; _gibbs_sums forms each coupling
+    monomial from the spin views where it reads it, and batches of
+    trials build their own rows from them (_batch_sums).
     """
 
     def __init__(self, measure: MeasureLike) -> None:
@@ -215,17 +213,8 @@ class _PreparedMeasure:
             else:
                 prior = math.prod(self._weights.reshape(shape) for shape in shapes)
                 prior.flags.writeable = False
-            tables = self._tables[n] = ([self._values.reshape(shape) for shape in shapes], prior, {})
+            tables = self._tables[n] = ([self._values.reshape(shape) for shape in shapes], prior)
         return tables
-
-    def monomial(self, n: int, axes: tuple[int, ...]) -> np.ndarray:
-        """The product of the spin views of `axes`, in that order, for n
-        sites, built on first use."""
-        spin, _, monomials = self.tables(n)
-        monomial = monomials.get(axes)
-        if monomial is None:
-            monomial = monomials[axes] = math.prod(spin[i] for i in axes)
-        return monomial
 
     def free_sites_vanish(self, site_cap: int) -> bool:
         """Whether the measure is even as float atoms and in range for
@@ -297,7 +286,7 @@ def _gibbs_sums(
     _check_cap(len(measure.atoms), n)
     if not B:
         return 1.0, 1.0
-    spin, prior, _ = measure.tables(n)
+    spin, prior = measure.tables(n)
 
     # Overflow shows up as inf or NaN in the sums.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,7 +294,7 @@ def _gibbs_sums(
         # the energy grows by broadcasting or is updated in place.
         energy = np.zeros((1,) * n)
         for subset, strength in couplings.terms:
-            term = strength * measure.monomial(n, tuple(axis[site] for site in subset))
+            term = strength * math.prod(spin[axis[site]] for site in subset)
             if energy.size == prior.size:
                 energy -= term
             else:
@@ -551,15 +540,15 @@ def _batch_sums(
 ) -> np.ndarray:
     """The partition functions (row 0) and numerators (row 1) of the
     plan's trials under `measure`, in plan order: one row of k**n cells
-    per trial, in arrays of at most _BATCH_CELLS cells (one trial per
-    array where one trial has more), each summed by total(rows).
+    per trial, all in one array, summed by total(rows). random_probe's
+    plans keep that array within _WINDOW * _BATCH_MAX_SIZE cells.
 
     The plan's monomial rows are built here, one row of k**n cells in C
     order per key, and dropped with the call: from a table whose row i
     holds axis i's spin view and row n ones, each key's row is the
     product of its axes' rows in key order, which has the bits of the
-    measure's math.prod monomial, since a factor of one is exact. Row i
-    holds the cells _gibbs_sums builds for trial i over all k**n
+    math.prod monomial of _gibbs_sums, since a factor of one is exact.
+    Row i holds the cells _gibbs_sums builds for trial i over all k**n
     configurations, to the bit: energy column t subtracts its term only
     from the rows whose trial has more than t terms (a prefix of the
     plan, whose term counts descend), so every cell sees the subtractions
@@ -570,12 +559,11 @@ def _batch_sums(
     shows inf or NaN in its sums.
     """
     n, terms, factors = plan.n, plan.terms, plan.factors
-    spin, prior, _ = measure.tables(n)
+    spin, prior = measure.tables(n)
     shape, prior = prior.shape, prior.reshape(-1)
-    size = prior.size
+    size, count = prior.size, len(plan.positions)
     # live[t]: the number of trials with more than t terms.
     live = np.count_nonzero(plan.counts[:, None] > np.arange(terms.shape[1]), axis=0).tolist()
-    step, count = max(1, _BATCH_CELLS // size), len(plan.positions)
     sums = np.empty((2, count))
     with np.errstate(over="ignore", invalid="ignore"):
         # Row i: axis i's spin view over all cells; row n: ones.
@@ -588,26 +576,21 @@ def _batch_sums(
         # Every id is a row, so mode="clip" changes nothing but lets
         # np.take write to `out` directly, where the default mode buffers
         # it.
-        for start in range(0, count, step):
-            stop = min(start + step, count)
-            energy, term = np.zeros((stop - start, size)), np.empty((stop - start, size))
-            for t, last in enumerate(live):
-                # The chunk's first m trials have more than t terms.
-                m = min(last, stop) - start
-                if m <= 0:
-                    break
-                np.take(rows, terms[start:start + m, t], axis=0, out=term[:m], mode="clip")
-                term[:m] *= plan.strengths[start:start + m, t, None]
-                energy[:m] -= term[:m]
-            weighted = np.exp(np.subtract(energy.min(axis=1, keepdims=True), energy, out=energy), out=energy)
-            weighted *= prior
-            sums[0, start:stop] = total(weighted)
-            observable = np.take(rows, factors[start:stop, 0], axis=0, out=term, mode="clip")
-            factor = np.empty_like(term) if factors.shape[1] > 1 else None
-            for d in range(1, factors.shape[1]):
-                observable *= np.take(rows, factors[start:stop, d], axis=0, out=factor, mode="clip")
-            weighted *= observable
-            sums[1, start:stop] = total(weighted)
+        energy, term = np.zeros((count, size)), np.empty((count, size))
+        for t, m in enumerate(live):
+            # The first m trials have more than t terms.
+            np.take(rows, terms[:m, t], axis=0, out=term[:m], mode="clip")
+            term[:m] *= plan.strengths[:m, t, None]
+            energy[:m] -= term[:m]
+        weighted = np.exp(np.subtract(energy.min(axis=1, keepdims=True), energy, out=energy), out=energy)
+        weighted *= prior
+        sums[0] = total(weighted)
+        observable = np.take(rows, factors[:, 0], axis=0, out=term, mode="clip")
+        factor = np.empty_like(term) if factors.shape[1] > 1 else None
+        for d in range(1, factors.shape[1]):
+            observable *= np.take(rows, factors[:, d], axis=0, out=factor, mode="clip")
+        weighted *= observable
+        sums[1] = total(weighted)
     return sums
 
 
@@ -644,8 +627,9 @@ def _proven_trials(
     Every other trial is summed under each measure. The trials of one
     site count are described once, by one _Plan, when either measure's
     enumeration on that many sites has at most _BATCH_MAX_SIZE cells;
-    each such measure sums the whole plan by _batch_sums, which builds
-    the plan's monomial rows and drops them when it returns. Under a
+    each such measure sums the whole plan by _batch_sums, as one array
+    of at most _WINDOW * _BATCH_MAX_SIZE cells, and the plan's monomial
+    rows are built for that call and dropped when it returns. Under a
     measure with a larger enumeration each trial is summed alone by
     _gibbs_sums. A trial whose float sums under either measure raise
     NumericError keeps NaN sums, which prove nothing, so the exact sums
@@ -705,10 +689,10 @@ def random_probe(
     zero trials the result is an empty pass. Each measure's enumeration
     tables are built once and shared by every trial, the small trials of
     one site count in a window are described once, by one _Plan, for
-    both measures, and a site cap whose largest instance would exceed
-    CONFIG_CAP for either measure is refused before any trial. Whether
-    the exact zero rule applies is decided once, for both measures and
-    the site cap.
+    both measures and summed as one array under each, and a site cap
+    whose largest instance would exceed CONFIG_CAP for either measure is
+    refused before any trial. Whether the exact zero rule applies is
+    decided once, for both measures and the site cap.
     """
     rng = random.Random(config.seed)
     mu, nu = _PreparedMeasure(mu), _PreparedMeasure(nu)

@@ -126,7 +126,9 @@ class TestLargeProbes:
     """Probes that span more than one window of draws, too large for the
     corpus: the sha256 of each output, timing aside, is pinned. The
     failing pair prints about 124 KB of witnesses from two windows; the
-    passing one sums trials both in batches and alone."""
+    passing one sums trials both in batches and alone. Under spin 1023/2,
+    the first window's one-site trials are one array of 2^18 cells, and
+    the failing order of that pair prints 300 witnesses, about 85 KB."""
 
     @pytest.mark.parametrize(
         "pair, trials, site_cap, seed, exit_code, digest",
@@ -135,6 +137,10 @@ class TestLargeProbes:
              "53b23f200819578060815cfcc046f64f21e894ea8e046218f7e066628c70b3c1"),
             ("bernoulli-rms:3/2,spin:3/2", "400", "7", "103", 0,
              "03cafe07850c391a411788eb0311631dbf6951f96f414015aafab1edc22923bc"),
+            ("spin:1023/2,bernoulli:1", "300", "1", "2", 0,
+             "4cfd88c45f4fe7b9658134d824c545208774095b9e1becf9892f13ca54346c2c"),
+            ("bernoulli:1,spin:1023/2", "300", "1", "2", 1,
+             "dced72688c05d421cb3b32ff5dd49628d97e9faf85b2660543d717710532c468"),
         ],
     )
     def test_output_digest(self, capsys, pair, trials, site_cap, seed, exit_code, digest):
@@ -174,6 +180,28 @@ class TestTMinusCommand:
         hi = parse_rational(data["details"]["t_minus_hi"])
         assert lo**2 <= F(1, 4) <= hi**2
         assert data["details"]["canonical_up_to_n_max"] is True
+
+    @pytest.mark.parametrize("where", ["above-hi", "below-lo", "at-lo", "at-hi"])
+    def test_bracket_must_straddle_the_closed_form(self, capsys, monkeypatch, where):
+        # A closed form moved past either end of the bracket fails the
+        # call; lo^2 <= closed <= hi^2 is inclusive at both ends.
+        argv = ["t-minus", "--measure", "preset:mu-lambda:1/4"]
+        _, data = run_json(capsys, argv)
+        lo, hi = (parse_rational(data["details"][key]) for key in ("t_minus_lo", "t_minus_hi"))
+        eps = F(1, 10**30)
+        closed = {"above-hi": hi**2 + eps, "below-lo": lo**2 - eps, "at-lo": lo**2, "at-hi": hi**2}[where]
+
+        def closed_form(lam):
+            assert lam == F(1, 4)
+            return closed
+
+        monkeypatch.setattr(cli, "t_minus_squared_mu_lambda", closed_form)
+        code, data = run_json(capsys, argv)
+        misses = where in ("above-hi", "below-lo")
+        assert (code, data["status"]) == ((1, "fail") if misses else (0, "pass"))
+        assert data["details"]["closed_form_t_minus_sq"] == str(closed)
+        witness = {"reason": "bracket misses closed form", "closed_sq": str(closed)}
+        assert data["witnesses"] == ([witness] if misses else [])
 
     def test_three_point_endpoint_is_two_point(self, capsys):
         # lambda = 1 is the two-point measure at +-1: same bracket, threshold 1.
@@ -984,8 +1012,11 @@ class TestArgumentReader:
 
     def test_every_option_is_a_single_value_store(self):
         # A flag such as store_true takes no value: the reader would
-        # misread it, so adding one must fail here first.
+        # misread it, so adding one must fail here first. argparse passes
+        # a str default through the type, and the reader does not, so no
+        # typed option may have one.
         for name, command in cli._parsers()[1].items():
             for action in command.actions:
                 assert action.nargs is None, (name, action.dest)
                 assert action.type in (None, int, float), (name, action.dest)
+                assert action.type is None or not isinstance(action.default, str), (name, action.dest)

@@ -791,8 +791,7 @@ PROBE_PAIRS = [RMS_VS_SPIN, TIES, FAILING, (SKEW, spin_measure(SpinValue.parse(1
 @st.composite
 def probe_runs(draw):
     """A pair of PROBE_PAIRS in either order, a seed, 0-40 trials, a site
-    cap up to the pair's largest, a tolerance, a cell budget per batch
-    and a window."""
+    cap up to the pair's largest, a tolerance and a window."""
     mu, nu, cap = draw(st.sampled_from(PROBE_PAIRS))
     if draw(st.booleans()):
         mu, nu = nu, mu
@@ -802,12 +801,12 @@ def probe_runs(draw):
         site_cap=draw(st.integers(1, cap)),
         tol=draw(st.sampled_from([0.0, 1e-12, DEFAULT_TOL])),
     )
-    return config, mu, nu, draw(st.sampled_from([oracle._BATCH_CELLS, 256])), draw(st.sampled_from([oracle._WINDOW, 7]))
+    return config, mu, nu, draw(st.sampled_from([oracle._WINDOW, 7]))
 
 
-def probe_run(pair, tol, cells=oracle._BATCH_CELLS, window=oracle._WINDOW, trials=40, seed=1):
+def probe_run(pair, tol, window=oracle._WINDOW, trials=40, seed=1):
     mu, nu, cap = pair
-    return ProbeConfig(seed=seed, trials=trials, site_cap=cap, tol=tol), mu, nu, cells, window
+    return ProbeConfig(seed=seed, trials=trials, site_cap=cap, tol=tol), mu, nu, window
 
 
 class TestBatchedTrials:
@@ -843,6 +842,8 @@ class TestBatchedTrials:
         (4, {frozenset({3}): 0.0, frozenset({0, 2}): 0.6, frozenset({1, 2}): 1.9}, [0, 1, 2, 3]),
         (4, {frozenset({2, 3}): 0.8, frozenset({0}): 0.0, frozenset({3}): 1.1, frozenset({1}): 0.3}, [1]),
     ]))
+    # 40 one-site trials under 2048 atoms: one array of 81 920 cells.
+    @example(([spin_measure(SpinValue(2047))], [(1, {frozenset({0}): 0.05 * i}, [0]) for i in range(40)]))
     def test_rows_match_the_cells_to_the_bit(self, case):
         measures, trials = case
         plan = oracle._plan(trials[0][0], trials, range(len(trials)))
@@ -879,8 +880,8 @@ class TestBatchedTrials:
     @example(probe_run(HUGE, DEFAULT_TOL))
     @example(probe_run((PM_ONE, HUGE[0], 3), 0.0))
     @example(probe_run(UNDERFLOW, DEFAULT_TOL))
-    # Batches of 256 cells split each site count's trials.
-    @example(probe_run(RMS_VS_SPIN, 1e-12, cells=256, window=7))
+    # Windows of 7 draws split the trials.
+    @example(probe_run(RMS_VS_SPIN, 1e-12, window=7))
     # Trials whose observable has a site no coupling touches. SKEW is not
     # even: trial 2 of seed 3 is such a trial and a witness. Under TINY,
     # even and in range, 4 of seed 1's first 10 trials are, and their
@@ -892,9 +893,8 @@ class TestBatchedTrials:
     @example(probe_run(HUGE, DEFAULT_TOL, trials=10, seed=2))
     @example(probe_run(UNDERFLOW, DEFAULT_TOL, trials=10, seed=2))
     def test_probe_matches_the_per_trial_loop(self, run):
-        config, mu, nu, cells, window = run
+        config, mu, nu, window = run
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_BATCH_CELLS", cells)
             patch.setattr(oracle, "_WINDOW", window)
             assert probe_outcome(random_probe, config, mu, nu) == probe_outcome(reference_probe, config, mu, nu)
 
