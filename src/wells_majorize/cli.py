@@ -126,8 +126,8 @@ def cmd_t_minus(args: argparse.Namespace) -> VerificationReport:
         "t_minus_lo": bracket.lo,
         "t_minus_hi": bracket.hi,
         "status": bracket.status,
-        "n_max_checked": bracket.n_max_checked,
-        "second_moment": gap.second_moment,
+        "n_max_checked": args.n_max,
+        "second_moment": mu.second_moment(),
         "canonical_up_to_n_max": gap.canonical_up_to_n_max,
     }
     status = PASS

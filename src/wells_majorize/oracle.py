@@ -32,6 +32,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -293,8 +295,10 @@ def _gibbs_sums(
         # Each cell sees the same subtractions in the same order whether
         # the energy grows by broadcasting or is updated in place.
         energy = np.zeros((1,) * n)
+        # reduce(mul, ...), not math.prod, whose start value 1 costs one
+        # more numpy multiplication per monomial and changes no bit.
         for subset, strength in couplings.terms:
-            term = strength * math.prod(spin[axis[site]] for site in subset)
+            term = strength * reduce(mul, [spin[axis[site]] for site in subset])
             if energy.size == prior.size:
                 energy -= term
             else:
@@ -310,7 +314,7 @@ def _gibbs_sums(
         Z = total(weighted, "partition function degenerate")
         if Z <= 0.0:
             raise NumericError(f"partition function degenerate: {Z}")
-        weighted *= math.prod(spin[axis[site]] for site in B)
+        weighted *= reduce(mul, [spin[axis[site]] for site in B])
         return Z, total(weighted, "expectation not finite")
 
 
@@ -547,7 +551,7 @@ def _batch_sums(
     order per key, and dropped with the call: from a table whose row i
     holds axis i's spin view and row n ones, each key's row is the
     product of its axes' rows in key order, which has the bits of the
-    math.prod monomial of _gibbs_sums, since a factor of one is exact.
+    monomial of _gibbs_sums, since a factor of one is exact.
     Row i holds the cells _gibbs_sums builds for trial i over all k**n
     configurations, to the bit: energy column t subtracts its term only
     from the rows whose trial has more than t terms (a prefix of the

@@ -254,27 +254,26 @@ class TMinusResult:
     lower bound on the domination threshold (the criterion is sufficient;
     its converse is unproven).
 
-    When the bisection evaluates its predicate at s* (see
-    `t_minus_upper`), `s_star` is s*, `holds_at_s_star` is the verdict
-    there, and `failed_by` names what failed: "tail" for the tail rule,
-    else the least odd order n <= n_max with a negative moment. With no
-    evaluation at s* (the closed form, or no step to take) all three
-    are None.
+    A bisection bracket (see `t_minus_upper`) evaluates its predicate at
+    s*: `s_star` is s*, and `failed_by` names what failed there, "tail"
+    for the tail rule, else the least odd order n <= n_max with a
+    negative moment, or None when the predicate holds. For the
+    two-point closed form both are None. A bisection bracket is
+    top / 2^j wide, never a point, so `status` is read from the bracket.
     """
 
     lo: Fraction
     hi: Fraction
-    n_max_checked: int
-    status: str
     s_star: Fraction | None = None
-    holds_at_s_star: bool | None = None
     failed_by: str | int | None = None
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise InvariantError("empty bracket")
-        if self.status == CLOSED_FORM and self.lo != self.hi:
-            raise InvariantError("closed form must be a point bracket")
+
+    @property
+    def status(self) -> str:
+        return CLOSED_FORM if self.lo == self.hi else CERTIFIED_UP_TO_N_MAX
 
 
 def t_minus_upper(
@@ -321,8 +320,7 @@ def t_minus_upper(
     and at s* and above the predicate fails, so tail_sign_ok runs once.
     The moments at s* are evaluated once, by `_failing_order`, whose
     answer is both the verdict kept in the result (see `TMinusResult`)
-    and, when they fail, the failing order. With no step to take
-    (tol >= top), nothing is evaluated.
+    and, when they fail, the failing order.
     """
     tol = parse_rational(tol)
     if tol <= 0:
@@ -332,32 +330,28 @@ def t_minus_upper(
     top = mu.max_abs_value()
     if len(mu.atoms) == 2:
         # Two-point measure: the threshold is the atom magnitude itself.
-        return TMinusResult(lo=top, hi=top, n_max_checked=n_max, status=CLOSED_FORM)
+        return TMinusResult(lo=top, hi=top)
     tp, tq = top.numerator, top.denominator
     steps = (-(-tp * tol.denominator // (tol.numerator * tq)) - 1).bit_length()
+    D, squares = mu.cleared_squares
+    second, ends = mu.second_moment(), squares[0][0] + squares[-1][0]
+    # min(second moment, ends / 2D), by cross-multiplied integers.
+    if second.numerator * 2 * D <= ends * second.denominator:
+        s_star = second
+    else:
+        s_star = Fraction(ends, 2 * D)
+    failed_by = _failing_order(mu, s_star, n_max) if tail_sign_ok(mu, s_star) else "tail"
     a = j = 0
-    s_star = holds = failed_by = None
-    if steps:
-        D, squares = mu.cleared_squares
-        second, ends = mu.second_moment(), squares[0][0] + squares[-1][0]
-        # min(second moment, ends / 2D), by cross-multiplied integers.
-        if second.numerator * 2 * D <= ends * second.denominator:
-            s_star = second
-        else:
-            s_star = Fraction(ends, 2 * D)
-        failed_by = _failing_order(mu, s_star, n_max) if tail_sign_ok(mu, s_star) else "tail"
-        holds = failed_by is None
-        if holds:
-            sp, sq = s_star.numerator, s_star.denominator
-            a, j = isqrt((sp * tq * tq << 2 * steps) // (tp * tp * sq)), steps
+    if failed_by is None:
+        sp, sq = s_star.numerator, s_star.denominator
+        a, j = isqrt((sp * tq * tq << 2 * steps) // (tp * tp * sq)), steps
     while j < steps:
         m = 2 * a + 1
         j += 1
         s = Fraction(tp * tp * m * m, tq * tq << 2 * j)
         a = m if s < s_star and passes_up_to(mu, s, n_max) else m - 1
     lo, hi = Fraction(tp * a, tq << j), Fraction(tp * (a + 1), tq << j)
-    return TMinusResult(lo=lo, hi=hi, n_max_checked=n_max, status=CERTIFIED_UP_TO_N_MAX,
-                        s_star=s_star, holds_at_s_star=holds, failed_by=failed_by)
+    return TMinusResult(lo=lo, hi=hi, s_star=s_star, failed_by=failed_by)
 
 
 def t_minus_squared_mu_lambda(lam: Fraction | int | str) -> Fraction:
@@ -375,7 +369,6 @@ def t_minus_squared_mu_lambda(lam: Fraction | int | str) -> Fraction:
 
 @dataclass(frozen=True)
 class CanonicalGap:
-    second_moment: Fraction
     canonical_up_to_n_max: bool
     bracket: TMinusResult
 
@@ -394,15 +387,15 @@ def canonical_gap(
     moment and the bracket's moment check ran there, its verdict is this
     check's; otherwise (the tail rule failed first, s* lies below the
     second moment, where the truncated check can hold where the tail
-    fails, or nothing was evaluated) the check runs here.
+    fails, or the closed form evaluated nothing) the check runs here.
     """
     second = mu.second_moment()
     bracket = t_minus_upper(mu, n_max=n_max, tol=tol)
     if bracket.s_star == second and bracket.failed_by != "tail":
-        canonical = bracket.holds_at_s_star
+        canonical = bracket.failed_by is None
     else:
         canonical = passes_up_to(mu, second, n_max)
-    return CanonicalGap(second_moment=second, canonical_up_to_n_max=canonical, bracket=bracket)
+    return CanonicalGap(canonical_up_to_n_max=canonical, bracket=bracket)
 
 
 def sphere_moment(D: int, k: int) -> Fraction:

@@ -165,6 +165,21 @@ class TestVerifyConjectureCommand:
         assert code == 0
         assert all(v == "0" for row in data["details"]["table"] for v in row["values"])
 
+    def test_unexpected_signs_fail_with_one_witness_each(self, capsys, monkeypatch):
+        # A row of the wrong sign fails the call: S = 1 non-negative where
+        # it must be negative, and S = 2 negative where it must not be.
+        def row(S, m_first, m_last):
+            sign = -1 if S.twice == 4 else 1
+            return [sign * (m + 1) for m in range(m_first, m_last + 1)]
+
+        monkeypatch.setattr(spin_sums, "_spin_sum_row", row)
+        code, data = run_json(capsys, ["verify-conjecture", "--s-max", "2", "--m-max", "2"])
+        assert (code, data["status"]) == (1, "fail")
+        assert data["witnesses"] == [
+            {"S": S, "m": m, "value": value}
+            for S, m, value in (("1", 1, "2"), ("1", 2, "3"), ("2", 1, "-2"), ("2", 2, "-3"))
+        ]
+
     def test_bad_spin_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["verify-conjecture", "--s-max", "1/3", "--m-max", "1"])
         assert code == 2
@@ -354,7 +369,8 @@ class TestTMinusCommand:
         # s* is the tail midpoint, where the tail rule fails first: the
         # canonical check runs once more, at the second moment.
         ("tail-fails", None, 18),
-        # No step, so nothing is evaluated before the canonical check.
+        # No step, but s* is still evaluated, and it is the second
+        # moment: the canonical check reads its verdict.
         ("preset:spin:2", "1", 1),
         ("preset:spin:2", "3/2", 1),
     ])

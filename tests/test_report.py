@@ -46,6 +46,8 @@ leaves = (
     | st.floats().map(np.float64)
     | fractions
     | st.text()
+    # No JSON form: serialize writes str(obj), which to_json writes as a leaf.
+    | st.decimals()
     | vectors
     | st.builds(Holder, vectors, st.lists(st.fractions(), max_size=2))
     | st.builds(SplitDomination, st.booleans(), st.booleans(), st.booleans(), st.booleans(),

@@ -1,14 +1,16 @@
+import json
 import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, islice
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wells_majorize import wells
+from wells_majorize import cli, wells
 from wells_majorize.errors import DomainError, PreconditionError, ValidationError
 from wells_majorize.majorize import _odd_power_sums, _stop_loss_dominates
 from wells_majorize.spin_sums import SpinValue
@@ -46,6 +48,9 @@ FALLBACK_S = F(4847, 10000)
 TAIL_FAILS = DiscreteMeasure.from_pairs(
     [(1, "1/10"), (-1, "1/10"), ("9/10", "11/40"), ("-9/10", "11/40"), (0, "1/4")]
 )
+
+# The golden `t-minus` corpus: one JSON row per run, with its measure file.
+CORPUS = Path(__file__).parent / "data" / "t_minus_corpus.jsonl"
 
 
 class TestDiscreteMeasure:
@@ -593,7 +598,7 @@ def fraction_bisection(mu, n_max, tol):
     return lo, hi, steps
 
 
-def predicate_holds_at_s_star(mu, n_max):
+def predicate_passes_at_s_star(mu, n_max):
     """Whether the bisection's predicate holds at s* = min(second moment,
     (min v^2 + max v^2)/2), where t_minus_upper evaluates it first."""
     squares = sorted(v * v for v, _ in mu.atoms)
@@ -616,10 +621,10 @@ class TestTMinusUpper:
         assume(tol > 0 and len(mu.atoms) > 2)
         with mock.patch.object(wells, "tail_sign_ok", wraps=tail_sign_ok) as spy:
             res = t_minus_upper(mu, n_max=n_max, tol=tol)
-        lo, hi, steps = fraction_bisection(mu, n_max, tol)
+        lo, hi, _ = fraction_bisection(mu, n_max, tol)
         assert (res.lo, res.hi) == (lo, hi)
-        # The tail rule is asked once, at s*, and only when a step is due.
-        assert spy.call_count == min(steps, 1)
+        # The tail rule is asked once, at s*, also when no step is due.
+        assert spy.call_count == 1
 
     @pytest.mark.parametrize("mu, closed", [
         # s* = 1/4 = (1/2)^2 is a bracket point at every depth.
@@ -641,21 +646,23 @@ class TestTMinusUpper:
               mock.patch.object(wells, "_failing_order", wraps=wells._failing_order) as moments):
             res = t_minus_upper(mu, tol=tol)
         lo, hi, _ = fraction_bisection(mu, wells.DEFAULT_N_MAX, tol)
-        assert predicate_holds_at_s_star(mu, wells.DEFAULT_N_MAX) is closed
+        assert predicate_passes_at_s_star(mu, wells.DEFAULT_N_MAX) is closed
         assert (res.lo, res.hi, tail.call_count) == (lo, hi, 1)
         if closed:
             moments.assert_called_once()
 
     @pytest.mark.parametrize("scale", [1, F(3, 2)])
     def test_tolerance_at_or_above_top_takes_no_step(self, scale):
+        # The bracket stays [0, top], but the predicate is still asked at s*.
         mu = spin_measure(SpinValue.parse(2))
         with mock.patch.object(wells, "tail_sign_ok", wraps=tail_sign_ok) as spy:
             res = t_minus_upper(mu, tol=scale * mu.max_abs_value())
-        assert (res.lo, res.hi, spy.call_count) == (0, 1, 0)
+        assert (res.lo, res.hi, spy.call_count) == (0, 1, 1)
 
     def test_two_point_closed_form(self):
         res = t_minus_upper(bernoulli_measure(F(5, 7)))
-        assert res == TMinusResult(F(5, 7), F(5, 7), 50, CLOSED_FORM)
+        assert res == TMinusResult(F(5, 7), F(5, 7))
+        assert res.status == CLOSED_FORM
 
     def test_bracket_is_certified_and_tight(self):
         res = t_minus_upper(mu_lambda_measure(F(1, 4)), n_max=60, tol=F(1, 10**6))
@@ -731,16 +738,14 @@ class TestSStarRecord:
         # s* is the second moment, below the tail midpoint 1/2 + 2/121.
         (FALLBACK, wells.DEFAULT_TOL, F(5299, 10648), 3),
         (TAIL_FAILS, wells.DEFAULT_TOL, F(1, 2), "tail"),
-        # No step to take, so nothing is evaluated.
-        (spin_measure(SpinValue.parse(2)), 1, None, None),
-        (spin_measure(SpinValue.parse(2)), F(3, 2), None, None),
+        # No step to take, yet s* is still evaluated.
+        (spin_measure(SpinValue.parse(2)), 1, F(1, 2), None),
+        (spin_measure(SpinValue.parse(2)), F(3, 2), F(1, 2), None),
     ])
     def test_record(self, mu, tol, s_star, failed_by):
         res = t_minus_upper(mu, tol=tol)
-        holds = None if s_star is None else failed_by is None
-        assert (res.s_star, res.holds_at_s_star, res.failed_by) == (s_star, holds, failed_by)
-        if s_star is not None:
-            assert moment_failure_reference(mu, s_star, wells.DEFAULT_N_MAX) == failed_by
+        assert (res.s_star, res.failed_by) == (s_star, failed_by)
+        assert moment_failure_reference(mu, s_star, wells.DEFAULT_N_MAX) == failed_by
 
     @given(even_measure_and_s(), st.integers(min_value=1, max_value=20),
            st.sampled_from([F(1, 10**6), F(1, 3), F(50)]))
@@ -753,17 +758,29 @@ class TestSStarRecord:
         assume(len(mu.atoms) > 2)
         gap = canonical_gap(mu, n_max=n_max, tol=tol)
         res = gap.bracket
-        if res.s_star is None:
-            assert tol >= mu.max_abs_value()
-            assert (res.holds_at_s_star, res.failed_by) == (None, None)
-        else:
-            squares = sorted(v * v for v, _ in mu.atoms)
-            assert res.s_star == min(mu.second_moment(), (squares[0] + squares[-1]) / 2)
-            failed_by = moment_failure_reference(mu, res.s_star, n_max)
-            assert (res.holds_at_s_star, res.failed_by) == (failed_by is None, failed_by)
+        squares = sorted(v * v for v, _ in mu.atoms)
+        assert res.s_star == min(mu.second_moment(), (squares[0] + squares[-1]) / 2)
+        assert res.failed_by == moment_failure_reference(mu, res.s_star, n_max)
         second = mu.second_moment()
         expected = all(wells_term(mu, second, n) >= 0 for n in range(1, n_max + 1))
         assert gap.canonical_up_to_n_max is expected
+
+    def test_corpus_closed_form_is_the_two_point_measure(self):
+        # Over the t-minus corpus's measures, the closed-form status, a
+        # point bracket, two atoms and no evaluation at s* coincide.
+        for line in CORPUS.read_text().splitlines():
+            row = json.loads(line)
+            opts = dict(zip(row["argv"][1::2], row["argv"][2::2]))
+            if row["measure"] is None:
+                mu = cli.parse_measure(opts["--measure"])
+            else:
+                mu = DiscreteMeasure.from_json(json.dumps(row["measure"]))
+            res = t_minus_upper(mu, n_max=int(opts.get("--n-max", wells.DEFAULT_N_MAX)),
+                                tol=opts.get("--tol", wells.DEFAULT_TOL))
+            status = json.loads(row["stdout"])["details"]["status"]
+            assert (
+                {status, res.status} == {CLOSED_FORM}
+            ) == (res.lo == res.hi) == (len(mu.atoms) == 2) == (res.s_star is None), row["argv"]
 
     def test_tail_failure_at_the_second_moment_is_checked_again(self):
         # s* = 1/2 is both the second moment and the tail midpoint, where
@@ -774,7 +791,7 @@ class TestSStarRecord:
             + [(0, "23/64")]
         )
         gap = canonical_gap(mu, n_max=2)
-        assert (gap.bracket.s_star, gap.bracket.failed_by) == (gap.second_moment, "tail")
+        assert (gap.bracket.s_star, gap.bracket.failed_by) == (mu.second_moment(), "tail")
         assert gap.canonical_up_to_n_max
 
 
@@ -795,20 +812,23 @@ class TestClosedFormThreshold:
 
 class TestCanonicalGap:
     def test_small_lambda_is_canonical(self):
-        gap = canonical_gap(mu_lambda_measure(F(1, 4)))
-        assert gap.second_moment == F(1, 4)
+        mu = mu_lambda_measure(F(1, 4))
+        gap = canonical_gap(mu)
+        assert mu.second_moment() == F(1, 4)
         assert gap.canonical_up_to_n_max
         assert gap.bracket.lo**2 <= F(1, 4) <= gap.bracket.hi**2
 
     def test_spin_one_is_not_canonical(self):
-        gap = canonical_gap(spin_measure(SpinValue.parse(1)))
-        assert gap.second_moment == F(2, 3)
+        mu = spin_measure(SpinValue.parse(1))
+        gap = canonical_gap(mu)
+        assert mu.second_moment() == F(2, 3)
         assert not gap.canonical_up_to_n_max
         assert gap.bracket.hi**2 < F(2, 3)
 
     def test_spin_two_is_canonical(self):
-        gap = canonical_gap(spin_measure(SpinValue.parse(2)))
-        assert gap.second_moment == F(1, 2)
+        mu = spin_measure(SpinValue.parse(2))
+        gap = canonical_gap(mu)
+        assert mu.second_moment() == F(1, 2)
         assert gap.canonical_up_to_n_max
 
     @pytest.mark.parametrize(
