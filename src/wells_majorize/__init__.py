@@ -10,6 +10,7 @@ from .majorize import (
     karamata_verify,
     majorizes,
     partial_sums,
+    running_sums,
     single_crossing_majorizes,
 )
 from .oracle import (
@@ -60,7 +61,8 @@ from .wells import (
 __all__ = [
     # majorize
     "KaramataResult", "NonNegVector", "OddConvexFunction", "SingleCrossing",
-    "karamata_verify", "majorizes", "partial_sums", "single_crossing_majorizes",
+    "karamata_verify", "majorizes", "partial_sums", "running_sums",
+    "single_crossing_majorizes",
     # oracle
     "CouplingSet", "Lattice", "ProbeConfig", "bernoulli_float_atoms",
     "domination_check", "gibbs_expectation", "random_probe",

@@ -31,9 +31,9 @@ from typing import NamedTuple
 
 from . import oracle, wells
 from .errors import ResourceLimitError, VerificationError
-from .majorize import NonNegVector, OddConvexFunction, majorizes, partial_sums, single_crossing_majorizes
+from .majorize import NonNegVector, OddConvexFunction, majorizes, running_sums, single_crossing_majorizes
 from .oracle import MeasureLike, ProbeConfig, bernoulli_float_atoms, random_probe
-from .rationals import parse_rational, parse_rational_vector
+from .rationals import parse_rational, parse_scaled_vector
 from .report import FAIL, PASS, VerificationReport
 from .spin_sums import (
     HALF_ODD,
@@ -153,13 +153,13 @@ def cmd_t_minus(args: argparse.Namespace) -> VerificationReport:
 
 
 def cmd_majorize(args: argparse.Namespace) -> VerificationReport:
-    x = NonNegVector(parse_rational_vector(args.x))
-    y = NonNegVector(parse_rational_vector(args.y))
+    x = NonNegVector.from_scaled(*parse_scaled_vector(args.x))
+    y = NonNegVector.from_scaled(*parse_scaled_vector(args.y))
     holds = majorizes(x, y)
     details = {
         "majorizes": holds,
-        "partial_sums_x": partial_sums(x),
-        "partial_sums_y": partial_sums(y),
+        "partial_sums_x": running_sums(x),
+        "partial_sums_y": running_sums(y),
     }
     if x.total() == y.total():
         crossing = single_crossing_majorizes(x, y)

@@ -1,20 +1,25 @@
 """Majorization order on non-negative vectors, in exact rational arithmetic.
 
-Vectors hold `Fraction` entries, but every comparison, running sum and
-power runs on Python integers: each vector is put once over one common
-denominator D, the lcm of its entries' denominators, and two vectors
-compared with each other over the lcm of theirs. A `Fraction` is built
-only for a value that a public function returns. The only convex test
-functions are the odd powers t**(2m+1), the ones the paper's Karamata
-argument needs; `wells` and `spin_sums` read their integer kernels here:
-`_odd_power_sums` (order by order) and `_stop_loss_dominates` (every odd
-order at once). Nothing here ever rounds.
+A vector is its integers over one denominator: `NonNegVector` holds
+(D, ints), with D the least common denominator of its entries, whether
+it is built from `Fraction` entries or from integers over any common
+denominator (`NonNegVector.from_scaled`, which the CLI's vector reader
+and the theorem pipelines use). Every comparison, running sum and power
+runs on those integers, and two vectors are compared with each other
+over the lcm of their two denominators. A `Fraction` is built only for a
+value that a public function returns, or for `entries` and `decreasing`
+when they are read; a report writes each entry from the integers. The
+only convex test functions are the odd powers t**(2m+1), the ones the
+paper's Karamata argument needs; `wells` and `spin_sums` read their
+integer kernels here: `_odd_power_sums` (order by order) and
+`_stop_loss_dominates` (every odd order at once). Nothing here ever
+rounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -27,37 +32,78 @@ from .rationals import clear_denominators, parse_rational
 RationalLike = Union[Fraction, int, str]
 
 
-@dataclass(frozen=True)
 class NonNegVector:
-    """Finite vector of non-negative exact rationals."""
+    """Finite vector of non-negative exact rationals, held as `_scaled`:
+    (D, ints), the entries times D, with D > 0 their least common
+    denominator. Equal vectors hold the same pair however they were
+    built, so equality and hashing read it, and like a frozen dataclass
+    a vector refuses assignment. `entries` and `decreasing` are
+    Fractions formed when first read; a vector built from its entries
+    keeps them."""
 
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) < 1:
+    def __init__(self, entries: tuple[Fraction, ...]) -> None:
+        entries = tuple(entries)
+        if not entries:
             raise ValidationError("vector must have at least one entry")
-        for e in self.entries:
+        for e in entries:
             if not isinstance(e, Fraction):
                 raise ValidationError(f"entry {e!r} is not a Fraction")
             if e.numerator < 0:
                 raise ValidationError(f"negative entry {e}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_scaled", clear_denominators(entries))
+
+    @classmethod
+    def from_scaled(cls, D: int, scaled: Iterable[int]) -> "NonNegVector":
+        """The vector of the integers scaled over the common denominator
+        D > 0, put over the least one, with no Fraction formed. Refuses
+        what the entries constructor refuses, with the same errors."""
+        scaled = tuple(scaled)
+        if not scaled:
+            raise ValidationError("vector must have at least one entry")
+        if D <= 0:
+            raise ValidationError(f"denominator {D} is not positive")
+        if min(scaled) < 0:
+            raise ValidationError(f"negative entry {Fraction(next(a for a in scaled if a < 0), D)}")
+        g = math.gcd(D, *scaled)
+        v = cls.__new__(cls)
+        object.__setattr__(v, "_scaled", (D, scaled) if g == 1 else (D // g, tuple(a // g for a in scaled)))
+        return v
 
     @classmethod
     def of(cls, *values: RationalLike) -> "NonNegVector":
         return cls(tuple(parse_rational(v) for v in values))
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        D, scaled = self._scaled
+        return tuple(Fraction(a, D) for a in scaled)
 
-    def __iter__(self):
+    def __len__(self) -> int:
+        return len(self._scaled[1])
+
+    def __iter__(self) -> Iterator[Fraction]:
         return iter(self.entries)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]
 
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[int, ...]]:
-        return clear_denominators(self.entries)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scaled == other._scaled
+
+    def __hash__(self) -> int:
+        return hash(self._scaled)
+
+    def __repr__(self) -> str:
+        return f"NonNegVector(entries={self.entries!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @cached_property
     def decreasing(self) -> tuple[Fraction, ...]:
@@ -131,10 +177,16 @@ def _stop_loss_dominates(terms: list[tuple[int, int]]) -> bool:
     return excess >= 0
 
 
+def running_sums(v: NonNegVector) -> NonNegVector:
+    """Running sums of the decreasing rearrangement, as a vector formed
+    from v's integers; the last is the total."""
+    return NonNegVector.from_scaled(v._scaled[0], accumulate(v._decreasing_scaled))
+
+
 def partial_sums(v: NonNegVector) -> list[Fraction]:
-    """Running sums of the decreasing rearrangement; the last is the total."""
-    D = v._scaled[0]
-    return [Fraction(s, D) for s in accumulate(v._decreasing_scaled)]
+    """Running sums of the decreasing rearrangement, as Fractions; the
+    last is the total."""
+    return list(running_sums(v))
 
 
 def _first_shortfall(sa: Iterable[int], sb: Iterable[int]) -> int | None:

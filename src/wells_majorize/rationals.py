@@ -4,7 +4,9 @@ Rationals are carried everywhere as `fractions.Fraction` (arbitrary
 precision, always in lowest terms, positive denominator) and cross the
 CLI boundary as strings "p/q" or "p", never as floats. Inner loops carry
 a sequence of them as integers over one common denominator
-(`clear_denominators`).
+(`clear_denominators`), and such a sequence is read from a list literal
+(`parse_scaled_vector`) and written (`format_scaled`) with no `Fraction`
+per entry.
 
 `parse_rational` reads the common literal, "[+-]p" or "[+-]p/q" in
 ASCII digits with each part at most MAX_DIGITS long, with int()
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -55,10 +57,25 @@ def _too_long(literal: str) -> bool:
     return max(len(whole + decimals) + max(scale, 0), len(denominator), 1 - scale) > MAX_DIGITS
 
 
-def _plain(digits: str) -> bool:
-    """Whether `digits` is 1 to MAX_DIGITS ASCII digits, which int()
-    reads exactly as Fraction's grammar does."""
-    return len(digits) <= MAX_DIGITS and digits.isascii() and digits.isdigit()
+def _plain_ratio(literal: str) -> tuple[int, int] | None:
+    """(p, q) of a literal "[+-]p" or "[+-]p/q" whose parts are 1 to
+    MAX_DIGITS ASCII digits, which int() reads exactly as Fraction's
+    grammar does, and whose q is not 0, read with int() alone (q is 1 for
+    "p"); None for any other literal."""
+    numerator, slash, denominator = literal.partition("/")
+    digits = numerator[1:] if numerator[:1] in ("+", "-") else numerator
+    if not (
+        literal.isascii()
+        and digits.isdigit()
+        and len(digits) <= MAX_DIGITS
+        and (not slash or (denominator.isdigit() and len(denominator) <= MAX_DIGITS))
+    ):
+        return None
+    try:
+        q = int(denominator) if slash else 1
+        return (int(numerator), q) if q else None
+    except ValueError:  # int() refused the digits under a lowered sys.set_int_max_str_digits
+        return None
 
 
 def _quoted(text: str) -> str:
@@ -77,16 +94,10 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     if not isinstance(text, str):
         raise ValidationError(f"not a rational literal: {text!r}")
     literal = text.strip()
-    numerator, slash, denominator = literal.partition("/")
-    if _plain(numerator[1:] if numerator[:1] in ("+", "-") else numerator) and (
-        not slash or _plain(denominator)
-    ):
-        try:
-            return Fraction(int(numerator), int(denominator)) if slash else Fraction(int(numerator))
-        except ZeroDivisionError as exc:
-            raise ValidationError(f"not a rational literal: {_quoted(text)}") from exc
-        except ValueError:
-            pass  # int() refused the digits under a lowered sys.set_int_max_str_digits
+    ratio = _plain_ratio(literal)
+    if ratio is not None:
+        p, q = ratio
+        return Fraction(p) if q == 1 else Fraction(p, q)
     if _too_long(literal):
         raise ValidationError(f"rational literal over {MAX_DIGITS} digits: {_quoted(text)}")
     try:
@@ -95,15 +106,28 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         raise ValidationError(f"not a rational literal: {_quoted(text)}") from exc
 
 
+def _format_lowest(p: int, q: int) -> str:
+    """The text of p/q, in lowest terms with q > 0: "p/q", or "p" when q
+    is 1."""
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:  # str() refuses integers over MAX_DIGITS digits
+        return "/".join(str(Decimal(n)) for n in ((p,) if q == 1 else (p, q)))
+
+
 def format_rational(q: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError:  # str() refuses integers over MAX_DIGITS digits
-        parts = (q.numerator,) if q.denominator == 1 else (q.numerator, q.denominator)
-        return "/".join(str(Decimal(n)) for n in parts)
+    return _format_lowest(q.numerator, q.denominator)
+
+
+def format_scaled(D: int, scaled: Iterable[int]) -> list[str]:
+    """format_rational(Fraction(a, D)) for each integer a of scaled, with
+    D > 0, written from the integers with no Fraction formed."""
+    texts = []
+    for a in scaled:
+        g = math.gcd(a, D)
+        texts.append(_format_lowest(a // g, D // g))
+    return texts
 
 
 def clear_denominators(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
@@ -117,6 +141,21 @@ def parse_rational_vector(text: str) -> tuple[Fraction, ...]:
     """Parse a comma-separated list of rational literals; an empty item,
     as in "3,,1" or "3,1,", is not a literal and is refused."""
     return tuple(parse_rational(piece) for piece in text.split(","))
+
+
+def parse_scaled_vector(text: str) -> tuple[int, tuple[int, ...]]:
+    """The values of parse_rational_vector(text) as (D, the values times
+    D), with D the lcm of their denominators as written ("2/4" counts 4),
+    so not always the least. A piece "[+-]p" or "[+-]p/q" of plain digits
+    is read with int() alone; every other piece goes through
+    parse_rational, which gives its value or its error, so the first
+    piece refused is refused with the same message."""
+    ratios = [
+        _plain_ratio(piece.strip()) or parse_rational(piece).as_integer_ratio()
+        for piece in text.split(",")
+    ]
+    D = math.lcm(*(q for _, q in ratios))
+    return D, tuple(p * (D // q) for p, q in ratios)
 
 
 @dataclass(frozen=True)

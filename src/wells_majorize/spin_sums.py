@@ -244,8 +244,8 @@ def _excesses_and_deficits(grid: PsiGrid) -> ConstructionPair:
         raise PreconditionError(f"below-mean count fell under {samples}/2")
     if sum(excesses) != sum(deficits):
         raise InvariantError("construction totals differ")
-    x = NonNegVector(tuple(Fraction(e, C) for e in excesses) + (Fraction(0),) * (n - q))
-    y = NonNegVector(tuple(Fraction(d, C) for d in deficits))
+    x = NonNegVector.from_scaled(C, excesses + [0] * (n - q))
+    y = NonNegVector.from_scaled(C, deficits)
     return ConstructionPair(x=x, y=y, n=n, q=q, mean=mean)
 
 
@@ -274,12 +274,11 @@ def build_integer_triple(grid: PsiGrid) -> ConstructionPair:
     if grid.subdivisions < 2:
         raise PreconditionError("integer construction needs N >= 2")
     pair = _excesses_and_deficits(grid)
-    x = pair.x.entries
-    w = x[:2] + (Fraction(0),) + x[2:-1] if pair.n - pair.q >= 1 and pair.n >= 3 else x
-    wv = NonNegVector(w)
-    if wv.total() != pair.x.total():
+    D, x = pair.x._scaled
+    w = x[:2] + (0,) + x[2:-1] if pair.n - pair.q >= 1 and pair.n >= 3 else x
+    if sum(w) != sum(x):
         raise InvariantError("construction totals differ")
-    return replace(pair, w=wv)
+    return replace(pair, w=NonNegVector.from_scaled(D, w))
 
 
 def leading_block_check(grid: PsiGrid) -> bool:
@@ -366,7 +365,7 @@ def verify_half_odd_theorem(
     witnesses: list = []
 
     crossing: SingleCrossing | None = None
-    if x.entries == y.entries:
+    if x == y:
         route = "equal-vectors"
     else:
         route = "single-crossing"
@@ -463,7 +462,7 @@ def verify_integer_theorem(
     triple = build_integer_triple(grid)
     x, y, w = triple.x, triple.y, triple.w
     witnesses: list = []
-    degenerate = x.entries == y.entries
+    degenerate = x == y
 
     split = None
     if not degenerate:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -22,7 +23,14 @@ from hypothesis import strategies as st
 from wells_majorize import cli, spin_sums, wells
 from wells_majorize.cli import main
 from wells_majorize.majorize import NonNegVector
-from wells_majorize.rationals import parse_rational
+from wells_majorize.errors import ValidationError
+from wells_majorize.rationals import (
+    clear_denominators,
+    format_rational,
+    parse_rational,
+    parse_rational_vector,
+    parse_scaled_vector,
+)
 
 DATA = Path(__file__).parent / "data"
 CORPUS = DATA / "t_minus_corpus.jsonl"
@@ -149,6 +157,158 @@ class TestLargeProbes:
         code, out, _ = run(capsys, argv)
         assert code == exit_code
         assert hashlib.sha256(TIMING_LINE.sub("", out).encode()).hexdigest() == digest
+
+
+def benchmark_majorize_pair(seed):
+    """Two 120-entry vectors drawn from random.Random(seed) as the sweep
+    benchmark draws its majorize operands (bench/oplist.py,
+    `majorize_pair`): y is random, and x is y after 120 transfers, each
+    from a smaller entry to a larger one or, on half the seeds, in
+    random directions."""
+    rng = random.Random(seed)
+    y = [F(rng.randint(0, 40), rng.randint(1, 6)) for _ in range(120)]
+    x = list(y)
+    towards_larger = rng.random() < 0.5
+    for _ in range(120):
+        i, j = rng.sample(range(120), 2)
+        if towards_larger and x[i] < x[j]:
+            i, j = j, i
+        amount = x[j] * F(rng.randint(1, 4), 4)
+        x[i] += amount
+        x[j] -= amount
+    return ",".join(map(str, x)), ",".join(map(str, y))
+
+
+class TestLargeMajorizeAndTheorem:
+    """A benchmark-sized majorize pair that majorizes (seed 0) and one that
+    does not (seed 9), in every format, and the largest integer theorem
+    pipeline of the benchmark's sizes: the sha256 of each output, timing
+    aside, is pinned."""
+
+    @pytest.mark.parametrize(
+        "seed, fmt, exit_code, digest",
+        [
+            (0, "json", 0, "7f8c44e61d8edf8ea4a10b4a84bc44317fd611e3bff0efd435e408660f5062a0"),
+            (0, "csv", 0, "9d5d4cd4c48a7644f819a4151c959136bb427b40cfc20cd2e9635568deb9a3b2"),
+            (0, "text", 0, "73727f399215b343f40a5519813df71f26f3c60954aa0a0d3d6ce34d93432098"),
+            (9, "json", 1, "ec414fe5e3ccd9d3ec5510686ea72883b767c09e1479bb0f6508e4d794b9a943"),
+            (9, "csv", 1, "8e66c8b4adad8e41203d5f9a434b301a87ecb3c51fea57c9e73949c45bf6861a"),
+            (9, "text", 1, "61b2e406f74d40a6ec6463e982d5f7a32d423da930b0960c53aa5961f23422d4"),
+        ],
+    )
+    def test_majorize_digest(self, capsys, seed, fmt, exit_code, digest):
+        x, y = benchmark_majorize_pair(seed)
+        code, out, _ = run(capsys, ["majorize", "--x", x, "--y", y, "--format", fmt])
+        assert code == exit_code
+        assert hashlib.sha256(TIMING_LINE.sub("", out).encode()).hexdigest() == digest
+
+    def test_theorem_digest(self, capsys):
+        argv = ["theorem", "integer", "--psi", "quartic", "--n", "202", "--phi-power", "5", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert (hashlib.sha256(TIMING_LINE.sub("", out).encode()).hexdigest()
+                == "b25d3d603d7e2f5a76a70ee0792fa35fed76cfa51a1ba86d9b0933361c1e276a")
+
+
+# Every form of vector literal: plain, signed, zero over a denominator,
+# decimals, exponents, underscores, other scripts' digits, surrounding
+# spaces; then refused ones: empty items, a zero denominator, parts over
+# 4300 digits, malformed pieces (one after a negative piece) and negative
+# entries.
+VECTOR_LITERALS = [
+    "3,2,1", "22,22,11,11,2,2,0", "+3,-0,+1/2", "0/5,1", "-0/5,2/4,6/4",
+    "0.5,1.25,.5,1.", "1e-1,2E3,1.5e+2,0.5,1e-1,1_0", "1_0,1_000/3,2_5/1_0",
+    "\u0665,\u0663/\u0662,\u0967\u0966", " 3/2, 0.5 ,1", "\t4\n,1 ", "7/1,14/2",
+    "3,,1", "3,1,", ",", "", " ", "1/0,1", "1,1/00", "1" * 4301 + ",1", "1/" + "1" * 4301,
+    "1e4301,1", "1/2/3", "1 / 2", "1/-2", "1/+2", "--1", "+-1", "0x10", "nan,1", "inf",
+    "-1,zebra", "-1/2,1/0", "2,-1,x", "-1/2,1", "2,-4/8", "-2/4,1", "1,-1e-1",
+]
+
+
+def outcome(read, text):
+    """read(text), or the message of the ValidationError it raises."""
+    try:
+        return read(text)
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+def vector_outcome(x, y):
+    """The exit code and error line a majorize call gave when each vector
+    was built as NonNegVector(parse_rational_vector(...)), x first; None
+    when both are read."""
+    for text in (x, y):
+        message = outcome(lambda t: NonNegVector(parse_rational_vector(t)), text)
+        if isinstance(message, str):
+            return 2, message + "\n"
+    return None
+
+
+class TestMajorizeReader:
+    """`--x` and `--y` are read into integers over one denominator, with
+    the values, messages and exit codes of NonNegVector built from
+    parse_rational_vector."""
+
+    @pytest.mark.parametrize("text", VECTOR_LITERALS)
+    def test_values_match_parse_rational_vector(self, text):
+        def scaled(t):
+            D, ints = parse_scaled_vector(t)
+            return tuple(F(a, D) for a in ints)
+
+        assert outcome(scaled, text) == outcome(parse_rational_vector, text)
+
+    def test_lowered_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for text in ("1" * 641 + ",1", "1/" + "1" * 641, "2," + "1" * 640):
+                assert outcome(parse_scaled_vector, text) == outcome(
+                    lambda t: clear_denominators(parse_rational_vector(t)), text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("text", VECTOR_LITERALS)
+    def test_exit_code_and_error_line(self, capsys, text):
+        for x, y in ((text, text), ("1,zebra", text), ("-1", text)):
+            expected = vector_outcome(x, y)
+            # A value starting with "-" is read as an option unless it is
+            # joined to its flag by "=".
+            forms = [["majorize", f"--x={x}", f"--y={y}"]]
+            if not x.startswith("-") and not y.startswith("-"):
+                forms.append(["majorize", "--x", x, "--y", y])
+            for argv in forms:
+                code, out, err = run(capsys, argv + ["--format", "json"])
+                if expected is not None:
+                    assert (code, out, err) == (expected[0], "", expected[1]), argv
+                else:
+                    assert (code, err) == (0, ""), argv
+                    values = json.loads(out)["parameters"]["x"]
+                    assert values == [format_rational(q) for q in parse_rational_vector(x)], argv
+
+    @pytest.mark.parametrize("text, values", [
+        ("\u0665,\u0663/\u0662", (5, F(3, 2))),
+        ("1_0,1e-1,+7/14", (10, F(1, 10), F(1, 2))),
+        (" 3/2, 0.5 ,1", (F(3, 2), F(1, 2), 1)),
+        ("-0/5,2/4,6/4", (0, F(1, 2), F(3, 2))),
+    ])
+    def test_values(self, text, values):
+        D, ints = parse_scaled_vector(text)
+        assert tuple(F(a, D) for a in ints) == values
+
+    @pytest.mark.parametrize("x, error", [
+        ("1/0,1", "not a rational literal: '1/0'"),
+        ("1,1/00", "not a rational literal: '1/00'"),
+        ("3,,1", "not a rational literal: ''"),
+        ("-1,zebra", "not a rational literal: 'zebra'"),
+        ("1e4301,1", "rational literal over 4300 digits: '1e4301'"),
+        ("2,-4/8,-1", "negative entry -1/2"),
+    ])
+    def test_error_lines(self, capsys, x, error):
+        assert run(capsys, ["majorize", f"--x={x}", "--y", "1"]) == (2, "", f"error: {error}\n")
+
+    def test_negative_entry_through_the_full_parser(self, capsys):
+        code, out, err = run(capsys, ["majorize", "--x=-1/2,1", "--y", "1,0"])
+        assert (code, out, err) == (2, "", "error: negative entry -1/2\n")
 
 
 class TestVerifyConjectureCommand:

@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +15,7 @@ from wells_majorize.majorize import (
     karamata_verify,
     majorizes,
     partial_sums,
+    running_sums,
     single_crossing_majorizes,
 )
 
@@ -36,6 +39,53 @@ class TestNonNegVector:
 
     def test_parses_rational_strings(self):
         assert V("1/3", 2).entries == (F(1, 3), F(2))
+
+
+class TestFromScaled:
+    """A vector built from integers over any common denominator is the
+    vector of the same Fractions, and is refused where they would be."""
+
+    @given(st.lists(st.fractions(min_value=0), min_size=1, max_size=12), st.integers(1, 10**6))
+    def test_matches_the_entries_constructor(self, entries, k):
+        D = math.prod(q.denominator for q in entries) * k
+        v = NonNegVector.from_scaled(D, [int(q * D) for q in entries])
+        reference = NonNegVector(tuple(entries))
+        assert v.entries == reference.entries and all(type(e) is F for e in v.entries)
+        assert v.decreasing == reference.decreasing
+        assert v._scaled == reference._scaled
+        assert v.total() == reference.total()
+        assert len(v) == len(reference) == len(entries)
+        assert list(v) == entries and v[-1] == entries[-1]
+        assert v == reference and hash(v) == hash(reference)
+        assert repr(v) == repr(reference)
+
+    @pytest.mark.parametrize(
+        "D, ints, entries",
+        [
+            (1, [], ()),
+            (6, [3, -2, -4], (F(1, 2), F(-1, 3), F(-2, 3))),
+            (2, [0, -1], (F(0), F(-1, 2))),
+        ],
+    )
+    def test_refuses_what_the_entries_constructor_refuses(self, D, ints, entries):
+        with pytest.raises(ValidationError) as fraction_error:
+            NonNegVector(entries)
+        with pytest.raises(ValidationError) as scaled_error:
+            NonNegVector.from_scaled(D, ints)
+        assert str(scaled_error.value) == str(fraction_error.value)
+
+    def test_is_frozen(self):
+        for v in (V(1, "1/2"), NonNegVector.from_scaled(2, [2, 1])):
+            with pytest.raises(FrozenInstanceError):
+                v._scaled = (1, (1,))
+            with pytest.raises(FrozenInstanceError):
+                del v.entries
+            assert v.entries == (F(1), F(1, 2))
+
+    @pytest.mark.parametrize("D", [0, -1, -6])
+    def test_refuses_a_denominator_below_one(self, D):
+        with pytest.raises(ValidationError, match=f"denominator {D} is not positive"):
+            NonNegVector.from_scaled(D, [1, 2])
 
 
 class TestRearrangement:
@@ -316,6 +366,7 @@ class TestIntegerKernelsAgainstFractions:
             sums = partial_sums(v)
             assert sums == literal_partial_sums(entries)
             assert all(type(s) is F for s in sums)
+            assert running_sums(v) == NonNegVector(tuple(sums))
             assert v.total() == sum(entries, F(0))
             # Stable: ties keep their index order, as the same objects.
             expected = sorted(entries, reverse=True)

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wells_majorize.majorize import NonNegVector
-from wells_majorize.report import VerificationReport
+from wells_majorize.rationals import format_rational
+from wells_majorize.report import VerificationReport, serialize
 from wells_majorize.spin_sums import SplitDomination
 
 
@@ -37,7 +38,18 @@ fractions = st.fractions() | st.builds(
     # Numerators over 4300 digits, which format_rational writes through Decimal.
     lambda n, d: F(10**4301 + n, d), st.integers(), st.integers(1, 10**6)
 )
-vectors = st.lists(st.fractions(min_value=0), min_size=1, max_size=4).map(lambda xs: NonNegVector(tuple(xs)))
+# Over 4300 digits, which format_rational writes through Decimal.
+huge = st.integers(0, 10**6).map(lambda n: 10**4301 + n)
+# Half from Fractions, half from integers over a common denominator k * D
+# (each a multiple of k), so numerators and denominators may be huge.
+vectors = st.lists(st.fractions(min_value=0), min_size=1, max_size=4).map(
+    lambda xs: NonNegVector(tuple(xs))
+) | st.builds(
+    lambda D, ints, k: NonNegVector.from_scaled(k * D, [k * a for a in ints]),
+    st.integers(1, 10**6) | huge,
+    st.lists(st.integers(0, 10**9) | huge, min_size=1, max_size=4),
+    st.integers(1, 12),
+)
 leaves = (
     st.none()
     | st.booleans()
@@ -91,8 +103,24 @@ class TestToJson:
     def test_matches_json_dumps_of_to_dict(self, report):
         assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 
+    @given(vectors)
+    @settings(max_examples=200, deadline=None)
+    def test_vectors_write_the_text_of_their_entries(self, v):
+        # A vector reads as the list of its entries, each Fraction written
+        # by format_rational, in every format.
+        assert serialize(v) == [format_rational(e) for e in v.entries]
+        as_vector, as_list = (VerificationReport("c", "pass", {"v": value}, witnesses=[{"x": value}])
+                              for value in (v, list(v.entries)))
+        assert as_vector.to_json() == as_list.to_json() == json.dumps(as_vector.to_dict(), indent=2)
+        assert as_vector.to_csv() == as_list.to_csv()
+        assert as_vector.to_text() == as_list.to_text()
+
     def test_writes_fractions_over_the_digit_limit(self):
         # Outside @example: Hypothesis would print the value with repr(),
         # which refuses integers over 4300 digits.
         big = VerificationReport("c", "pass", {"big": [F(7**6000, 3), F(-1, 7**6000)]})
         assert big.to_json() == json.dumps(big.to_dict(), indent=2)
+        vector = NonNegVector.from_scaled(3 * 7**6000, [3, 7**6001, 0])
+        assert serialize(vector) == [format_rational(F(1, 7**6000)), "7/3", "0"]
+        report = VerificationReport("c", "pass", {"v": vector})
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
