@@ -15,14 +15,17 @@ in batches of one site count and large ones one at a time: a pass is
 proven when its margin exceeds a rigorous bound on their distance from
 the exact sums, and only the trials it leaves unproven (witnesses,
 near-ties, sums outside the bound's range) reach domination_check. The
-small trials of one site count in a window of draws are described once,
-as monomial keys, strengths and observable factors in one plan; each
-measure builds the plan's monomial rows from its spin views and sums
-all its trials as one array, and no batch table outlives the window.
+small trials of one site count in a window of draws are described as
+monomial keys, strengths and observable factors in plans of at most
+_PLAN_CELLS cells per measure, one plan unless the trials pass that cap;
+each measure builds a plan's monomial rows from its spin views and sums
+all its trials as one array, and no batch table outlives the plan.
 The inverse temperature is absorbed into the couplings. A probe builds
 each measure's enumeration tables (spin views, prior) once per site
-count and shares them across its trials; nothing is cached beyond one
-probe.
+count and shares them across its trials; the tables of a site count
+summed alone lay its last two sites on one axis, so that numpy's inner
+loops are longer, and keep every cell's bits. Nothing is cached beyond
+one probe.
 """
 
 from __future__ import annotations
@@ -59,9 +62,9 @@ MAX_SUBSET_SIZE = 3
 # comparison magnitude is an irrational root).
 FloatAtoms = Sequence[tuple[float, float]]
 MeasureLike = Union["DiscreteMeasure", FloatAtoms]
-# A measure's tables for n sites: the spin view of each axis of the
-# (k,) * n tensor, and the prior (broadcast from one product when the
-# weights are equal).
+# A measure's tables for n sites: the spin view of each site over the
+# cells of the (k,) * n tensor, and the prior (broadcast from one product
+# when the weights are equal).
 _Tables = tuple[list[np.ndarray], np.ndarray]
 
 
@@ -132,8 +135,9 @@ class CouplingSet:
 # are proven one trial at a time.
 _BATCH_MAX_SIZE = 2048
 # Trials random_probe draws before it proves the window's small ones
-# together.
-_WINDOW = 256
+# together, and the most cells one plan's array holds under a measure.
+_WINDOW = 2048
+_PLAN_CELLS = 2**19
 # Unit roundoff of float64, and the range of float partition functions
 # and observable bounds inside which _estimate's bound holds.
 _U = 2.0**-53
@@ -185,14 +189,21 @@ class _PreparedMeasure:
     (value, weight) float pairs validated once; a caller holding only
     the object reads k = len(atoms) from it, and `largest` is the largest
     |value|. For each site count n the object keeps, from the first
-    expectation over n sites on, the per-axis spin views of the (k,) * n
-    tensor and the prior. The prior holds in each cell the product of the
-    cell's weights in lattice order; when all k weights are equal, that
-    is one product with the same bits in every cell, broadcast to the
-    tensor's shape without being stored. The tables live as long as the
-    object and are never written; _gibbs_sums forms each coupling
-    monomial from the spin views where it reads it, and batches of
-    trials build their own rows from them (_batch_sums).
+    expectation over n sites on, the per-site spin views of the (k,) * n
+    tensor and the prior. A site count summed alone (k**n past
+    _BATCH_MAX_SIZE, n >= 3) lays its last two sites on one trailing axis
+    of k * k cells, the last site counting fastest: numpy's innermost
+    loop then runs over k * k cells, not k, and the cells keep their C
+    order, so every cell and every sum has the bits of the (k,) * n
+    layout. Batched site counts keep one axis per site, so a probe that
+    builds small tables once per probe pays nothing for the merge. The
+    prior holds in each cell the product of the cell's weights in lattice
+    order; when all k weights are equal, that is one product with the
+    same bits in every cell, broadcast to the tensor's shape without
+    being stored. The tables live as long as the object and are never
+    written; _gibbs_sums forms each coupling monomial from the spin views
+    where it reads it, and batches of trials build their own rows from
+    them (_batch_sums).
     """
 
     def __init__(self, measure: MeasureLike) -> None:
@@ -207,15 +218,27 @@ class _PreparedMeasure:
         tables = self._tables.get(n)
         if tables is None:
             k = len(self.atoms)
-            shapes = [(1,) * i + (k,) + (1,) * (n - 1 - i) for i in range(n)]
+            # n axes, or n - 1 for a site count summed alone; site i lies
+            # on axis min(i, rank - 1).
+            rank = n - (n >= 3 and k**n > _BATCH_MAX_SIZE)
+            shape = (k,) * (rank - 1) + (k ** (n + 1 - rank),)
+
+            def views(vector: np.ndarray) -> list[np.ndarray]:
+                per_site = [vector] * n
+                if rank < n:
+                    # The merged axis counts the last site fastest.
+                    per_site[-2:] = np.repeat(vector, k), np.tile(vector, k)
+                return [v.reshape([-1 if a == min(i, rank - 1) else 1 for a in range(rank)])
+                        for i, v in enumerate(per_site)]
+
             weight = self.atoms[0][1]
             if all(w == weight for _, w in self.atoms):
                 # Every cell is the same product of n equal weights.
-                prior = np.broadcast_to(math.prod([weight] * n), (k,) * n)
+                prior = np.broadcast_to(math.prod([weight] * n), shape)
             else:
-                prior = math.prod(self._weights.reshape(shape) for shape in shapes)
+                prior = math.prod(views(self._weights))
                 prior.flags.writeable = False
-            tables = self._tables[n] = ([self._values.reshape(shape) for shape in shapes], prior)
+            tables = self._tables[n] = (views(self._values), prior)
         return tables
 
     def free_sites_vanish(self, site_cap: int) -> bool:
@@ -264,14 +287,19 @@ def _gibbs_sums(
     the numerator N, the sum over cells of sigma^B times the Gibbs
     weight, each summed by total(cells, what).
 
-    The k**n configurations are the cells of a (k,) * n tensor with one
-    axis per site in lattice order. The prior, each coupling term and the
-    observable are broadcast products of per-site vectors, multiplied in
-    a fixed order (lattice order, the coupling subset's iteration order,
-    B order). The energy and its Boltzmann factors span only the axes of
-    the sites some coupling touches, and multiply the prior last,
-    so every caller sums the same cells to the bit. Z is summed first,
-    and a Z that is not positive raises NumericError before N is formed.
+    The k**n configurations are the cells of the measure's tables for n
+    sites, in the C order of a (k,) * n tensor with one axis per site in
+    lattice order (the last two sites share an axis when n sites are
+    summed alone). The prior, each coupling term and the observable are
+    broadcast products of per-site views, multiplied in a fixed order
+    (lattice order, the coupling subset's iteration order, B order). The
+    energy and its Boltzmann factors span only the axes of the sites some
+    coupling touches, and multiply the prior last, so every caller sums
+    the same cells to the bit. Z is summed first, and a Z that is not
+    positive raises NumericError before N is formed. On merged tables an
+    observable that spans every cell is formed and multiplied in one
+    leading slice at a time, so the enumeration holds one full-size array
+    and slices, not two full-size arrays.
     `measure` may be a _PreparedMeasure, whose tables are then reused; a
     bare measure gets a fresh one. With B empty nothing is enumerated and
     Z = N = 1.0.
@@ -294,7 +322,7 @@ def _gibbs_sums(
     with np.errstate(over="ignore", invalid="ignore"):
         # Each cell sees the same subtractions in the same order whether
         # the energy grows by broadcasting or is updated in place.
-        energy = np.zeros((1,) * n)
+        energy = np.zeros((1,) * prior.ndim)
         # reduce(mul, ...), not math.prod, whose start value 1 costs one
         # more numpy multiplication per monomial and changes no bit.
         for subset, strength in couplings.terms:
@@ -314,7 +342,14 @@ def _gibbs_sums(
         Z = total(weighted, "partition function degenerate")
         if Z <= 0.0:
             raise NumericError(f"partition function degenerate: {Z}")
-        weighted *= reduce(mul, [spin[axis[site]] for site in B])
+        observable = [spin[axis[site]] for site in B]
+        if prior.ndim == n or np.broadcast_shapes(*(view.shape for view in observable)) != prior.shape:
+            weighted *= reduce(mul, observable)
+        else:
+            # An observable over every cell of a merged tensor is formed
+            # one leading slice at a time, never as a whole.
+            for i in range(len(weighted)):
+                weighted[i:i + 1] *= reduce(mul, [view[i:i + 1] if len(view) > 1 else view for view in observable])
         return Z, total(weighted, "expectation not finite")
 
 
@@ -544,8 +579,8 @@ def _batch_sums(
 ) -> np.ndarray:
     """The partition functions (row 0) and numerators (row 1) of the
     plan's trials under `measure`, in plan order: one row of k**n cells
-    per trial, all in one array, summed by total(rows). random_probe's
-    plans keep that array within _WINDOW * _BATCH_MAX_SIZE cells.
+    per trial, all in one array, summed by total(rows). _proven_trials
+    keeps that array within _PLAN_CELLS cells.
 
     The plan's monomial rows are built here, one row of k**n cells in C
     order per key, and dropped with the call: from a table whose row i
@@ -618,10 +653,10 @@ def _proven_trials(
     even measure pairs each atom with one of equal weight and negated
     value (a zero atom may be its own partner). Write c' for cell c with
     s's atom replaced by its partner; c -> c' is a bijection of the
-    cells. In _gibbs_sums the energy has no axis for s, so c and c' read
-    the same Boltzmann factor; their prior cells multiply equal weights
-    in the same order; and sigma^B at c' has one factor negated. Float
-    rounding is sign-symmetric, so N's cell at c' is exactly the
+    cells. In _gibbs_sums no coupling term reads s's spin view, so c and
+    c' read the same Boltzmann factor; their prior cells multiply equal
+    weights in the same order; and sigma^B at c' has one factor negated.
+    Float rounding is sign-symmetric, so N's cell at c' is exactly the
     negative of N's cell at c. The cells of N thus cancel in pairs: their
     exact sum is 0, and math.fsum returns 0.0. In range, Z is finite and
     positive, so gibbs_expectation returns 0.0 (or -0.0) under each
@@ -629,13 +664,15 @@ def _proven_trials(
     tol >= 0.
 
     Every other trial is summed under each measure. The trials of one
-    site count are described once, by one _Plan, when either measure's
-    enumeration on that many sites has at most _BATCH_MAX_SIZE cells;
-    each such measure sums the whole plan by _batch_sums, as one array
-    of at most _WINDOW * _BATCH_MAX_SIZE cells, and the plan's monomial
-    rows are built for that call and dropped when it returns. Under a
-    measure with a larger enumeration each trial is summed alone by
-    _gibbs_sums. A trial whose float sums under either measure raise
+    site count are described by _Plans when either measure's enumeration
+    on that many sites has at most _BATCH_MAX_SIZE cells: in window
+    order, as many trials per plan as keep its array within _PLAN_CELLS
+    cells under each such measure (2**19 cells: 256 trials of 2048
+    cells, or more of fewer), so a site count takes several plans only
+    when its trials pass that cap. Each such measure sums each plan by
+    _batch_sums, as one array, and the plan's monomial rows are built
+    for that call and dropped when it returns. Under a measure with a
+    larger enumeration each trial is summed alone by _gibbs_sums. A trial whose float sums under either measure raise
     NumericError keeps NaN sums, which prove nothing, so the exact sums
     raise at its turn. The window's sums go through one _estimate, with
     each trial's P formed for the window from the measure's largest
@@ -660,12 +697,18 @@ def _proven_trials(
         # copies of the largest |atom|, multiplied in sequence.
         P = np.stack([np.cumprod([1.0] + [measure.largest] * sizes.max())[sizes] for measure in (mu, nu)])
         for n, positions in groups.items():
-            plan = None
+            batched = {row: measure for row, measure in ((0, mu), (2, nu))
+                       if len(measure.atoms) ** n <= _BATCH_MAX_SIZE}
+            if batched:
+                # Each plan's array holds at most _PLAN_CELLS cells under
+                # each measure that sums it.
+                step = _PLAN_CELLS // max(len(measure.atoms) ** n for measure in batched.values())
+                for first in range(0, len(positions), step):
+                    plan = _plan(n, window, positions[first:first + step])
+                    for row, measure in batched.items():
+                        sums[row:row + 2, plan.positions] = _batch_sums(measure, plan, _row_sums)
             for row, measure in ((0, mu), (2, nu)):
-                if len(measure.atoms) ** n <= _BATCH_MAX_SIZE:
-                    if plan is None:
-                        plan = _plan(n, window, positions)
-                    sums[row:row + 2, plan.positions] = _batch_sums(measure, plan, _row_sums)
+                if row in batched:
                     continue
                 for position in positions:
                     _, terms, B = window[position]
@@ -682,9 +725,9 @@ def random_probe(
     """Sample random ferromagnetic instances and check domination on each.
 
     Deterministic for a given seed: trials are drawn in sequence, _WINDOW
-    at a time, and their verdicts are reported in trial order. In each
-    window the passes that _proven_trials proves, by the exact zero rule
-    or from float sums, are settled together; every other trial (a
+    (2048) at a time, and their verdicts are reported in trial order. In
+    each window the passes that _proven_trials proves, by the exact zero
+    rule or from float sums, are settled together; every other trial (a
     witness, a near-tie, or one whose sums leave the bound's range or
     raise) goes through domination_check, one at a time and in trial
     order, so a witness carries its exact-sum lhs and rhs and an error
@@ -692,10 +735,11 @@ def random_probe(
     the full serialized instance as witness; with zero violations and
     zero trials the result is an empty pass. Each measure's enumeration
     tables are built once and shared by every trial, the small trials of
-    one site count in a window are described once, by one _Plan, for
-    both measures and summed as one array under each, and a site cap
-    whose largest instance would exceed CONFIG_CAP for either measure is
-    refused before any trial. Whether the exact zero rule applies is
+    one site count in a window are described by _Plans of at most
+    _PLAN_CELLS cells per measure, each plan read by both measures and
+    summed as one array under each, and a site cap whose largest
+    instance would exceed CONFIG_CAP for either measure is refused
+    before any trial. Whether the exact zero rule applies is
     decided once, for both measures and the site cap.
     """
     rng = random.Random(config.seed)

@@ -131,12 +131,13 @@ class TestLargeConjectureTables:
 
 
 class TestLargeProbes:
-    """Probes that span more than one window of draws, too large for the
-    corpus: the sha256 of each output, timing aside, is pinned. The
-    failing pair prints about 124 KB of witnesses from two windows; the
-    passing one sums trials both in batches and alone. Under spin 1023/2,
-    the first window's one-site trials are one array of 2^18 cells, and
-    the failing order of that pair prints 300 witnesses, about 85 KB."""
+    """Probes too large for the corpus: the sha256 of each output, timing
+    aside, is pinned. The failing pair prints about 124 KB of witnesses;
+    the passing one sums trials both in batches and alone. Under spin
+    1023/2, the 300 one-site trials are one plan of 300 * 1024 cells, and
+    the failing order of that pair prints 300 witnesses, about 85 KB.
+    Probes over several windows and plans are checked against the
+    per-trial loop in tests/test_oracle.py."""
 
     @pytest.mark.parametrize(
         "pair, trials, site_cap, seed, exit_code, digest",

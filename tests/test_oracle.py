@@ -2,6 +2,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -528,14 +529,97 @@ class TestPreparedMeasure:
     def test_prior_has_the_bits_of_the_weight_tensor(self, measure):
         prepared = oracle._PreparedMeasure(measure)
         weights = np.array([w for _, w in prepared.atoms])
-        for n in range(1, 6):
-            k = len(weights)
+        k = len(weights)
+        # Up to the first site counts summed alone, whose tables merge the
+        # last two axes into one of k * k cells in the same C order.
+        for n in range(1, max(n for n in range(1, 13) if k**n <= 4 * _BATCH_MAX_SIZE) + 1):
             tensor = math.prod(weights.reshape((1,) * i + (k,) + (1,) * (n - 1 - i)) for i in range(n))
             prior = prepared.tables(n)[1]
-            assert prior.shape == tensor.shape and not prior.flags.writeable
+            merged = n >= 3 and k**n > _BATCH_MAX_SIZE
+            assert prior.shape == (tensor.shape[:-2] + (k * k,) if merged else tensor.shape)
+            assert not prior.flags.writeable
             assert prior.tobytes() == tensor.tobytes()
             # Equal weights store one product, broadcast to every cell.
             assert (max(prior.strides) == 0) == (len(set(weights)) == 1)
+
+
+def tensor_sums(n, couplings, atoms, B, total):
+    """Z and N of _gibbs_sums by a plain broadcasting enumeration over the
+    (k,) * n tensor, one axis per site: the reference for the merged
+    tables of site counts summed alone."""
+    k = len(atoms)
+    shapes = [(1,) * i + (k,) + (1,) * (n - 1 - i) for i in range(n)]
+    spin = [np.array([v for v, _ in atoms]).reshape(shape) for shape in shapes]
+    prior = math.prod(np.array([w for _, w in atoms]).reshape(shape) for shape in shapes)
+    energy = np.zeros((1,) * n)
+    for subset, strength in couplings.terms:
+        energy = energy - strength * math.prod(spin[site] for site in subset)
+    weighted = np.exp(energy.min() - energy) * prior
+    observable = math.prod(spin[site] for site in B)
+    return total(weighted, "partition function"), total(weighted * observable, "numerator")
+
+
+@st.composite
+def lone_instances(draw):
+    """A site count summed alone (k**n past _BATCH_MAX_SIZE, the first
+    such n or the next) for k in {2, 3, 9}; atoms of equal or unequal
+    weights; 0 to 2n couplings on 1-3 sites; and an observable on one of
+    the two merged sites, on leading sites only, or on every site."""
+    k = draw(st.sampled_from([2, 3, 9]))
+    n = min(n for n in range(3, 13) if k**n > _BATCH_MAX_SIZE) + draw(st.integers(0, 1))
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k, unique=True))
+    weights = draw(st.just([1 / k] * k) | st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    subsets = st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True).map(frozenset)
+    terms = draw(st.dictionaries(subsets, st.floats(0.0, 2.0), max_size=2 * n))
+    B = draw(
+        st.sampled_from([[n - 2], [n - 1]])
+        | st.lists(st.integers(0, n - 3), min_size=1, max_size=n - 2, unique=True)
+        | st.just(list(range(n)))
+    )
+    return n, CouplingSet.from_dict(terms), list(zip(values, weights)), B
+
+
+class TestLoneEnumerations:
+    """A site count summed alone lays its last two sites on one axis of
+    k * k cells; every cell, and so every sum, keeps its bits."""
+
+    @given(lone_instances())
+    @settings(max_examples=100, deadline=None)
+    @example((12, CouplingSet.from_dict({(10, 11): 1.3, (0,): 0.4}), SKEW[:2], [11]))
+    @example((7, CouplingSet.from_dict({(5, 0, 6): 0.9, (6,): 1.1}), SKEW, list(range(7))))
+    @example((4, CouplingSet.from_dict({}), float_atoms(spin_measure(SpinValue.parse(4))), [0, 1]))
+    def test_sums_match_the_plain_enumeration_to_the_bit(self, instance):
+        n, couplings, atoms, B = instance
+        prepared = oracle._PreparedMeasure(atoms)
+        for total in (oracle._float_sum, _exact_sum):
+            sums = oracle._gibbs_sums(Lattice.of_size(n), couplings, prepared, tuple(B), total)
+            assert [x.hex() for x in sums] == [x.hex() for x in tensor_sums(n, couplings, atoms, B, total)]
+        spin, prior = prepared.tables(n)
+        k = len(atoms)
+        assert prior.shape == (k,) * (n - 2) + (k * k,)
+        for i, view in enumerate(spin):
+            old = np.array([v for v, _ in atoms]).reshape((1,) * i + (k,) + (1,) * (n - 1 - i))
+            merged = np.broadcast_to(view, prior.shape).reshape((k,) * n)
+            assert merged.tobytes() == np.broadcast_to(old, (k,) * n).tobytes()
+
+    @pytest.mark.parametrize(
+        "terms",
+        [{(0, 1): 1.0, (2, 3, 4): 0.5, (5,): 0.3}, {(0, 1): 1.0}],
+        ids=["energy-over-every-site", "energy-over-two-sites"],
+    )
+    def test_observable_over_every_site_is_formed_by_slices(self, terms):
+        # 7**6 cells, summed alone. Forming sigma^B as a whole held 2.29
+        # full-size arrays at the peak.
+        prepared = oracle._PreparedMeasure(spin_measure(SpinValue.parse(3)))
+        prepared.tables(6)
+        tracemalloc.start()
+        try:
+            oracle._gibbs_sums(Lattice.of_size(6), CouplingSet.from_dict(terms), prepared, tuple(range(6)),
+                               oracle._float_sum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 7**6 * np.dtype(np.float64).itemsize
 
 
 @st.composite
@@ -791,7 +875,9 @@ PROBE_PAIRS = [RMS_VS_SPIN, TIES, FAILING, (SKEW, spin_measure(SpinValue.parse(1
 @st.composite
 def probe_runs(draw):
     """A pair of PROBE_PAIRS in either order, a seed, 0-40 trials, a site
-    cap up to the pair's largest, a tolerance and a window."""
+    cap up to the pair's largest, a tolerance, a window and a plan cap:
+    _PLAN_CELLS, or _BATCH_MAX_SIZE cells, which splits a site count's
+    trials into plans of one trial at its largest batched size."""
     mu, nu, cap = draw(st.sampled_from(PROBE_PAIRS))
     if draw(st.booleans()):
         mu, nu = nu, mu
@@ -801,12 +887,13 @@ def probe_runs(draw):
         site_cap=draw(st.integers(1, cap)),
         tol=draw(st.sampled_from([0.0, 1e-12, DEFAULT_TOL])),
     )
-    return config, mu, nu, draw(st.sampled_from([oracle._WINDOW, 7]))
+    plan_cells = draw(st.sampled_from([oracle._PLAN_CELLS, _BATCH_MAX_SIZE]))
+    return config, mu, nu, draw(st.sampled_from([oracle._WINDOW, 7])), plan_cells
 
 
-def probe_run(pair, tol, window=oracle._WINDOW, trials=40, seed=1):
+def probe_run(pair, tol, window=oracle._WINDOW, trials=40, seed=1, plan_cells=oracle._PLAN_CELLS):
     mu, nu, cap = pair
-    return ProbeConfig(seed=seed, trials=trials, site_cap=cap, tol=tol), mu, nu, window
+    return ProbeConfig(seed=seed, trials=trials, site_cap=cap, tol=tol), mu, nu, window, plan_cells
 
 
 class TestBatchedTrials:
@@ -880,8 +967,12 @@ class TestBatchedTrials:
     @example(probe_run(HUGE, DEFAULT_TOL))
     @example(probe_run((PM_ONE, HUGE[0], 3), 0.0))
     @example(probe_run(UNDERFLOW, DEFAULT_TOL))
-    # Windows of 7 draws split the trials.
+    # Windows of 7 draws split the trials, and plans of at most 2048
+    # cells split a site count's trials within a window.
     @example(probe_run(RMS_VS_SPIN, 1e-12, window=7))
+    @example(probe_run(RMS_VS_SPIN, 1e-12, plan_cells=_BATCH_MAX_SIZE))
+    @example(probe_run(FAILING, DEFAULT_TOL, trials=60, plan_cells=_BATCH_MAX_SIZE))
+    @example(probe_run(TIES, 0.0, window=7, plan_cells=_BATCH_MAX_SIZE))
     # Trials whose observable has a site no coupling touches. SKEW is not
     # even: trial 2 of seed 3 is such a trial and a witness. Under TINY,
     # even and in range, 4 of seed 1's first 10 trials are, and their
@@ -893,10 +984,32 @@ class TestBatchedTrials:
     @example(probe_run(HUGE, DEFAULT_TOL, trials=10, seed=2))
     @example(probe_run(UNDERFLOW, DEFAULT_TOL, trials=10, seed=2))
     def test_probe_matches_the_per_trial_loop(self, run):
-        config, mu, nu, window = run
+        config, mu, nu, window, plan_cells = run
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_WINDOW", window)
+            patch.setattr(oracle, "_PLAN_CELLS", plan_cells)
             assert probe_outcome(random_probe, config, mu, nu) == probe_outcome(reference_probe, config, mu, nu)
+
+    def test_plans_split_at_the_cell_cap(self, monkeypatch):
+        # SKEW is not even, so no trial is proven by the exact zero rule,
+        # and 3**n <= 729 cells puts every trial of seed 4 in a plan. A cap
+        # of 4096 cells holds 5 trials of 6 sites, 16 of 5 and so on.
+        plans, make_plan = [], oracle._plan
+
+        def spy_plan(n, window, positions):
+            plans.append(make_plan(n, window, positions))
+            return plans[-1]
+
+        monkeypatch.setattr(oracle, "_plan", spy_plan)
+        monkeypatch.setattr(oracle, "_PLAN_CELLS", 2 * _BATCH_MAX_SIZE)
+        random_probe(ProbeConfig(seed=4, trials=300, site_cap=6), SKEW, spin_measure(SpinValue.parse(1)))
+        rng = random.Random(4)
+        sites = [reference_draw(rng, 6)[0] for _ in range(300)]
+        for n in range(1, 7):
+            split = [plan.positions for plan in plans if plan.n == n]
+            assert all(len(positions) * 3**n <= 2 * _BATCH_MAX_SIZE for positions in split)
+            assert len(split) == -(-sites.count(n) // (2 * _BATCH_MAX_SIZE // 3**n))
+            assert sorted(sum(split, [])) == [i for i, m in enumerate(sites) if m == n]
 
 
 EVEN = ("bernoulli-rms", "spin", "mu-lambda", "pairs")
