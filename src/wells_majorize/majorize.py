@@ -1,25 +1,25 @@
 """Majorization order on non-negative vectors, in exact rational arithmetic.
 
-A vector is its integers over one denominator: `NonNegVector` holds
-(D, ints), with D the least common denominator of its entries, whether
-it is built from `Fraction` entries or from integers over any common
-denominator (`NonNegVector.from_scaled`, which the CLI's vector reader
-and the theorem pipelines use). Every comparison, running sum and power
-runs on those integers, and two vectors are compared with each other
-over the lcm of their two denominators. A `Fraction` is built only for a
-value that a public function returns, or for `entries` and `decreasing`
-when they are read; a report writes each entry from the integers. The
-only convex test functions are the odd powers t**(2m+1), the ones the
-paper's Karamata argument needs; `wells` and `spin_sums` read their
-integer kernels here: `_odd_power_sums` (order by order) and
-`_stop_loss_dominates` (every odd order at once). Nothing here ever
-rounds.
+A vector is its integers over one denominator: `NonNegVector`, a frozen
+dataclass, holds the one field (D, ints), with D the least common
+denominator of its entries, whether it is built from `Fraction` entries
+or from integers over any common denominator (`NonNegVector.from_scaled`,
+which the CLI's vector reader and the theorem pipelines use). Every
+comparison, running sum and power runs on those integers, and two
+vectors are compared with each other over the lcm of their two
+denominators. A `Fraction` is built only for a value that a public
+function returns, or for `entries` and `decreasing` when they are read;
+a report writes each entry from the integers. The only convex test
+functions are the odd powers t**(2m+1), the ones the paper's Karamata
+argument needs; `wells` and `spin_sums` read their integer kernels here:
+`_odd_power_sums` (order by order) and `_stop_loss_dominates` (every odd
+order at once). Nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -32,14 +32,17 @@ from .rationals import clear_denominators, parse_rational
 RationalLike = Union[Fraction, int, str]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class NonNegVector:
-    """Finite vector of non-negative exact rationals, held as `_scaled`:
-    (D, ints), the entries times D, with D > 0 their least common
-    denominator. Equal vectors hold the same pair however they were
-    built, so equality and hashing read it, and like a frozen dataclass
-    a vector refuses assignment. `entries` and `decreasing` are
-    Fractions formed when first read; a vector built from its entries
-    keeps them."""
+    """Finite vector of non-negative exact rationals, held as its one
+    field `_scaled`: (D, ints), the entries times D, with D > 0 their
+    least common denominator. Equal vectors hold the same pair however
+    they were built, so the equality and hashing a frozen dataclass
+    generates from that field compare vectors by value. `entries` and
+    `decreasing` are Fractions formed when first read; a vector built
+    from its entries keeps them."""
+
+    _scaled: tuple[int, tuple[int, ...]]
 
     def __init__(self, entries: tuple[Fraction, ...]) -> None:
         entries = tuple(entries)
@@ -88,22 +91,8 @@ class NonNegVector:
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._scaled == other._scaled
-
-    def __hash__(self) -> int:
-        return hash(self._scaled)
-
     def __repr__(self) -> str:
         return f"NonNegVector(entries={self.entries!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @cached_property
     def decreasing(self) -> tuple[Fraction, ...]:

@@ -146,7 +146,8 @@ _SAFE_MIN, _SAFE_MAX = 2.0**-500, 2.0**500
 
 def _exact_sum(x: np.ndarray, what: str) -> float:
     """Correctly rounded sum of a float64 array: math.fsum's, which adds
-    Shewchuk's exact partials and rounds once.
+    Shewchuk's exact partials and rounds once. Both routes read the
+    addends one at a time through a memoryview, never as a list.
 
     math.fsum raises OverflowError also when only a partial sum leaves
     the float range. Only when it fails, and every addend is finite, is
@@ -158,11 +159,11 @@ def _exact_sum(x: np.ndarray, what: str) -> float:
     x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
     total = math.nan
     with contextlib.suppress(OverflowError, ValueError):
-        total = math.fsum(x.tolist())
+        total = math.fsum(memoryview(x))
     if not math.isfinite(total):
         if np.isfinite(x).all():
             with contextlib.suppress(OverflowError):
-                total = float(sum(map(Fraction, x.tolist())))
+                total = float(sum(map(Fraction, memoryview(x))))
         if not math.isfinite(total):
             raise NumericError(f"{what}: non-finite addend or overflowing sum")
     return total

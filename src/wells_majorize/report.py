@@ -1,14 +1,16 @@
 """Structured verification reports shared by every verifier and the CLI.
 
-`serialize` turns report contents into JSON-safe data, and `to_dict`,
-the CSV and the text forms read it. `to_json` writes the report in one
-pass straight from its values, with the bytes
-`json.dumps(report.to_dict(), indent=2)` would give: each `Fraction` as
-the string of `format_rational`, each vector entry as the same string
-written from the vector's integers by `format_scaled`, strings through
-json's C `encode_basestring_ascii`, floats in json's form (`NaN`,
-`Infinity` and `-Infinity` included), dict keys through `str` as
-`serialize` takes them, and any other value through `serialize` first.
+`serialize` turns report contents into JSON-safe data (a `NonNegVector`,
+known by its type, as its entries, and any other dataclass as its fields
+one level at a time), and `to_dict`, the CSV and the text forms read it.
+`to_json` writes the report in one pass straight from its values, with
+the bytes `json.dumps(report.to_dict(), indent=2)` would give: each
+`Fraction` as the string of `format_rational`, each vector entry as the
+same string written from the vector's integers by `format_scaled`,
+strings through json's C `encode_basestring_ascii`, floats in json's
+form (`NaN`, `Infinity` and `-Infinity` included), dict keys through
+`str` as `serialize` takes them, and any other value through `serialize`
+first.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
+from .majorize import NonNegVector
 from .rationals import format_rational, format_scaled
 
 PASS = "pass"
@@ -43,13 +46,11 @@ def serialize(obj: Any) -> Any:
         return {str(k): serialize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [serialize(v) for v in obj]
-    # A NonNegVector, known by its (D, ints) pair since this module does
-    # not import majorize, serializes as the flat list of its entries.
-    scaled = getattr(obj, "_scaled", None)
-    if scaled is not None:
-        return format_scaled(*scaled)
+    # A vector is a dataclass too, so its type is tested first.
+    if isinstance(obj, NonNegVector):
+        return format_scaled(*obj._scaled)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return serialize(dataclasses.asdict(obj))
+        return {f.name: serialize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return str(obj)
 
 
@@ -123,11 +124,11 @@ def _write_json(obj: Any, newline: str, out: list[str]) -> None:
     elif isinstance(obj, (str, Fraction, int, float)):
         # A subclass (np.float64, an IntEnum) is written as its base type.
         out.append(next(write for kind, write in _LEAVES.items() if isinstance(obj, kind))(obj))
-    elif (scaled := getattr(obj, "_scaled", None)) is not None:
+    elif isinstance(obj, NonNegVector):
         # A vector is never empty, and its entries' digits, "-" and "/"
         # need no escapes.
         inner = newline + "  "
-        out.append(f'[{inner}"' + f'",{inner}"'.join(format_scaled(*scaled)) + f'"{newline}]')
+        out.append(f'[{inner}"' + f'",{inner}"'.join(format_scaled(*obj._scaled)) + f'"{newline}]')
     else:
         _write_json(serialize(obj), newline, out)
 

@@ -160,7 +160,7 @@ class PsiGrid:
         expected = N + 1 if self.variant == HALF_ODD else 2 * N + 1
         if len(self.values) != expected:
             raise ValidationError(f"expected {expected} samples, got {len(self.values)}")
-        vals = self._scaled[1]
+        vals = self._cleared[1]
         if any(v < 0 for v in vals):
             raise ValidationError("samples must be non-negative")
         if self.variant == HALF_ODD:
@@ -195,12 +195,12 @@ class PsiGrid:
         return self.values[j + offset]
 
     @cached_property
-    def _scaled(self) -> tuple[int, tuple[int, ...]]:
+    def _cleared(self) -> tuple[int, tuple[int, ...]]:
         return clear_denominators(self.values)
 
     @cached_property
     def _mean(self) -> Fraction:
-        D, vals = self._scaled
+        D, vals = self._cleared
         return Fraction(sum(vals), len(vals) * D)
 
     def mean(self) -> Fraction:
@@ -210,7 +210,7 @@ class PsiGrid:
     def _centered(self) -> tuple[int, tuple[int, ...]]:
         """(C, the samples less `mean()`, times C), with C the lcm of the
         samples' common denominator and the mean's denominator."""
-        (D, vals), mean = self._scaled, self.mean()
+        (D, vals), mean = self._cleared, self.mean()
         C = math.lcm(D, mean.denominator)
         k, M = C // D, mean.numerator * (C // mean.denominator)
         return C, tuple(v * k - M for v in vals)
@@ -358,8 +358,6 @@ def verify_half_odd_theorem(
     centered sum. Any failed step is reported with a witness and fails
     the report.
     """
-    if grid.variant != HALF_ODD:
-        raise PreconditionError("half-odd grid required")
     pair = build_half_odd_pair(grid)
     x, y = pair.x, pair.y
     witnesses: list = []
@@ -442,8 +440,6 @@ def verify_integer_theorem(
     matched against the directly computed centered sum. Any failed step
     is reported with a witness and fails the report.
     """
-    if grid.variant != INTEGER:
-        raise PreconditionError("integer grid required")
     N = grid.subdivisions
     params = {"N": N, "variant": grid.variant}
     head = grid.value_at_index(N) + grid.value_at_index(0) >= 2 * grid.mean()

@@ -640,7 +640,8 @@ class TestCliCorpus:
     a committed corpus: verify-conjecture in all three formats, majorize
     (holds, fails, unequal totals, single crossing), both theorem
     pipelines over every psi preset (odd N, hypotheses not met, the
-    equal-vectors route, a failing grid), tc-bounds including a usage
+    equal-vectors route, a failing grid, an integer-theorem CSV, whose
+    split record is a nested dataclass), tc-bounds including a usage
     error, and probe pairs that pass and fail."""
 
     @pytest.mark.parametrize(

@@ -1222,3 +1222,26 @@ class TestExactSum:
     def test_overflowing_sum_raises(self, size):
         with pytest.raises(NumericError):
             _exact_sum(np.full(size, 1.5e308), "sum")
+
+    @pytest.mark.parametrize(
+        "x, reference",
+        [
+            (np.random.default_rng(5).standard_normal(2**19), math.fsum),
+            # Every +1e308 first: a partial sum overflows fsum, so the sum
+            # is taken over Fractions.
+            (np.repeat([1e308, -1e308, 0.5], 2**12), fraction_sum),
+        ],
+        ids=["fsum", "fractions"],
+    )
+    def test_holds_no_addend_list(self, x, reference):
+        # Listing the addends held each as a Python float: about four
+        # times the array's size at the peak.
+        expected = float(reference(x.tolist()))
+        tracemalloc.start()
+        try:
+            total = _exact_sum(x, "sum")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repr(total) == repr(expected)
+        assert peak < x.nbytes / 2

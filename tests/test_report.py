@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wells_majorize.majorize import NonNegVector
 from wells_majorize.rationals import format_rational
 from wells_majorize.report import VerificationReport, serialize
-from wells_majorize.spin_sums import SplitDomination
+from wells_majorize.spin_sums import HALF_ODD, PsiGrid, SplitDomination
 
 
 @pytest.mark.parametrize(
@@ -32,6 +32,16 @@ def test_unknown_status_has_no_exit_code():
 class Holder:
     vector: NonNegVector
     extra: list
+
+
+@dataclass(frozen=True)
+class Sampled:
+    """Not a vector, though it has a `_scaled` attribute."""
+
+    variant: str
+    subdivisions: int
+    values: tuple
+    _scaled = (4, (0, 1, 4))
 
 
 fractions = st.fractions() | st.builds(
@@ -124,3 +134,21 @@ class TestToJson:
         assert serialize(vector) == [format_rational(F(1, 7**6000)), "7/3", "0"]
         report = VerificationReport("c", "pass", {"v": vector})
         assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+
+@pytest.mark.parametrize(
+    "held",
+    [PsiGrid(HALF_ODD, 2, (F(0), F(1, 4), F(1))), Sampled(HALF_ODD, 2, (F(0), F(1, 4), F(1)))],
+    ids=["grid", "look-alike"],
+)
+def test_only_a_vector_is_written_as_a_list(held):
+    # Any other dataclass is written as its fields, whatever attributes
+    # it has.
+    report = VerificationReport("c", "pass", {"grid": held})
+    fields = {"variant": "half-odd", "subdivisions": 2, "values": ["0", "1/4", "1"]}
+    assert report.to_dict()["parameters"]["grid"] == fields
+    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+    rows = [("variant", "half-odd"), ("subdivisions", "2"),
+            ("values[0]", "0"), ("values[1]", "1/4"), ("values[2]", "1")]
+    assert all(f'parameters.grid.{key},"{value}"' in report.to_csv().splitlines() for key, value in rows)
+    assert all(f"parameters.grid.{key}: {value}" in report.to_text().splitlines() for key, value in rows)
