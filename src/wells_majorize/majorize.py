@@ -184,11 +184,15 @@ def _first_shortfall(sa: Iterable[int], sb: Iterable[int]) -> int | None:
     return next((i for i, (a, b) in enumerate(zip(sa, sb), 1) if a < b), None)
 
 
+def _check_lengths(x: NonNegVector, y: NonNegVector) -> None:
+    if len(x) != len(y):
+        raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
+
+
 def majorizes(x: NonNegVector, y: NonNegVector) -> bool:
     """Exact test of the majorization order: equal totals and dominating
     partial sums of the decreasing rearrangements."""
-    if len(x) != len(y):
-        raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
+    _check_lengths(x, y)
     xs, ys = _over_common_denominator(x, y, decreasing=True)
     sx = list(accumulate(xs))
     sy = list(accumulate(ys))
@@ -221,8 +225,7 @@ def single_crossing_majorizes(x: NonNegVector, y: NonNegVector) -> SingleCrossin
     positive result here must always agree with majorizes(). Equal totals
     are a structural hypothesis and raise PreconditionError when violated.
     """
-    if len(x) != len(y):
-        raise LengthMismatchError(f"length mismatch: {len(x)} vs {len(y)}")
+    _check_lengths(x, y)
     xs, ys = _over_common_denominator(x, y, decreasing=True)
     if sum(xs) != sum(ys):
         raise PreconditionError("single-crossing criterion requires equal totals")

@@ -1,22 +1,21 @@
 """Structured verification reports shared by every verifier and the CLI.
 
-`serialize` turns report contents into JSON-safe data (a `NonNegVector`,
-known by its type, as its entries, and any other dataclass as its fields
-one level at a time), and `to_dict`, the CSV and the text forms read it.
-`to_json` writes the report in one pass straight from its values, with
-the bytes `json.dumps(report.to_dict(), indent=2)` would give: each
-`Fraction` as the string of `format_rational`, each vector entry as the
-same string written from the vector's integers by `format_scaled`,
-strings through json's C `encode_basestring_ascii`, floats in json's
-form (`NaN`, `Infinity` and `-Infinity` included), dict keys through
-`str` as `serialize` takes them, and any other value through `serialize`
-first.
-"""
+One writer, `_write_json`, decides the text form of every value a report
+holds, and `to_json` is its output: the bytes `json.dumps` gives at
+indent 2, written in one pass straight from the values. Each `Fraction`
+is the string of `format_rational`, a `NonNegVector` (known by its type)
+the list of its entries, written from its integers by `format_scaled`,
+any other dataclass its fields one level at a time, and any other object
+the string of `str(obj)`; strings go through json's C
+`encode_basestring_ascii`, floats take json's form (`NaN`, `Infinity`
+and `-Infinity` included), and dict keys go through `str`. `to_dict` is
+the parse of that text, and the CSV and text forms hold its leaves."""
 
 from __future__ import annotations
 
 import dataclasses
 import io
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,26 +31,6 @@ INCONCLUSIVE = "inconclusive"
 HYPOTHESIS_NOT_MET = "hypothesis_not_met"
 
 _EXIT_CODES = {PASS: 0, FAIL: 1, INCONCLUSIVE: 3, HYPOTHESIS_NOT_MET: 3}
-
-
-def serialize(obj: Any) -> Any:
-    """Convert nested values to JSON-safe data; rationals become "p/q" strings."""
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, float, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): serialize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [serialize(v) for v in obj]
-    # A vector is a dataclass too, so its type is tested first.
-    if isinstance(obj, NonNegVector):
-        return format_scaled(*obj._scaled)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: serialize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    return str(obj)
 
 
 def _json_float(x: float) -> str:
@@ -82,9 +61,11 @@ _LEAVES: dict[type, Callable[[Any], str]] = {
 
 
 def _write_json(obj: Any, newline: str, out: list[str]) -> None:
-    """Append the indent-2 JSON text of serialize(obj) to out, written at
-    the depth whose line break and indentation is `newline`. Container
-    loops write exact-type leaves themselves, saving a call each."""
+    """Append the indent-2 JSON text of obj to out, written at the depth
+    whose line break and indentation is `newline`. This is the one rule
+    for a value's text form: to_dict parses what it writes, and the CSV
+    and text forms are that parse's leaves. Container loops write
+    exact-type leaves themselves, saving a call each."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         out.append(leaf(obj))
@@ -94,7 +75,7 @@ def _write_json(obj: Any, newline: str, out: list[str]) -> None:
             return
         inner = newline + "  "
         separator = "{" + inner
-        # Keys equal under str merge as in serialize: first place, last value.
+        # Keys equal under str merge: first place, last value.
         for key, value in {str(k): v for k, v in obj.items()}.items():
             out.append(separator)
             out.append(encode_basestring_ascii(key))
@@ -129,14 +110,16 @@ def _write_json(obj: Any, newline: str, out: list[str]) -> None:
         # need no escapes.
         inner = newline + "  "
         out.append(f'[{inner}"' + f'",{inner}"'.join(format_scaled(*obj._scaled)) + f'"{newline}]')
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _write_json({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, newline, out)
     else:
-        _write_json(serialize(obj), newline, out)
+        out.append(encode_basestring_ascii(str(obj)))
 
 
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
+            _flatten(f"{prefix}.{k}" if prefix else k, v, rows)
     elif isinstance(value, list):
         for i, v in enumerate(value):
             _flatten(f"{prefix}[{i}]", v, rows)
@@ -164,19 +147,16 @@ class VerificationReport:
     def exit_code(self) -> int:
         return _EXIT_CODES[self.status]
 
-    def _fields(self) -> dict[str, Any]:
-        """The six report fields in output order, as they are held."""
-        return {
-            "command": self.command,
-            "status": self.status,
-            "parameters": self.parameters,
-            "details": self.details,
-            "witnesses": self.witnesses,
-            "timing_ms": self.timing_ms,
-        }
+    def _json(self) -> str:
+        """The JSON text of the six fields, which vars holds in field
+        order. to_dict and the CSV and text forms read it from here, not
+        through to_json, which bench/spans.py times as rendered output."""
+        out: list[str] = []
+        _write_json(vars(self), "\n", out)
+        return "".join(out)
 
     def to_dict(self) -> dict[str, Any]:
-        return serialize(self._fields())
+        return json.loads(self._json())
 
     def _rows(self) -> list[tuple[str, str]]:
         """(key, value) per leaf of to_dict, timing_ms last."""
@@ -186,9 +166,7 @@ class VerificationReport:
 
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=2), written in one pass."""
-        out: list[str] = []
-        _write_json(self._fields(), "\n", out)
-        return "".join(out)
+        return self._json()
 
     def to_csv(self) -> str:
         buf = io.StringIO()

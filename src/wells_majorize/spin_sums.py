@@ -31,6 +31,7 @@ from .majorize import (
     NonNegVector,
     OddConvexFunction,
     SingleCrossing,
+    _check_lengths,
     _first_shortfall,
     _odd_power_sums,
     _over_common_denominator,
@@ -408,8 +409,7 @@ def split_domination_check(w: NonNegVector, y: NonNegVector) -> SplitDomination:
     recording the split used to prove it: w1 >= y1 and w1+w2 >= y1+y2+y3
     for the leading block, then a single sign change in w_j - y_j from
     position 4 on."""
-    if len(w) != len(y):
-        raise PreconditionError("length mismatch")
+    _check_lengths(w, y)
     ws, ys = _over_common_denominator(w, y)
     sw = list(accumulate(ws))
     sy = list(accumulate(ys))

@@ -98,7 +98,7 @@ INTEGER_GRID = PsiGrid(INTEGER, 2, tuple(map(F, (4, 1, 0, 1, 4))))
         pytest.param(lambda: single_crossing_majorizes(NonNegVector.of(1), NonNegVector.of(1, 0)),
                      LengthMismatchError, "length mismatch: 1 vs 2", id="single crossing over unequal lengths"),
         pytest.param(lambda: split_domination_check(NonNegVector.of(1), NonNegVector.of(1, 0)),
-                     PreconditionError, "length mismatch", id="split domination over unequal lengths"),
+                     LengthMismatchError, "length mismatch: 1 vs 2", id="split domination over unequal lengths"),
         pytest.param(lambda: SpinValue(0), ValidationError, "twice must be >= 1", id="spin 0"),
         pytest.param(lambda: PsiGrid("cubic", 1, (F(0), F(1))), ValidationError, "unknown variant 'cubic'",
                      id="grid of unknown variant"),
